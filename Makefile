@@ -8,12 +8,10 @@ build:
 test:
 	dune runtest
 
-# The CI gate: full build, tests, and formatting drift in one shot
-# (also available as `dune build @check`).
+# The CI gate: full build, tests, formatting drift and every rule
+# attached to the root `check` alias (see the root dune file).
 check:
-	dune build @all
-	dune runtest
-	dune build @fmt
+	dune build @check
 
 fmt:
 	dune fmt

@@ -1163,6 +1163,13 @@ let eco_cmd =
         ("repeat", string_of_int repeat);
       ];
     let circuit = load_circuit spec in
+    (* A malformed script is rejected before the cold run is paid. *)
+    let script =
+      try Incremental.Script.load ~circuit edits_file
+      with Incremental.Edit_error msg ->
+        Printf.eprintf "error: %s: %s\n" edits_file msg;
+        exit 1
+    in
     let ctx = context () in
     let inputs = scenario_inputs ~seed scenario circuit in
     Par.Pool.with_pool ~jobs @@ fun pool ->
@@ -1173,12 +1180,6 @@ let eco_cmd =
     in
     let cold_seconds = Unix.gettimeofday () -. t0 in
     let rep0 = Incremental.report sess in
-    let script =
-      try Incremental.Script.load ~circuit edits_file
-      with Incremental.Edit_error msg ->
-        Printf.eprintf "error: %s: %s\n" edits_file msg;
-        exit 1
-    in
     let batches = List.concat (List.init (max 1 repeat) (fun _ -> script)) in
     let timings =
       try Incremental.replay ~pool sess batches
@@ -1219,11 +1220,15 @@ let eco_cmd =
     Printf.printf "final power: %s\n"
       (Report.Table.cell_power final.Reorder.Optimizer.power_after);
     if check_cold then begin
+      (* A memoized session's winners are pure functions of the memo
+         key, so a fresh memo reproduces them; an unmemoized cold run
+         would be the exhaustive sweep, which can legitimately differ. *)
       let cold =
         Reorder.Optimizer.optimize ctx.Experiments.Common.power
           ~delay:ctx.Experiments.Common.delay
           ~external_load:(Incremental.external_load sess)
           ~objective:(Incremental.objective sess) ~pool
+          ?memo:(if memo then Some (Reorder.Memo.create ()) else None)
           (Incremental.circuit sess)
           ~inputs:(Incremental.input_stats sess)
       in

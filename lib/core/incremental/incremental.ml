@@ -242,9 +242,15 @@ module Script = struct
     | Some v -> v
     | None -> edit_error "edit needs a numeric %S field" key
 
-  let int_of ?default json key =
+  (* JSON numbers are floats: an index must be integral and inside
+     [0, bound) before it is converted, or [int_of_float] would wrap it
+     onto some valid index. *)
+  let index_of ?default json key ~bound =
     match (Option.bind (J.member key json) J.to_float, default) with
-    | Some v, _ -> int_of_float v
+    | Some v, _ ->
+        if Float.is_integer v && v >= 0. && v < float_of_int bound then
+          int_of_float v
+        else edit_error "%S must be an integer in [0, %d), got %g" key bound v
     | None, Some d -> d
     | None, None -> edit_error "edit needs an integer %S field" key
 
@@ -253,11 +259,16 @@ module Script = struct
     | Some "set_input_stats" ->
         let net = net_of ~circuit json "net" in
         let prob = float_of json "prob" and density = float_of json "density" in
-        Set_input_stats (net, Stats.make ~prob ~density)
+        let stats =
+          try Stats.make ~prob ~density
+          with Invalid_argument msg -> edit_error "set_input_stats: %s" msg
+        in
+        Set_input_stats (net, stats)
     | Some "replace_gate" ->
-        let g = int_of json "gate" in
-        if g < 0 || g >= C.gate_count circuit then
-          edit_error "replace_gate: no gate %d" g;
+        let g =
+          try index_of json "gate" ~bound:(C.gate_count circuit)
+          with Edit_error msg -> edit_error "replace_gate: %s" msg
+        in
         let old = C.gate_at circuit g in
         let cell =
           match Option.bind (J.member "cell" json) J.to_string with
@@ -283,7 +294,12 @@ module Script = struct
           | Some _ -> edit_error "replace_gate: fanins must be an array"
           | None -> old.C.fanins
         in
-        let config = int_of ~default:old.C.config json "config" in
+        let config =
+          try
+            index_of ~default:old.C.config json "config"
+              ~bound:(Cell.Gate.config_count cell)
+          with Edit_error msg -> edit_error "replace_gate: %s" msg
+        in
         Replace_gate
           (g, { C.cell; config; fanins; output = old.C.output })
     | Some "set_external_load" ->

@@ -1,4 +1,5 @@
 module C = Netlist.Circuit
+module Stats = Stoch.Signal_stats
 
 let c_gates_visited = Obs.counter "optimizer.gates_visited"
 let c_configs_explored = Obs.counter "optimizer.configs_explored"
@@ -6,9 +7,13 @@ let c_configs_pruned = Obs.counter "optimizer.configs_pruned"
 let c_sta_checks = Obs.counter "optimizer.sta_checks"
 let c_sta_rejects = Obs.counter "optimizer.sta_rejects"
 let c_parallel_levels = Obs.counter "optimizer.parallel_levels"
-let c_wide_sweeps = Obs.counter "optimizer.wide_sweeps"
 let d_configs_per_gate = Obs.distribution "optimizer.configs_per_gate"
 let d_gate_reduction = Obs.distribution "optimizer.gate_reduction_percent"
+let c_inc_applies = Obs.counter "incremental.applies"
+let c_inc_cold_runs = Obs.counter "incremental.cold_runs"
+let c_inc_dirty_nets = Obs.counter "incremental.dirty_nets"
+let c_inc_dirty_gates = Obs.counter "incremental.dirty_gates"
+let c_inc_cutoffs = Obs.counter "incremental.cutoffs"
 
 type objective =
   | Min_power
@@ -38,176 +43,11 @@ let pp_report ppf r =
     r.gates_changed
     (Array.length r.configs) r.configurations_explored
 
-(* Static timing of the circuit with an explicit configuration
-   assignment, without materializing a rewritten circuit. Mirrors
-   Delay.Sta but reads configs from [assignment]. *)
-let critical_delay_with delay_table ~external_load circuit assignment =
-  let arrival = Array.make (C.net_count circuit) 0. in
-  let load_of g =
-    let gate = C.gate_at circuit g in
-    let pins =
-      List.fold_left
-        (fun acc (reader, pin) ->
-          let cell = (C.gate_at circuit reader).C.cell in
-          let network = Cell.Config.network (Cell.Config.reference cell) in
-          acc
-          +. Cell.Process.input_pin_capacitance
-               (Delay.Elmore.process delay_table)
-               network pin)
-        0.
-        (C.readers circuit gate.C.output)
-    in
-    if C.is_primary_output circuit gate.C.output then pins +. external_load
-    else pins
-  in
-  List.iter
-    (fun g ->
-      let gate = C.gate_at circuit g in
-      let load = load_of g in
-      let worst = ref 0. in
-      Array.iteri
-        (fun pin net ->
-          let d =
-            Delay.Elmore.pin_delay delay_table gate.C.cell
-              ~config:assignment.(g) ~pin ~load
-          in
-          worst := Float.max !worst (arrival.(net) +. d))
-        gate.C.fanins;
-      arrival.(gate.C.output) <- !worst)
-    (C.topological_order circuit);
-  List.fold_left
-    (fun acc net -> Float.max acc arrival.(net))
-    0. (C.primary_outputs circuit)
-
-(* Candidate selection for one gate under the power objectives
-   (FIND_BEST_REORDERING): power of each configuration with the gate's
-   actual fan-out load and propagated input statistics. Returns the
-   chosen index plus the chosen and incumbent configuration powers, so
-   the caller can attribute the per-gate improvement. *)
-let choose_by_power power_table ~maximize ~candidates ~load ~input_stats
-    (gate : C.gate) =
-  let cell = gate.C.cell in
-  let groups = Power.Model.groups_of_nets gate.C.fanins in
-  let power_of config =
-    (Power.Model.gate_power power_table cell ~config ~input_stats ~groups
-       ~load ())
-      .Power.Model.total
-  in
-  let current = power_of gate.C.config in
-  let score p = if maximize then -.p else p in
-  let best_i, best_p =
-    List.fold_left
-      (fun (best_i, best_p) i ->
-        let p = power_of i in
-        if score p < score best_p then (i, p) else (best_i, best_p))
-      (gate.C.config, current) candidates
-  in
-  (best_i, best_p, current)
-
-(* Memo-miss variant: the winner must be a pure function of the memo key,
-   so the fold is seeded with the first candidate (never the gate's
-   incumbent configuration) and the caller passes the key's
-   representative statistics and load. Racing workers that both miss an
-   entry therefore compute the same winner, which is what makes memoized
-   runs bit-identical across any domain count. *)
-let choose_by_power_pure power_table ~maximize ~candidates ~load ~input_stats
-    (gate : C.gate) =
-  let cell = gate.C.cell in
-  let groups = Power.Model.groups_of_nets gate.C.fanins in
-  let power_of config =
-    (Power.Model.gate_power power_table cell ~config ~input_stats ~groups
-       ~load ())
-      .Power.Model.total
-  in
-  let score p = if maximize then -.p else p in
-  match candidates with
-  | [] -> gate.C.config
-  | first :: rest ->
-      List.fold_left
-        (fun (best_i, best_p) i ->
-          let p = power_of i in
-          if score p < score best_p then (i, p) else (best_i, best_p))
-        (first, power_of first) rest
-      |> fst
-
-(* One power-objective gate decision: either the exhaustive sweep, or a
-   memo hit keyed on (cell, direction, restriction, pin groups, quantized
-   stats, load bucket). Returns the chosen index and — for minimization —
-   the per-gate reduction percentage to feed the
-   [optimizer.gate_reduction_percent] distribution. *)
-let decide_power power_table ?memo ~maximize ~input_only ~candidates ~load
-    ~input_stats (gate : C.gate) =
-  match memo with
-  | None ->
-      let chosen, best, current =
-        choose_by_power power_table ~maximize ~candidates ~load ~input_stats
-          gate
-      in
-      let reduction =
-        if maximize then None else Some (reduction_percent ~best ~worst:current)
-      in
-      (chosen, reduction)
-  | Some memo ->
-      let cell = gate.C.cell in
-      let groups = Power.Model.groups_of_nets gate.C.fanins in
-      let key =
-        Memo.key ~cell ~maximize ~input_only ~groups ~input_stats ~load
-      in
-      let chosen =
-        match Memo.lookup memo key with
-        | Some chosen -> chosen
-        | None ->
-            let chosen =
-              choose_by_power_pure power_table ~maximize ~candidates
-                ~load:(Memo.representative_load load)
-                ~input_stats:(Memo.representative_stats input_stats)
-                gate
-            in
-            Memo.store memo key chosen;
-            chosen
-      in
-      let reduction =
-        if maximize then None
-        else
-          let power_of config =
-            (Power.Model.gate_power power_table cell ~config ~input_stats
-               ~groups ~load ())
-              .Power.Model.total
-          in
-          let current = power_of gate.C.config in
-          let best =
-            if chosen = gate.C.config then current else power_of chosen
-          in
-          Some (reduction_percent ~best ~worst:current)
-      in
-      (chosen, reduction)
-
-let choose_by_delay delay_table ~candidates ~load (gate : C.gate) =
-  List.fold_left
-    (fun (best_i, best_d) i ->
-      let d = Delay.Elmore.worst_delay delay_table gate.C.cell ~config:i ~load in
-      if d < best_d then (i, d) else (best_i, best_d))
-    ( gate.C.config,
-      Delay.Elmore.worst_delay delay_table gate.C.cell ~config:gate.C.config
-        ~load )
-    candidates
-  |> fst
-
-(* A worker's verdict on one gate; the coordinator applies these in
-   submission order so counters, distributions, and the configs array
-   evolve exactly as in a sequential run. *)
-type decision = {
-  d_gate : int;
-  d_chosen : int;
-  d_candidates : int;
-  d_reduction : float option;
-}
-
-(* Below this many candidate configurations a single-gate level is not
-   worth fanning out per-configuration. *)
-let wide_sweep_threshold = 8
-
 let default_external_load = 20e-15
+
+let power_objective = function
+  | Min_power | Max_power -> true
+  | Min_power_delay_bounded | Min_delay -> false
 
 let candidates_of ~input_only (gate : C.gate) =
   let cell = gate.C.cell in
@@ -221,277 +61,327 @@ let candidates_of ~input_only (gate : C.gate) =
   in
   List.map fst kept
 
-let optimize_full power_table ~delay:delay_table ~external_load ~objective
-    ~input_reordering_only ?pool ?memo circuit ~inputs =
-  Obs.span "optimize.run" @@ fun () ->
-  let analysis = Power.Analysis.run power_table circuit ~inputs in
-  let power_before =
-    Power.Estimate.total power_table ~external_load circuit analysis
-  in
-  let n = C.gate_count circuit in
-  let configs = Array.init n (fun g -> (C.gate_at circuit g).C.config) in
-  let explored = ref 0 in
-  let candidates_for = candidates_of ~input_only:input_reordering_only in
-  (* The delay bound is the *input* circuit's critical path: accepting a
-     candidate must never push the circuit beyond it (§6.b: "power
-     reductions without increasing the delay"). *)
-  let delay_budget =
-    match objective with
-    | Min_power_delay_bounded ->
-        Some
-          (critical_delay_with delay_table ~external_load circuit configs
-          +. 1e-18)
-    | Min_power | Max_power | Min_delay -> None
-  in
-  (* The sweep's denominator is known before it starts (§4: every
-     gate's candidate list is enumerable up-front), so the telemetry
-     heartbeat's percent/ETA is exact rather than guessed. Both
-     drivers tick per decided gate, weighted by its candidate count. *)
-  Telemetry.progress_begin ~phase:"optimize.sweep"
-    ~total:
-      (List.fold_left
-         (fun acc g -> acc + List.length (candidates_for (C.gate_at circuit g)))
-         0 (C.topological_order circuit));
-  let sequential () =
-    (* Fig. 3: statistics are configuration-independent (§4.2), so the
-       single Analysis pass already gives every gate its final input
-       statistics; we visit gates in the paper's topological order. *)
-    List.iter
-      (fun g ->
-        Obs.span "optimize.gate" @@ fun () ->
-        let gate = C.gate_at circuit g in
-        let input_stats = Power.Analysis.gate_input_stats analysis circuit g in
-        let load =
-          Power.Estimate.output_load power_table ~external_load circuit g
+(* FIND_BEST_REORDERING's fold, the only one: candidates left to right,
+   and a candidate replaces the best so far only if it costs strictly
+   less. Seeded with the incumbent, a gate already at its optimum keeps
+   it, which is what lets an ECO apply skip its clean gates. *)
+let argmin cost seed candidates =
+  List.fold_left
+    (fun ((_, best) as acc) i ->
+      let c = cost i in
+      if c < best then (i, c) else acc)
+    seed candidates
+
+(* Everything one sweep reads. Statistics and loads do not depend on
+   any configuration (§4.2), so every gate's decision is independent of
+   the others' — except for the delay-bounded objective, whose STA check
+   reads [configs]: the decided configurations so far, incumbents
+   elsewhere. *)
+type sweep = {
+  delay : Delay.Elmore.table;
+  external_load : float;
+  objective : objective;
+  input_only : bool;
+  memo : Memo.t option;
+  circuit : C.t;
+  stats : Stats.t array;  (* per net *)
+  loads : float array;  (* per gate *)
+  configs : int array;  (* per gate *)
+  budget : float;  (* Min_power_delay_bounded: the input's critical delay *)
+}
+
+(* A gate's verdict; [settle] applies these in level-major order, so
+   counters, distributions and [configs] evolve the same whether the
+   level was decided inline or across the pool. *)
+type decision = {
+  d_gate : int;
+  d_chosen : int;
+  d_candidates : int;
+  d_reduction : float option;
+}
+
+(* One gate decision under any objective. [table] is the sweep's table
+   or, on a pool worker, its [Power.Model.domain_local] fork. Returns
+   the chosen configuration and, for the power-minimizing objectives,
+   its per-gate reduction over the incumbent. *)
+let decide sw table g =
+  Obs.span "optimize.gate" @@ fun () ->
+  let gate = C.gate_at sw.circuit g in
+  let cell = gate.C.cell and incumbent = gate.C.config in
+  let candidates = candidates_of ~input_only:sw.input_only gate in
+  let input_stats = Array.map (fun net -> sw.stats.(net)) gate.C.fanins in
+  let groups = Power.Model.groups_of_nets gate.C.fanins in
+  let load = sw.loads.(g) in
+  let maximize = sw.objective = Max_power in
+  (* The objective's cost of one configuration: power, negated to
+     maximize it, or worst-case pin delay. *)
+  let cost ?(input_stats = input_stats) ?(load = load) config =
+    match sw.objective with
+    | Min_delay -> Delay.Elmore.worst_delay sw.delay cell ~config ~load
+    | Min_power | Max_power | Min_power_delay_bounded ->
+        let p =
+          (Power.Model.gate_power table cell ~config ~input_stats ~groups ~load
+             ())
+            .Power.Model.total
         in
-        let candidates = candidates_for gate in
-        Obs.incr c_gates_visited;
-        Obs.add c_configs_explored (List.length candidates);
-        Obs.observe d_configs_per_gate (float_of_int (List.length candidates));
-        explored := !explored + List.length candidates;
-        (* Per-gate improvement of the chosen configuration over the
-           incumbent one, as a percentage (the distribution behind the
-           BENCH_obs.json [optimizer.gate_reduction_percent] metric). *)
-        let observe_reduction ~best ~current =
-          Obs.observe d_gate_reduction (reduction_percent ~best ~worst:current)
+        if maximize then -.p else p
+  in
+  (* The delay bound: a candidate is admissible if the circuit, with it
+     in place and the decisions so far, stays within the input's
+     critical delay. *)
+  let admissible config =
+    Obs.incr c_sta_checks;
+    sw.configs.(g) <- config;
+    let d =
+      Delay.Sta.critical_delay
+        (Delay.Sta.run sw.delay ~external_load:sw.external_load
+           ~configs:sw.configs sw.circuit)
+    in
+    sw.configs.(g) <- incumbent;
+    let ok = d <= sw.budget in
+    if not ok then Obs.incr c_sta_rejects;
+    ok
+  in
+  let reduction ~current ~best =
+    match sw.objective with
+    | Min_power | Min_power_delay_bounded ->
+        Some (reduction_percent ~best ~worst:current)
+    | Max_power | Min_delay -> None
+  in
+  let chosen, reduction =
+    match (sw.objective, sw.memo) with
+    | (Min_power | Max_power), Some memo ->
+        (* A memo hit, or a miss decided at the key's representative
+           statistics and load and seeded with the first candidate, not
+           the incumbent: the verdict is a pure function of the key, so
+           racing workers store the same value. *)
+        let key =
+          Memo.key ~cell ~maximize ~input_only:sw.input_only ~groups
+            ~input_stats ~load
         in
         let chosen =
-          match objective with
-          | Min_power | Max_power ->
-              let chosen, reduction =
-                decide_power power_table ?memo
-                  ~maximize:(objective = Max_power)
-                  ~input_only:input_reordering_only ~candidates ~load
-                  ~input_stats gate
+          match Memo.lookup memo key with
+          | Some chosen -> chosen
+          | None ->
+              let cost =
+                cost
+                  ~input_stats:(Memo.representative_stats input_stats)
+                  ~load:(Memo.representative_load load)
               in
-              Option.iter (Obs.observe d_gate_reduction) reduction;
-              chosen
-          | Min_delay -> choose_by_delay delay_table ~candidates ~load gate
-          | Min_power_delay_bounded ->
-              let budget = Option.get delay_budget in
-              let admissible =
-                List.filter
-                  (fun i ->
-                    let saved = configs.(g) in
-                    configs.(g) <- i;
-                    let d =
-                      Obs.incr c_sta_checks;
-                      critical_delay_with delay_table ~external_load circuit
-                        configs
-                    in
-                    configs.(g) <- saved;
-                    let ok = d <= budget in
-                    if not ok then Obs.incr c_sta_rejects;
-                    ok)
-                  candidates
+              let chosen =
+                match candidates with
+                | [] -> incumbent
+                | first :: rest -> fst (argmin cost (first, cost first) rest)
               in
-              Obs.add c_configs_pruned
-                (List.length candidates - List.length admissible);
-              let chosen, best, current =
-                choose_by_power power_table ~maximize:false
-                  ~candidates:admissible ~load ~input_stats gate
-              in
-              observe_reduction ~best ~current;
+              Memo.store memo key chosen;
               chosen
         in
-        configs.(g) <- chosen;
-        Telemetry.progress_tick ~n:(List.length candidates) ())
-      (C.topological_order circuit)
+        if maximize then (chosen, None)
+        else
+          let current = cost incumbent in
+          let best = if chosen = incumbent then current else cost chosen in
+          (chosen, reduction ~current ~best)
+    | _ ->
+        let candidates =
+          if sw.objective <> Min_power_delay_bounded then candidates
+          else
+            let kept = List.filter admissible candidates in
+            Obs.add c_configs_pruned
+              (List.length candidates - List.length kept);
+            kept
+        in
+        let current = cost incumbent in
+        let chosen, best = argmin cost (incumbent, current) candidates in
+        (chosen, reduction ~current ~best)
   in
-  (* Parallel driver: level the circuit, fan each level's gate sweeps
-     across the pool. Statistics are configuration-independent (§4.2),
-     so gates of one level are fully independent decisions; ordering only
-     matters for how results are folded back, and [finish] applies them
-     in submission order (ascending level, topological within a level) —
-     the same order the sequential loop uses. Workers operate on
-     [Power.Model.domain_local] forks; the coordinator merges them back
-     after the last level. *)
-  let parallel pool ~maximize =
-    let levels = C.levels circuit in
-    let nlevels = C.depth circuit in
-    let buckets = Array.make (nlevels + 1) [] in
-    List.iter
-      (fun g -> buckets.(levels.(g)) <- g :: buckets.(levels.(g)))
-      (List.rev (C.topological_order circuit));
-    let decide table g =
-      Obs.span "optimize.gate" @@ fun () ->
-      let gate = C.gate_at circuit g in
-      let input_stats = Power.Analysis.gate_input_stats analysis circuit g in
-      let load = Power.Estimate.output_load table ~external_load circuit g in
-      let candidates = candidates_for gate in
-      let chosen, reduction =
-        decide_power table ?memo ~maximize ~input_only:input_reordering_only
-          ~candidates ~load ~input_stats gate
-      in
-      {
-        d_gate = g;
-        d_chosen = chosen;
-        d_candidates = List.length candidates;
-        d_reduction = reduction;
-      }
-    in
-    (* Single-gate level with a wide candidate list: split the sweep
-       itself across domains, one configuration per task, then fold the
-       powers exactly as [choose_by_power] would (same seed, same
-       left-to-right order, strict comparison). *)
-    let decide_wide g (gate : C.gate) candidates =
-      Obs.incr c_wide_sweeps;
-      let cell = gate.C.cell in
-      let groups = Power.Model.groups_of_nets gate.C.fanins in
-      let input_stats = Power.Analysis.gate_input_stats analysis circuit g in
-      let load =
-        Power.Estimate.output_load power_table ~external_load circuit g
-      in
-      let powers =
-        Par.Pool.map ~chunk:1 pool
-          (fun config ->
-            let table = Power.Model.domain_local power_table in
-            (Power.Model.gate_power table cell ~config ~input_stats ~groups
-               ~load ())
-              .Power.Model.total)
-          (Array.of_list (gate.C.config :: candidates))
-      in
-      let current = powers.(0) in
-      let score p = if maximize then -.p else p in
-      let best_i = ref gate.C.config and best_p = ref current in
-      List.iteri
-        (fun k i ->
-          let p = powers.(k + 1) in
-          if score p < score !best_p then begin
-            best_i := i;
-            best_p := p
-          end)
-        candidates;
-      let reduction =
-        if maximize then None
-        else Some (reduction_percent ~best:!best_p ~worst:current)
-      in
-      {
-        d_gate = g;
-        d_chosen = !best_i;
-        d_candidates = List.length candidates;
-        d_reduction = reduction;
-      }
-    in
-    let finish d =
-      Obs.incr c_gates_visited;
-      Obs.add c_configs_explored d.d_candidates;
-      Obs.observe d_configs_per_gate (float_of_int d.d_candidates);
-      explored := !explored + d.d_candidates;
-      Option.iter (Obs.observe d_gate_reduction) d.d_reduction;
-      configs.(d.d_gate) <- d.d_chosen;
-      Telemetry.progress_tick ~n:d.d_candidates ()
-    in
-    for level = 1 to nlevels do
-      match buckets.(level) with
-      | [] -> ()
-      | [ g ] ->
-          Obs.span "optimize.level" @@ fun () ->
-          Obs.incr c_parallel_levels;
-          let gate = C.gate_at circuit g in
-          let candidates = candidates_for gate in
-          if
-            Option.is_none memo
-            && List.length candidates >= wide_sweep_threshold
-          then finish (decide_wide g gate candidates)
-          else finish (decide power_table g)
-      | batch ->
-          Obs.span "optimize.level" @@ fun () ->
-          Obs.incr c_parallel_levels;
-          let decisions =
-            Par.Pool.map pool
-              (fun g -> decide (Power.Model.domain_local power_table) g)
-              (Array.of_list batch)
-          in
-          Array.iter finish decisions
-    done;
-    ignore (Power.Model.merge_forks power_table)
-  in
-  (match (pool, objective) with
-  | Some p, (Min_power | Max_power) when Par.Pool.jobs p > 1 ->
-      parallel p ~maximize:(objective = Max_power)
-  | _ -> sequential ());
-  let rewritten = C.with_configs circuit configs in
-  let power_after =
-    Power.Estimate.total power_table ~external_load rewritten analysis
-  in
-  let gates_changed = ref 0 in
-  Array.iteri
-    (fun g chosen ->
-      if chosen <> (C.gate_at circuit g).C.config then incr gates_changed)
-    configs;
-  ( {
-      circuit = rewritten;
-      configs;
-      power_before;
-      power_after;
-      gates_changed = !gates_changed;
-      configurations_explored = !explored;
-    },
-    analysis )
+  {
+    d_gate = g;
+    d_chosen = chosen;
+    d_candidates = List.length candidates;
+    d_reduction = reduction;
+  }
 
-(* --- Incremental (ECO-style) sessions -------------------------------
+(* --- Settling: the one sweep driver ----------------------------------
 
    A session caches everything the last power-objective run computed:
    the rewritten circuit, the per-net statistics (§4.2:
-   configuration-independent), each gate's output load and its
-   {!Power.Model.gate_power} record under the winning configuration.
-   The next [optimize ?session] call diffs its arguments against the
-   cache, re-propagates Najm statistics only through the fan-out cones
-   of the edited nets (with a bit-identical early cut-off), re-sweeps
-   only the dirty gates, and re-folds the per-gate power records in
-   {!Power.Estimate.circuit}'s exact summation order — so the report is
-   bit-identical to a cold full run on the same circuit.
+   configuration-independent), each gate's output load and its internal
+   and output power under the winning configuration. A cold run is a
+   settle with every gate dirty and no cache; an apply diffs its
+   arguments against the cache, re-propagates Najm statistics only
+   through the fan-out cones of the edited nets (with a bit-identical
+   early cut-off) and settles with only those gates dirty. Either way
+   the per-gate powers are folded in {!Power.Estimate.circuit}'s exact
+   summation order, so the report is bit-identical to a cold run on the
+   same circuit.
 
    The bit-identity rests on two fixed points. First, statistics: a
    clean net's cached value is exactly what [Power.Analysis.run] would
    recompute from clean fanins. Second, decisions: a clean gate's
-   incumbent configuration is the previous winner; [choose_by_power]
-   seeds its fold with the incumbent and replaces only on strict [<],
-   so re-sweeping it would return the incumbent — skipping the sweep
+   incumbent configuration is the previous winner, and [argmin] seeds
+   its fold with the incumbent and replaces only on strict [<], so
+   re-sweeping it would return the incumbent — skipping the sweep
    changes nothing. Memoized sessions rely on verdict purity instead: a
    warm entry equals what a fresh miss would compute, so the memo mode
    must stay constant for a session's lifetime (fixed at creation). *)
-
-let c_inc_applies = Obs.counter "incremental.applies"
-let c_inc_cold_runs = Obs.counter "incremental.cold_runs"
-let c_inc_dirty_nets = Obs.counter "incremental.dirty_nets"
-let c_inc_dirty_gates = Obs.counter "incremental.dirty_gates"
-let c_inc_cutoffs = Obs.counter "incremental.cutoffs"
-
-module Stats = Stoch.Signal_stats
 
 type cache = {
   k_table : Power.Model.table;
   k_circuit : C.t;  (* last rewritten circuit (winning configurations) *)
   k_stats : Stats.t array;  (* per net *)
-  k_power : Power.Model.gate_power array;  (* per gate, winning config *)
+  k_internal : float array;  (* per gate, winning config, W *)
+  k_output : float array;  (* per gate, winning config, W *)
   k_loads : float array;  (* per gate output load, F *)
   k_external_load : float;
-  k_maximize : bool;
+  k_objective : objective;
   k_input_only : bool;
-  k_dirty : bool array;  (* gates re-swept by the last apply *)
+  k_dirty : bool array;  (* gates re-swept by the last settle *)
 }
+
+(* Decide the [dirty] gates and fold the report. The dirty gates are
+   bucketed by level and each level's decisions applied in topological
+   order. A level of several gates maps across the pool when it has
+   [jobs > 1] and the objective is a power objective; everything else
+   runs inline, because [Min_delay] shares the Elmore cache and the
+   bounded check writes [configs]. [cached] supplies clean gates' loads
+   and powers. *)
+let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
+    ~phase circuit ~stats ~dirty cached =
+  let n = C.gate_count circuit in
+  let loads =
+    match cached with Some k -> Array.copy k.k_loads | None -> Array.make n 0.
+  in
+  let levels = C.levels circuit in
+  let buckets = Array.make (C.depth circuit + 1) [] in
+  let total = ref 0 in
+  List.iter
+    (fun g ->
+      if dirty.(g) then begin
+        loads.(g) <- Power.Estimate.output_load table ~external_load circuit g;
+        buckets.(levels.(g)) <- g :: buckets.(levels.(g));
+        total :=
+          !total + List.length (candidates_of ~input_only (C.gate_at circuit g))
+      end)
+    (C.topological_order circuit);
+  let budget =
+    match objective with
+    | Min_power_delay_bounded ->
+        Delay.Sta.critical_delay (Delay.Sta.run delay ~external_load circuit)
+        +. 1e-18
+    | Min_power | Max_power | Min_delay -> infinity
+  in
+  let sw =
+    {
+      delay;
+      external_load;
+      objective;
+      input_only;
+      memo;
+      circuit;
+      stats;
+      loads;
+      configs = Array.init n (fun g -> (C.gate_at circuit g).C.config);
+      budget;
+    }
+  in
+  (* The sweep's denominator is known before it starts (§4: every
+     gate's candidate list is enumerable up-front), so the telemetry
+     heartbeat's percent/ETA is exact rather than guessed. *)
+  Telemetry.progress_begin ~phase ~total:!total;
+  let explored = ref 0 in
+  let finish d =
+    Obs.incr c_gates_visited;
+    Obs.add c_configs_explored d.d_candidates;
+    Obs.observe d_configs_per_gate (float_of_int d.d_candidates);
+    explored := !explored + d.d_candidates;
+    Option.iter (Obs.observe d_gate_reduction) d.d_reduction;
+    sw.configs.(d.d_gate) <- d.d_chosen;
+    Telemetry.progress_tick ~n:d.d_candidates ()
+  in
+  let pool =
+    match pool with
+    | Some p when Par.Pool.jobs p > 1 && power_objective objective -> Some p
+    | _ -> None
+  in
+  Array.iter
+    (fun bucket ->
+      let batch = Array.of_list (List.rev bucket) in
+      let decisions =
+        match pool with
+        | Some p when Array.length batch > 1 ->
+            Obs.span "optimize.level" @@ fun () ->
+            Obs.incr c_parallel_levels;
+            Par.Pool.map p
+              (fun g -> decide sw (Power.Model.domain_local table) g)
+              batch
+        | _ -> Array.map (decide sw table) batch
+      in
+      Array.iter finish decisions)
+    buckets;
+  if pool <> None then ignore (Power.Model.merge_forks table);
+  (* Fold the per-gate powers in Estimate.circuit's exact order
+     (internal and output accumulated separately, gate index ascending),
+     reading clean gates' powers from the cache: a clean gate's
+     incumbent is its cached winner, so its before and after agree. *)
+  let internal = Array.make n 0. and output = Array.make n 0. in
+  let internal_b = ref 0. and output_b = ref 0. in
+  let gates_changed = ref 0 in
+  for g = 0 to n - 1 do
+    let gate = C.gate_at circuit g in
+    let chosen = sw.configs.(g) in
+    if chosen <> gate.C.config then incr gates_changed;
+    match cached with
+    | Some k when not dirty.(g) ->
+        internal.(g) <- k.k_internal.(g);
+        output.(g) <- k.k_output.(g);
+        internal_b := !internal_b +. internal.(g);
+        output_b := !output_b +. output.(g)
+    | _ ->
+        let record config =
+          Power.Model.gate_power table gate.C.cell ~config
+            ~input_stats:(Array.map (fun net -> stats.(net)) gate.C.fanins)
+            ~groups:(Power.Model.groups_of_nets gate.C.fanins)
+            ~load:loads.(g) ()
+        in
+        let before = record gate.C.config in
+        let after = if chosen = gate.C.config then before else record chosen in
+        internal_b := !internal_b +. before.Power.Model.internal;
+        output_b := !output_b +. before.Power.Model.output;
+        internal.(g) <- after.Power.Model.internal;
+        output.(g) <- after.Power.Model.output
+  done;
+  let sum = Array.fold_left ( +. ) 0. in
+  let rewritten = C.with_configs circuit sw.configs in
+  ( {
+      circuit = rewritten;
+      configs = sw.configs;
+      power_before = !internal_b +. !output_b;
+      power_after = sum internal +. sum output;
+      gates_changed = !gates_changed;
+      configurations_explored = !explored;
+    },
+    {
+      k_table = table;
+      k_circuit = rewritten;
+      k_stats = stats;
+      k_internal = internal;
+      k_output = output;
+      k_loads = loads;
+      k_external_load = external_load;
+      k_objective = objective;
+      k_input_only = input_only;
+      k_dirty = dirty;
+    } )
+
+let cold table ~delay ~external_load ~objective ~input_only ?pool ?memo
+    circuit ~inputs =
+  Obs.span "optimize.run" @@ fun () ->
+  let analysis = Power.Analysis.run table circuit ~inputs in
+  settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
+    ~phase:"optimize.sweep" circuit
+    ~stats:(Power.Analysis.all_stats analysis)
+    ~dirty:(Array.make (C.gate_count circuit) true)
+    None
 
 type session = { s_memo : Memo.t option; mutable s_cache : cache option }
 
@@ -507,39 +397,10 @@ let session_dirty s = Option.map (fun k -> Array.copy k.k_dirty) s.s_cache
 let same_stats a b =
   Stats.prob a = Stats.prob b && Stats.density a = Stats.density b
 
-let gate_power_of table ~stats ~load (gate : C.gate) ~config =
-  let input_stats = Array.map (fun net -> stats.(net)) gate.C.fanins in
-  let groups = Power.Model.groups_of_nets gate.C.fanins in
-  Power.Model.gate_power table gate.C.cell ~config ~input_stats ~groups ~load
-    ()
-
-let populate_cache table ~external_load ~maximize ~input_only ~stats ~dirty
-    (report : report) =
-  let circuit = report.circuit in
-  let n = C.gate_count circuit in
-  let loads =
-    Array.init n (fun g ->
-        Power.Estimate.output_load table ~external_load circuit g)
-  in
-  let power =
-    Array.init n (fun g ->
-        let gate = C.gate_at circuit g in
-        gate_power_of table ~stats ~load:loads.(g) gate ~config:gate.C.config)
-  in
-  {
-    k_table = table;
-    k_circuit = circuit;
-    k_stats = stats;
-    k_power = power;
-    k_loads = loads;
-    k_external_load = external_load;
-    k_maximize = maximize;
-    k_input_only = input_only;
-    k_dirty = dirty;
-  }
-
-let apply_incremental table ~external_load ~maximize ~input_only ?pool ?memo s
-    k circuit ~inputs =
+(* Diff the arguments against the cache, re-propagate statistics over
+   the edited cones, and settle the dirty gates. *)
+let apply table ~delay ~external_load ~objective ~input_only ?pool ?memo k
+    circuit ~inputs =
   Obs.span "incremental.apply" @@ fun () ->
   Obs.incr c_inc_applies;
   let n = C.gate_count circuit in
@@ -600,7 +461,7 @@ let apply_incremental table ~external_load ~maximize ~input_only ?pool ?memo s
       (C.primary_outputs circuit);
   (* An objective or restriction flip re-decides every gate — but the
      statistics stay clean, so Najm propagation is still skipped. *)
-  if maximize <> k.k_maximize || input_only <> k.k_input_only then
+  if objective <> k.k_objective || input_only <> k.k_input_only then
     Array.fill dirty 0 n true;
   (* Najm re-propagation, restricted to the fan-out cones of the edited
      nets. The early cut-off: a recomputed net whose statistics are
@@ -635,137 +496,20 @@ let apply_incremental table ~external_load ~maximize ~input_only ?pool ?memo s
         end)
       (C.topological_order circuit)
   end;
-  (* Re-sweep the dirty gates through the standard decision path. *)
-  let dirty_list = List.filter (fun g -> dirty.(g)) (C.topological_order circuit) in
-  let loads = Array.copy k.k_loads in
-  List.iter
-    (fun g ->
-      loads.(g) <- Power.Estimate.output_load table ~external_load circuit g)
-    dirty_list;
-  let configs = Array.init n (fun g -> (C.gate_at circuit g).C.config) in
-  let explored = ref 0 in
-  let candidates_for = candidates_of ~input_only in
-  Telemetry.progress_begin ~phase:"incremental.sweep"
-    ~total:
-      (List.fold_left
-         (fun acc g -> acc + List.length (candidates_for (C.gate_at circuit g)))
-         0 dirty_list);
-  let decide table g =
-    Obs.span "optimize.gate" @@ fun () ->
-    let gate = C.gate_at circuit g in
-    let input_stats = Array.map (fun net -> stats.(net)) gate.C.fanins in
-    let candidates = candidates_for gate in
-    let chosen, reduction =
-      decide_power table ?memo ~maximize ~input_only ~candidates
-        ~load:loads.(g) ~input_stats gate
-    in
-    {
-      d_gate = g;
-      d_chosen = chosen;
-      d_candidates = List.length candidates;
-      d_reduction = reduction;
-    }
-  in
-  let finish d =
-    Obs.incr c_gates_visited;
-    Obs.incr c_inc_dirty_gates;
-    Obs.add c_configs_explored d.d_candidates;
-    Obs.observe d_configs_per_gate (float_of_int d.d_candidates);
-    explored := !explored + d.d_candidates;
-    Option.iter (Obs.observe d_gate_reduction) d.d_reduction;
-    configs.(d.d_gate) <- d.d_chosen;
-    Telemetry.progress_tick ~n:d.d_candidates ()
-  in
-  (match pool with
-  | Some p when Par.Pool.jobs p > 1 && List.length dirty_list > 1 ->
-      let levels = C.levels circuit in
-      let nlevels = C.depth circuit in
-      let buckets = Array.make (nlevels + 1) [] in
-      List.iter
-        (fun g -> buckets.(levels.(g)) <- g :: buckets.(levels.(g)))
-        (List.rev dirty_list);
-      for level = 1 to nlevels do
-        match buckets.(level) with
-        | [] -> ()
-        | [ g ] -> finish (decide table g)
-        | batch ->
-            Obs.incr c_parallel_levels;
-            let decisions =
-              Par.Pool.map p
-                (fun g -> decide (Power.Model.domain_local table) g)
-                (Array.of_list batch)
-            in
-            Array.iter finish decisions
-      done;
-      ignore (Power.Model.merge_forks table)
-  | _ -> List.iter (fun g -> finish (decide table g)) dirty_list);
-  (* Re-fold the per-gate power records in Estimate.circuit's exact
-     order (internal and output accumulated separately, gate index
-     ascending) so the totals are bit-identical to a cold run's. *)
-  let per_gate =
-    Array.init n (fun g ->
-        if not dirty.(g) then
-          let r = k.k_power.(g) in
-          (r, r)
-        else
-          let gate = C.gate_at circuit g in
-          let before =
-            gate_power_of table ~stats ~load:loads.(g) gate
-              ~config:gate.C.config
-          in
-          let after =
-            if configs.(g) = gate.C.config then before
-            else
-              gate_power_of table ~stats ~load:loads.(g) gate
-                ~config:configs.(g)
-          in
-          (before, after))
-  in
-  let internal_b = ref 0. and output_b = ref 0. in
-  let internal_a = ref 0. and output_a = ref 0. in
-  Array.iter
-    (fun (b, a) ->
-      internal_b := !internal_b +. b.Power.Model.internal;
-      output_b := !output_b +. b.Power.Model.output;
-      internal_a := !internal_a +. a.Power.Model.internal;
-      output_a := !output_a +. a.Power.Model.output)
-    per_gate;
-  let rewritten = C.with_configs circuit configs in
-  let gates_changed = ref 0 in
-  Array.iteri
-    (fun g chosen ->
-      if chosen <> (C.gate_at circuit g).C.config then incr gates_changed)
-    configs;
-  s.s_cache <-
-    Some
-      {
-        k_table = table;
-        k_circuit = rewritten;
-        k_stats = stats;
-        k_power = Array.map snd per_gate;
-        k_loads = loads;
-        k_external_load = external_load;
-        k_maximize = maximize;
-        k_input_only = input_only;
-        k_dirty = dirty;
-      };
-  {
-    circuit = rewritten;
-    configs;
-    power_before = !internal_b +. !output_b;
-    power_after = !internal_a +. !output_a;
-    gates_changed = !gates_changed;
-    configurations_explored = !explored;
-  }
+  Obs.add c_inc_dirty_gates
+    (Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dirty);
+  settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
+    ~phase:"incremental.sweep" circuit ~stats ~dirty (Some k)
 
 let optimize power_table ~delay ?(external_load = default_external_load)
     ?(objective = Min_power) ?(input_reordering_only = false) ?pool ?memo
     ?session:sess circuit ~inputs =
+  let input_only = input_reordering_only in
   match sess with
   | None ->
       fst
-        (optimize_full power_table ~delay ~external_load ~objective
-           ~input_reordering_only ?pool ?memo circuit ~inputs)
+        (cold power_table ~delay ~external_load ~objective ~input_only ?pool
+           ?memo circuit ~inputs)
   | Some s ->
       (* The session's memoization policy wins: verdict purity makes a
          warm memo equivalent to a fresh one, but a memoized and an
@@ -779,35 +523,26 @@ let optimize power_table ~delay ?(external_load = default_external_load)
         | Some own, None -> Some own
         | None, _ -> None
       in
-      let maximize = objective = Max_power in
-      let power_objective = objective = Min_power || objective = Max_power in
-      let compatible kc =
-        power_objective && kc.k_table == power_table
-        && C.net_count kc.k_circuit = C.net_count circuit
-        && C.gate_count kc.k_circuit = C.gate_count circuit
-        && C.primary_inputs kc.k_circuit = C.primary_inputs circuit
-        && C.primary_outputs kc.k_circuit = C.primary_outputs circuit
+      let compatible k =
+        power_objective objective && k.k_table == power_table
+        && C.net_count k.k_circuit = C.net_count circuit
+        && C.gate_count k.k_circuit = C.gate_count circuit
+        && C.primary_inputs k.k_circuit = C.primary_inputs circuit
+        && C.primary_outputs k.k_circuit = C.primary_outputs circuit
       in
-      (match s.s_cache with
-      | Some kc when compatible kc ->
-          apply_incremental power_table ~external_load ~maximize
-            ~input_only:input_reordering_only ?pool ?memo s kc circuit ~inputs
-      | _ ->
-          Obs.incr c_inc_cold_runs;
-          let report, analysis =
-            optimize_full power_table ~delay ~external_load ~objective
-              ~input_reordering_only ?pool ?memo circuit ~inputs
-          in
-          if power_objective then begin
-            let stats = Power.Analysis.all_stats analysis in
-            let dirty = Array.make (C.gate_count circuit) true in
-            s.s_cache <-
-              Some
-                (populate_cache power_table ~external_load ~maximize
-                   ~input_only:input_reordering_only ~stats ~dirty report)
-          end
-          else s.s_cache <- None;
-          report)
+      let report, cache =
+        match s.s_cache with
+        | Some k when compatible k ->
+            apply power_table ~delay ~external_load ~objective ~input_only
+              ?pool ?memo k circuit ~inputs
+        | _ ->
+            Obs.incr c_inc_cold_runs;
+            cold power_table ~delay ~external_load ~objective ~input_only
+              ?pool ?memo circuit ~inputs
+      in
+      (* Only the power objectives re-settle incrementally. *)
+      s.s_cache <- (if power_objective objective then Some cache else None);
+      report
 
 let best_and_worst power_table ~delay ?external_load ?pool ?memo circuit
     ~inputs =

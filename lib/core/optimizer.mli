@@ -7,16 +7,22 @@
     model); then each gate's configurations are exhaustively explored
     (§4.3) and the one optimizing the objective is selected.
 
-    That same independence makes the power objectives embarrassingly
-    parallel: pass a {!Par.Pool.t} and the optimizer levels the circuit,
-    fans each level's gate sweeps across the pool (workers operate on
-    {!Power.Model.domain_local} forks, merged back on join), and splits
-    a lone wide sweep across domains per-configuration. Results are
-    folded back in submission order, so a parallel run is bit-identical
-    to a sequential one — same [configs], same [power_after], same
-    counters and distributions. Pass a {!Memo.t} to additionally reuse
-    sweep verdicts across structurally equivalent gates (see
-    {{!page-performance} the performance page}). *)
+    The implementation is one sweep engine. A single [argmin] fold
+    picks each gate's configuration (left to right, replacing only on a
+    strictly lower cost, seeded with the incumbent), one per-gate
+    decision serves all four objectives, and one driver buckets the
+    gates to decide by level and applies each level's decisions in
+    topological order. A cold {!optimize} is an incremental settle with
+    every gate dirty: {!Power.Analysis.run}, the sweep, then one fold of
+    the per-gate powers in {!Power.Estimate.circuit}'s summation order.
+    No path runs through two gates of one level, so the level-major
+    order gives the paper's configurations — under the delay bound too,
+    whose admissibility test depends only on paths through the gate
+    being decided — and a pooled run is bit-identical to an inline one:
+    same [configs], same [power_after], same counters and distributions.
+    Pass a {!Memo.t} to additionally reuse sweep verdicts across
+    structurally equivalent gates (see {{!page-performance} the
+    performance page}). *)
 
 type objective =
   | Min_power  (** the paper's FIND_BEST_REORDERING *)
@@ -48,7 +54,7 @@ val pp_report : Format.formatter -> report -> unit
 
     A {!session} retains everything a power-objective run computed —
     the rewritten circuit, the per-net statistics, each gate's output
-    load and winning-configuration power record — so the next
+    load and winning-configuration internal and output power — so the next
     {!optimize} call with the same session only pays for what changed:
     it diffs the incoming circuit, input statistics, external load and
     objective against the cache, re-runs Najm propagation over the
@@ -109,11 +115,13 @@ val optimize :
     reference configuration's layout shape — the §2 input-reordering
     subset, used as an ablation baseline.
 
-    [pool] (default none: today's sequential path, untouched) fans gate
-    sweeps across domains for [Min_power] / [Max_power]. The other
-    objectives stay sequential even with a pool: [Min_delay] shares the
-    Elmore table's cache and [Min_power_delay_bounded] is inherently
-    order-dependent (each STA check reads the configs chosen so far).
+    [pool] (default none) maps each level of several gates across the
+    pool's domains, each worker on a {!Power.Model.domain_local} fork,
+    when the pool has [jobs > 1] and the objective is [Min_power] or
+    [Max_power]. Everything else runs inline on the calling domain:
+    [jobs = 1], single-gate levels, [Min_delay] (it shares the Elmore
+    table's cache) and [Min_power_delay_bounded] (its STA check writes
+    the tentative configuration array).
 
     [memo] (default none) reuses best-configuration verdicts across
     gates with the same cell, pin-tying groups, quantized input

@@ -23,19 +23,20 @@ let gate_load table ~external_load circuit g =
   if C.is_primary_output circuit gate.C.output then pins +. external_load
   else pins
 
-let run table ?(external_load = default_external_load) circuit =
+let run table ?(external_load = default_external_load) ?configs circuit =
   let arrival = Array.make (C.net_count circuit) 0. in
   let worst_fanin = Array.make (C.net_count circuit) (-1) in
   List.iter
     (fun g ->
       let gate = C.gate_at circuit g in
+      let config =
+        match configs with Some a -> a.(g) | None -> gate.C.config
+      in
       let load = gate_load table ~external_load circuit g in
       let best = ref 0. and from = ref (-1) in
       Array.iteri
         (fun pin net ->
-          let d =
-            Elmore.pin_delay table gate.C.cell ~config:gate.C.config ~pin ~load
-          in
+          let d = Elmore.pin_delay table gate.C.cell ~config ~pin ~load in
           let t = arrival.(net) +. d in
           if t > !best then begin
             best := t;

@@ -10,8 +10,15 @@
 type t
 
 val run :
-  Elmore.table -> ?external_load:float -> Netlist.Circuit.t -> t
-(** [external_load] (default 20 fF) loads every primary output net. *)
+  Elmore.table ->
+  ?external_load:float ->
+  ?configs:int array ->
+  Netlist.Circuit.t ->
+  t
+(** [external_load] (default 20 fF) loads every primary output net.
+    [configs] (default: each gate's own) times a tentative per-gate
+    configuration assignment without rewriting the circuit — what a
+    delay-bounded optimizer checks every candidate against. *)
 
 val arrival : t -> Netlist.Circuit.net -> float
 (** Seconds. *)

@@ -19,6 +19,8 @@ type t = {
   readers : (int * int) list array;  (* per net, (gate, pin) *)
   fanout_gates : int list array;  (* per net, deduped reader gates, ascending *)
   topo : int list;  (* cached topological order *)
+  levels : int array;  (* per gate, see [levels] *)
+  depth : int;
 }
 
 exception Invalid of string
@@ -133,6 +135,19 @@ let create ~name ~net_names ~primary_inputs ~primary_outputs ~gates =
       ~driver_of:(fun n -> drivers.(n))
       ~fanins_of:(fun g -> gates.(g).fanins)
   in
+  let levels = Array.make (Array.length gates) 0 in
+  List.iter
+    (fun g ->
+      let deepest_fanin =
+        Array.fold_left
+          (fun acc net ->
+            match drivers.(net) with
+            | Some (Driven_by d) -> max acc levels.(d)
+            | Some Primary_input | None -> acc)
+          0 gates.(g).fanins
+      in
+      levels.(g) <- deepest_fanin + 1)
+    topo;
   {
     name;
     net_names = Array.copy net_names;
@@ -143,6 +158,8 @@ let create ~name ~net_names ~primary_inputs ~primary_outputs ~gates =
     readers;
     fanout_gates;
     topo;
+    levels;
+    depth = Array.fold_left max 0 levels;
   }
 
 let name t = t.name
@@ -194,23 +211,8 @@ let fanout_cone t seeds =
 let is_primary_output t n = List.mem n t.primary_outputs
 let topological_order t = t.topo
 
-let levels t =
-  let lvl = Array.make (gate_count t) 0 in
-  List.iter
-    (fun g ->
-      let deepest_fanin =
-        Array.fold_left
-          (fun acc net ->
-            match driver t net with
-            | Driven_by d -> max acc lvl.(d)
-            | Primary_input -> acc)
-          0 t.gates.(g).fanins
-      in
-      lvl.(g) <- deepest_fanin + 1)
-    t.topo;
-  lvl
-
-let depth t = Array.fold_left max 0 (levels t)
+let levels t = Array.copy t.levels
+let depth t = t.depth
 
 let transistor_count t =
   Array.fold_left
@@ -222,9 +224,9 @@ let with_configs t configs =
     invalid "with_configs: %d entries for %d gates" (Array.length configs)
       (gate_count t);
   (* Configurations do not participate in connectivity, so the cached
-     drivers/readers/fanout/topo indices carry over unchanged; only the
-     range check from [create] applies. Keeps circuit rebuild O(gates)
-     on the optimizer (and incremental re-sweep) hot path. *)
+     drivers/readers/fanout/topo/level indices carry over unchanged; only
+     the range check from [create] applies. Keeps circuit rebuild
+     O(gates) on the optimizer (and incremental re-sweep) hot path. *)
   let gates =
     Array.mapi
       (fun g (gate : gate) ->

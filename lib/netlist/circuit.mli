@@ -78,10 +78,10 @@ val topological_order : t -> int list
 
 val levels : t -> int array
 (** Per-gate logic depth: 1 + max level of fanin gates, 1 for gates fed
-    only by primary inputs. *)
+    only by primary inputs. Computed once at {!create}; a fresh copy. *)
 
 val depth : t -> int
-(** Max level; 0 for an empty circuit. *)
+(** Max level; 0 for an empty circuit. O(1). *)
 
 val transistor_count : t -> int
 

@@ -191,6 +191,67 @@ let check_function ~seed c =
 
 (* --- 4. optimizer monotonicity and report consistency --- *)
 
+(* The paper's Fig. 3 as a plain loop over [C.topological_order], for the
+   two objectives the optimizer visits level by level instead: each
+   gate's candidates in index order, replacing the incumbent only on a
+   strictly lower cost. [Min_delay] costs a candidate's worst pin delay;
+   [Min_power_delay_bounded] costs its power and admits it only if a
+   full static timing of the circuit with it in place stays within the
+   input's critical delay. *)
+let reference_configs objective c ~inputs =
+  let analysis = Power.Analysis.run (power ()) c ~inputs in
+  let configs = Array.init (C.gate_count c) (fun g -> (C.gate_at c g).C.config) in
+  let critical () =
+    Delay.Sta.critical_delay (Delay.Sta.run (delay ()) (C.with_configs c configs))
+  in
+  let budget = critical () +. 1e-18 in
+  List.iter
+    (fun g ->
+      let gate = C.gate_at c g in
+      let load = Power.Estimate.output_load (power ()) c g in
+      let cost config =
+        match objective with
+        | Reorder.Optimizer.Min_delay ->
+            Delay.Elmore.worst_delay (delay ()) gate.C.cell ~config ~load
+        | _ -> (Power.Estimate.gate (power ()) c analysis g ~config).Power.Model.total
+      in
+      let admissible config =
+        objective <> Reorder.Optimizer.Min_power_delay_bounded
+        ||
+        let incumbent = configs.(g) in
+        configs.(g) <- config;
+        let ok = critical () <= budget in
+        configs.(g) <- incumbent;
+        ok
+      in
+      let best = ref gate.C.config and best_cost = ref (cost gate.C.config) in
+      for config = 0 to Cell.Gate.config_count gate.C.cell - 1 do
+        if admissible config then begin
+          let k = cost config in
+          if k < !best_cost then begin
+            best := config;
+            best_cost := k
+          end
+        end
+      done;
+      configs.(g) <- !best)
+    (C.topological_order c);
+  configs
+
+let check_against_reference ~inputs c ~name objective =
+  let report =
+    Reorder.Optimizer.optimize (power ()) ~delay:(delay ()) ~objective c ~inputs
+  in
+  let expected = reference_configs objective c ~inputs in
+  let rec first g =
+    if g >= C.gate_count c then Pass
+    else if report.Reorder.Optimizer.configs.(g) <> expected.(g) then
+      fail "%s: gate %d chose configuration %d, the Fig. 3 reference %d" name g
+        report.Reorder.Optimizer.configs.(g) expected.(g)
+    else first (g + 1)
+  in
+  first 0
+
 let check_optimizer ~seed c =
   let inputs = Gen.input_stats ~seed c in
   let best, worst =
@@ -237,6 +298,14 @@ let check_optimizer ~seed c =
     else
       fail "re-evaluated power %.12g W, report says %.12g W" again
         best.Reorder.Optimizer.power_after
+  in
+  let* () =
+    check_against_reference ~inputs c ~name:"Min_delay"
+      Reorder.Optimizer.Min_delay
+  in
+  let* () =
+    check_against_reference ~inputs c ~name:"Min_power_delay_bounded"
+      Reorder.Optimizer.Min_power_delay_bounded
   in
   let r =
     Reorder.Optimizer.reduction_percent

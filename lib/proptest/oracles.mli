@@ -25,6 +25,10 @@
       {!Reorder.Optimizer}: [power_after <= power_before] for
       [Min_power], best [<=] worst, the chosen configuration matches
       re-evaluation, and the reduction percentage is in [\[0, 100\]].
+      [Min_delay] and [Min_power_delay_bounded] must choose exactly the
+      configurations of a plain Fig. 3 loop over the topological order
+      (the bounded one checking each candidate with a full
+      {!Delay.Sta.run}).
     - [io-roundtrip] — {!Netlist.Io} parse ∘ print is the identity on
       generated circuits (text fixpoint and structural equality).
     - [densities] — Najm propagation invariants: every net's

@@ -324,18 +324,35 @@ let test_script_parsing () =
       Alcotest.(check string) "cell kept" (Cell.Gate.name (C.gate_at circuit 0).C.cell)
         (Cell.Gate.name gate.C.cell)
   | _ -> Alcotest.fail "unexpected batch structure");
-  Alcotest.(check bool) "bad op rejected" true
-    (try
-       ignore (I.Script.parse ~circuit {|{"op":"frobnicate"}|});
-       false
-     with I.Edit_error _ -> true);
-  Alcotest.(check bool) "unknown net rejected" true
-    (try
-       ignore
-         (I.Script.parse ~circuit
-            {|{"op":"set_input_stats","net":"nope","prob":0.5,"density":1}|});
-       false
-     with I.Edit_error _ -> true)
+  (* Every malformed edit is a line-numbered [Edit_error], never an
+     escaping exception or a number silently wrapped onto a valid index. *)
+  let rejected what edit =
+    match I.Script.parse ~circuit ("# header\n" ^ edit) with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception I.Edit_error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s located (%s)" what msg)
+          true
+          (String.starts_with ~prefix:"line 2: " msg)
+  in
+  rejected "bad op" {|{"op":"frobnicate"}|};
+  rejected "unknown net"
+    {|{"op":"set_input_stats","net":"nope","prob":0.5,"density":1}|};
+  rejected "prob above 1"
+    (Printf.sprintf
+       {|{"op":"set_input_stats","net":"%s","prob":1.5,"density":1}|} a_name);
+  rejected "negative density"
+    (Printf.sprintf
+       {|{"op":"set_input_stats","net":"%s","prob":0.5,"density":-1}|} a_name);
+  rejected "huge gate" {|{"op":"replace_gate","gate":1e300}|};
+  rejected "fractional gate" {|{"op":"replace_gate","gate":0.9}|};
+  rejected "negative gate" {|{"op":"replace_gate","gate":-1}|};
+  rejected "gate past the end"
+    (Printf.sprintf {|{"op":"replace_gate","gate":%d}|} (C.gate_count circuit));
+  rejected "fractional config" {|{"op":"replace_gate","gate":0,"config":1.7}|};
+  rejected "config out of range"
+    (Printf.sprintf {|{"op":"replace_gate","gate":0,"config":%d}|}
+       (Cell.Gate.config_count (C.gate_at circuit 0).C.cell))
 
 let test_replay_and_percentiles () =
   let pt = power_table () and dt = delay_table () in

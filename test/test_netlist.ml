@@ -111,7 +111,14 @@ let test_topological_order () =
 let test_levels_depth () =
   let c = nand_inv () in
   Alcotest.(check (array int)) "levels" [| 1; 2 |] (C.levels c);
-  Alcotest.(check int) "depth" 2 (C.depth c)
+  Alcotest.(check int) "depth" 2 (C.depth c);
+  (* Callers get a copy: mutating it leaves the circuit's levels alone. *)
+  (C.levels c).(0) <- 7;
+  Alcotest.(check (array int)) "levels copied out" [| 1; 2 |] (C.levels c);
+  let c2 = C.with_configs c [| 1; 0 |] in
+  Alcotest.(check (array int)) "with_configs keeps levels" [| 1; 2 |]
+    (C.levels c2);
+  Alcotest.(check int) "with_configs keeps depth" 2 (C.depth c2)
 
 let test_transistor_count () =
   let c = nand_inv () in

@@ -328,9 +328,15 @@ let test_parallel_matches_sequential () =
       let circuit = Circuits.Suite.find name in
       let inputs = scenario_inputs 11 Power.Scenario.A circuit in
       List.iter
-        (fun objective ->
-          let seq = O.optimize pt ~delay:dt ~objective circuit ~inputs in
-          let par = O.optimize pt ~delay:dt ~objective ~pool circuit ~inputs in
+        (fun (objective, input_reordering_only) ->
+          let seq =
+            O.optimize pt ~delay:dt ~objective ~input_reordering_only circuit
+              ~inputs
+          in
+          let par =
+            O.optimize pt ~delay:dt ~objective ~input_reordering_only ~pool
+              circuit ~inputs
+          in
           Alcotest.(check (float 0.))
             (name ^ " power_after bit-identical")
             seq.O.power_after par.O.power_after;
@@ -340,7 +346,9 @@ let test_parallel_matches_sequential () =
           Alcotest.(check int)
             (name ^ " explored identical")
             seq.O.configurations_explored par.O.configurations_explored)
-        [ O.Min_power; O.Max_power ])
+        (List.concat_map
+           (fun objective -> [ (objective, false); (objective, true) ])
+           [ O.Min_power; O.Max_power; O.Min_power_delay_bounded; O.Min_delay ]))
     [ "c17"; "rca4"; "tree16"; "mux8"; "alu1" ]
 
 let test_parallel_memo_deterministic_and_hits () =
