@@ -343,8 +343,8 @@ let perf_parallel () =
         in
         go reps Float.infinity
       in
-      (* One warm-up run so both sides measure sweeps against populated
-         symbolic-model caches, not cache construction. *)
+      (* One warm-up run so both sides measure sweeps against compiled
+         power-model programs, not their compilation. *)
       let reference = optimize () in
       let t_seq = best (fun () -> optimize ()) in
       let t_par = best (fun () -> optimize ~pool ()) in

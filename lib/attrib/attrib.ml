@@ -82,7 +82,10 @@ let gate_entry table ?(external_load = 20e-15) ?(candidates = true) ~before
        else
          Array.init
            (Cell.Gate.config_count gate.C.cell)
-           (fun k -> (k, (power_of k).M.total)));
+           (fun k ->
+             ( k,
+               M.gate_total table gate.C.cell ~config:k ~input_stats ~groups
+                 ~load )));
   }
 
 let of_entries ~circuit ~external_load gates =

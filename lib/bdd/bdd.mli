@@ -95,6 +95,16 @@ val probability : t -> (int -> float) -> float
     (Parker-McCluskey on the BDD: linear in {!size}).
     @raise Invalid_argument if any [p i] is outside [\[0, 1\]]. *)
 
+val post_order : t array -> (int * int * int) array * int array
+(** [post_order roots] numbers the internal nodes reachable from
+    [roots], children before parents: slot 0 is the zero constant, slot
+    1 the one constant and slot [k + 2] the [k]-th node, listed as its
+    [(var, lo slot, hi slot)]. The second array gives each root's slot.
+    One pass over the nodes in order, each computing
+    [p var *. hi +. (1. -. p var) *. lo] from its children's slots,
+    reproduces {!probability} of every root bit for bit.
+    @raise Invalid_argument if the roots come from several managers. *)
+
 val sat_count : t -> nvars:int -> float
 (** Number of satisfying assignments over variables [0..nvars-1].
     Requires every support variable to be [< nvars]. *)

@@ -51,15 +51,13 @@ let power_objective = function
 
 let candidates_of ~input_only (gate : C.gate) =
   let cell = gate.C.cell in
-  let all = Cell.Config.all cell in
-  let reference = Cell.Config.reference cell in
-  let indexed = List.mapi (fun i c -> (i, c)) all in
-  let kept =
-    if input_only then
-      List.filter (fun (_, c) -> Cell.Config.same_shape c reference) indexed
-    else indexed
-  in
-  List.map fst kept
+  if not input_only then List.init (Cell.Gate.config_count cell) Fun.id
+  else
+    let reference = Cell.Config.reference cell in
+    List.concat
+      (List.mapi
+         (fun i c -> if Cell.Config.same_shape c reference then [ i ] else [])
+         (Cell.Config.all cell))
 
 (* FIND_BEST_REORDERING's fold, the only one: candidates left to right,
    and a candidate replaces the best so far only if it costs strictly
@@ -86,6 +84,7 @@ type sweep = {
   circuit : C.t;
   stats : Stats.t array;  (* per net *)
   loads : float array;  (* per gate *)
+  candidates : int list array;  (* per gate; [] for clean gates *)
   configs : int array;  (* per gate *)
   budget : float;  (* Min_power_delay_bounded: the input's critical delay *)
 }
@@ -100,15 +99,15 @@ type decision = {
   d_reduction : float option;
 }
 
-(* One gate decision under any objective. [table] is the sweep's table
-   or, on a pool worker, its [Power.Model.domain_local] fork. Returns
-   the chosen configuration and, for the power-minimizing objectives,
-   its per-gate reduction over the incumbent. *)
+(* One gate decision under any objective, on the calling domain or a
+   pool worker. Returns the chosen configuration and, for the
+   power-minimizing objectives, its per-gate reduction over the
+   incumbent. *)
 let decide sw table g =
   Obs.span "optimize.gate" @@ fun () ->
   let gate = C.gate_at sw.circuit g in
   let cell = gate.C.cell and incumbent = gate.C.config in
-  let candidates = candidates_of ~input_only:sw.input_only gate in
+  let candidates = sw.candidates.(g) in
   let input_stats = Array.map (fun net -> sw.stats.(net)) gate.C.fanins in
   let groups = Power.Model.groups_of_nets gate.C.fanins in
   let load = sw.loads.(g) in
@@ -120,9 +119,7 @@ let decide sw table g =
     | Min_delay -> Delay.Elmore.worst_delay sw.delay cell ~config ~load
     | Min_power | Max_power | Min_power_delay_bounded ->
         let p =
-          (Power.Model.gate_power table cell ~config ~input_stats ~groups ~load
-             ())
-            .Power.Model.total
+          Power.Model.gate_total table cell ~config ~input_stats ~groups ~load
         in
         if maximize then -.p else p
   in
@@ -253,14 +250,15 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
   in
   let levels = C.levels circuit in
   let buckets = Array.make (C.depth circuit + 1) [] in
+  let candidates = Array.make n [] in
   let total = ref 0 in
   List.iter
     (fun g ->
       if dirty.(g) then begin
         loads.(g) <- Power.Estimate.output_load table ~external_load circuit g;
         buckets.(levels.(g)) <- g :: buckets.(levels.(g));
-        total :=
-          !total + List.length (candidates_of ~input_only (C.gate_at circuit g))
+        candidates.(g) <- candidates_of ~input_only (C.gate_at circuit g);
+        total := !total + List.length candidates.(g)
       end)
     (C.topological_order circuit);
   let budget =
@@ -280,6 +278,7 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
       circuit;
       stats;
       loads;
+      candidates;
       configs = Array.init n (fun g -> (C.gate_at circuit g).C.config);
       budget;
     }
@@ -311,14 +310,11 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
         | Some p when Array.length batch > 1 ->
             Obs.span "optimize.level" @@ fun () ->
             Obs.incr c_parallel_levels;
-            Par.Pool.map p
-              (fun g -> decide sw (Power.Model.domain_local table) g)
-              batch
+            Par.Pool.map p (decide sw table) batch
         | _ -> Array.map (decide sw table) batch
       in
       Array.iter finish decisions)
     buckets;
-  if pool <> None then ignore (Power.Model.merge_forks table);
   (* Fold the per-gate powers in Estimate.circuit's exact order
      (internal and output accumulated separately, gate index ascending),
      reading clean gates' powers from the cache: a clean gate's

@@ -116,7 +116,7 @@ val optimize :
     subset, used as an ablation baseline.
 
     [pool] (default none) maps each level of several gates across the
-    pool's domains, each worker on a {!Power.Model.domain_local} fork,
+    pool's domains, every worker reading the one shared power table,
     when the pool has [jobs > 1] and the objective is [Min_power] or
     [Max_power]. Everything else runs inline on the calling domain:
     [jobs = 1], single-gate levels, [Min_delay] (it shares the Elmore

@@ -1,40 +1,31 @@
 module Stats = Stoch.Signal_stats
+module Smap = Map.Make (String)
 
 let c_model_hit = Obs.counter "power.model_hit"
 let c_model_build = Obs.counter "power.model_build"
-let c_model_fork = Obs.counter "power.model_forks"
 let c_node_evals = Obs.counter "power.node_evals"
 let c_gate_powers = Obs.counter "power.gate_powers"
 
-type node_symbolic = {
-  sym_node : Sp.Network.node;
-  sym_cap : float;  (* junction + wire, excluding fan-out load *)
-  h : Bdd.t;
-  g : Bdd.t;
-  dh : Bdd.t array;  (* per input pin; zero for non-representative pins *)
-  dg : Bdd.t array;
-}
+(* The powered nodes of one (cell, configuration), output first, and
+   their capacitances (junction + wire, excluding fan-out load); shared
+   by every pin-groups variant of that configuration. *)
+type shape = { nodes : Sp.Network.node array; caps : float array }
 
-type config_model = {
-  nodes : node_symbolic list;  (* output first *)
-  df : Bdd.t array;  (* ∂f/∂xi of the output function *)
-  f : Bdd.t;
-}
-
-(* [lock] guards [cache] and [pin_caps] (and, transitively, [bdd]:
-   models are only built while holding it). Symbolic models are tied to
-   this table's BDD manager and never cross tables; worker domains get
-   private forks via [domain_local], and only manager-independent data
-   (pin capacitances) flows back through [merge_forks]. *)
-type table = {
-  proc : Cell.Process.t;
-  bdd : Bdd.manager;
-  cache : (string, config_model) Hashtbl.t;
-  pin_caps : (string, float array) Hashtbl.t;
-  lock : Mutex.t;
-  owner : int;  (* Domain id the table was created on *)
-  forks : (int, table) Hashtbl.t;  (* per-domain forks, guarded by forks_lock *)
-  forks_lock : Mutex.t;
+(* A compiled (cell, configuration, pin-groups) model. [code] holds the
+   BDD nodes of every root, children first (Bdd.post_order), one int
+   each: the variable, the lo slot and the hi slot, [slot_bits] apiece.
+   [roots] holds each root's slot as a [slot_bits]-bit little-endian
+   integer.
+   With arity [a], powered node [j]'s roots start at [j·(2a+2)]: H, then
+   ∂H/∂xᵢ per pin, then G, then ∂G/∂xᵢ per pin. The output function f is
+   H of the output node (node 0), so roots [0 .. a] double as f and
+   ∂f/∂xᵢ. Differences with respect to a non-representative tied pin are
+   the zero constant, so downstream sums never double-count a tied net. *)
+type program = {
+  groups : int array;
+  code : int array;
+  roots : string;
+  shape : shape;
 }
 
 type node_power = {
@@ -53,69 +44,35 @@ type gate_power = {
   total : float;
 }
 
+(* Per cell: its input-pin capacitances and, per configuration, the
+   programs compiled so far, one per pin-groups pattern. *)
+type cell_entry = { pin_caps : float array; programs : program list array }
+
+(* A configuration's H and G path functions before any pin tying: the
+   Fig. 2(b) path search, done once per table. *)
+type raw = { shape : shape; h : Bdd.t array; g : Bdd.t array }
+
+(* [cells] is replaced, never mutated, so readers on any domain need no
+   lock. [lock] serializes every writer of [cells] and guards [bdd] and
+   [raw]: BDDs never leave the table that built them. *)
+type table = {
+  proc : Cell.Process.t;
+  cells : cell_entry Smap.t Atomic.t;
+  lock : Mutex.t;
+  bdd : Bdd.manager;
+  raw : (string, raw Lazy.t array) Hashtbl.t;  (* per cell, per config *)
+}
+
 let table proc =
   {
     proc;
-    bdd = Bdd.manager ();
-    cache = Hashtbl.create 256;
-    pin_caps = Hashtbl.create 64;
+    cells = Atomic.make Smap.empty;
     lock = Mutex.create ();
-    owner = (Domain.self () :> int);
-    forks = Hashtbl.create 8;
-    forks_lock = Mutex.create ();
+    bdd = Bdd.manager ();
+    raw = Hashtbl.create 32;
   }
 
 let process t = t.proc
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let fork t =
-  Obs.incr c_model_fork;
-  let pin_caps = with_lock t.lock (fun () -> Hashtbl.copy t.pin_caps) in
-  {
-    proc = t.proc;
-    bdd = Bdd.manager ();
-    cache = Hashtbl.create 256;
-    pin_caps;
-    lock = Mutex.create ();
-    owner = (Domain.self () :> int);
-    forks = Hashtbl.create 1;
-    forks_lock = Mutex.create ();
-  }
-
-let domain_local t =
-  let id = (Domain.self () :> int) in
-  if id = t.owner then t
-  else
-    with_lock t.forks_lock @@ fun () ->
-    match Hashtbl.find_opt t.forks id with
-    | Some f -> f
-    | None ->
-        let f = fork t in
-        Hashtbl.add t.forks id f;
-        f
-
-let merge_forks t =
-  let forks =
-    with_lock t.forks_lock (fun () ->
-        Hashtbl.fold (fun _ f acc -> f :: acc) t.forks [])
-  in
-  List.iter
-    (fun f ->
-      let entries =
-        with_lock f.lock (fun () ->
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) f.pin_caps [])
-      in
-      with_lock t.lock (fun () ->
-          List.iter
-            (fun (k, v) ->
-              if not (Hashtbl.mem t.pin_caps k) then
-                Hashtbl.add t.pin_caps k (Array.copy v))
-            entries))
-    forks;
-  List.length forks
 
 let groups_of_nets fanins =
   Array.mapi
@@ -138,6 +95,13 @@ let validate_groups ~arity groups =
         invalid_arg "Power.Model: group representative must map to itself")
     groups
 
+(* --- Compilation (under [lock]) --- *)
+
+let slot_bits = 16
+let slot_mask = (1 lsl slot_bits) - 1
+
+let pack (var, lo, hi) = var lor (lo lsl slot_bits) lor (hi lsl (2 * slot_bits))
+
 (* Pins tied to one net toggle together: substitute the representative
    pin's variable for every tied pin, then Boolean differences with
    respect to the representative capture the joint toggle. *)
@@ -149,62 +113,183 @@ let remap_to_groups m groups f =
     groups;
   !result
 
-let cache_key cell config groups =
-  let tied = Array.exists (fun i -> groups.(i) <> i) (identity_groups (Array.length groups)) in
-  if tied then
-    Printf.sprintf "%s/%d/%s" (Cell.Gate.name cell) config
-      (String.concat "," (Array.to_list (Array.map string_of_int groups)))
-  else Printf.sprintf "%s/%d" (Cell.Gate.name cell) config
-
-let build_config_model t cell config_index groups =
-  let configs = Cell.Config.all cell in
-  let config =
-    try List.nth configs config_index
-    with Failure _ | Invalid_argument _ ->
-      invalid_arg "Power.Model: configuration index out of range"
-  in
+let raw_of t config =
   let network = Cell.Config.network config in
-  let arity = Cell.Gate.arity cell in
-  let m = t.bdd in
-  let remap = remap_to_groups m groups in
-  (* Differences only with respect to representative pins; others stay
-     zero so downstream sums never double-count a tied net. *)
-  let differences f =
-    Array.init arity (fun i ->
-        if groups.(i) = i then Bdd.boolean_difference f i else Bdd.zero m)
-  in
-  let symbolic node =
-    let h = remap (Sp.Network.h_function m network node) in
-    let g = remap (Sp.Network.g_function m network node) in
-    {
-      sym_node = node;
-      sym_cap = Cell.Process.node_capacitance t.proc network node;
-      h;
-      g;
-      dh = differences h;
-      dg = differences g;
-    }
-  in
-  let nodes = List.map symbolic (Sp.Network.power_nodes network) in
-  let f = remap (Sp.Network.output_function m network) in
-  { nodes; f; df = differences f }
+  let nodes = Array.of_list (Sp.Network.power_nodes network) in
+  {
+    shape =
+      {
+        nodes;
+        caps = Array.map (Cell.Process.node_capacitance t.proc network) nodes;
+      };
+    h = Array.map (Sp.Network.h_function t.bdd network) nodes;
+    g = Array.map (Sp.Network.g_function t.bdd network) nodes;
+  }
 
-(* The whole lookup-or-build runs under the table lock: a build mutates
-   the BDD manager, and two concurrent builds (or a build racing a
-   lookup) on one table would corrupt it. Worker domains avoid the
-   contention entirely by operating on [domain_local] forks. *)
-let get t cell config groups =
-  let key = cache_key cell config groups in
-  with_lock t.lock @@ fun () ->
-  match Hashtbl.find_opt t.cache key with
-  | Some m ->
+let compile t cell config groups =
+  let name = Cell.Gate.name cell in
+  let raws =
+    match Hashtbl.find_opt t.raw name with
+    | Some raws -> raws
+    | None ->
+        let raws =
+          Array.of_list
+            (List.map (fun c -> lazy (raw_of t c)) (Cell.Config.all cell))
+        in
+        Hashtbl.add t.raw name raws;
+        raws
+  in
+  let raw = Lazy.force raws.(config) in
+  let m = t.bdd in
+  let arity = Cell.Gate.arity cell in
+  let with_differences f =
+    let f = remap_to_groups m groups f in
+    f
+    :: List.init arity (fun i ->
+           if groups.(i) = i then Bdd.boolean_difference f i else Bdd.zero m)
+  in
+  let roots =
+    List.concat
+      (List.init (Array.length raw.h) (fun j ->
+           with_differences raw.h.(j) @ with_differences raw.g.(j)))
+  in
+  let code, slots = Bdd.post_order (Array.of_list roots) in
+  (* The last node holds the highest slot; variables are pins. *)
+  if Array.length code + 1 > slot_mask || arity > slot_mask then
+    invalid_arg "Power.Model: gate model too large to compile";
+  let roots = Bytes.create (2 * Array.length slots) in
+  Array.iteri (fun r s -> Bytes.set_uint16_le roots (2 * r) s) slots;
+  {
+    groups = Array.copy groups;
+    code = Array.map pack code;
+    roots = Bytes.unsafe_to_string roots;
+    shape = raw.shape;
+  }
+
+let new_entry t cell =
+  let network = Cell.Config.network (Cell.Config.reference cell) in
+  {
+    pin_caps =
+      Array.init (Cell.Gate.arity cell)
+        (Cell.Process.input_pin_capacitance t.proc network);
+    programs = Array.make (Cell.Gate.config_count cell) [];
+  }
+
+let entry_locked t cell =
+  let name = Cell.Gate.name cell in
+  let cells = Atomic.get t.cells in
+  match Smap.find name cells with
+  | e -> e
+  | exception Not_found ->
+      let e = new_entry t cell in
+      Atomic.set t.cells (Smap.add name e cells);
+      e
+
+(* --- Lookup (lock-free, allocation-free) --- *)
+
+let rec same_groups (a : int array) b i =
+  i = Array.length a || (a.(i) = b.(i) && same_groups a b (i + 1))
+
+let rec find_groups groups = function
+  | [] -> raise Not_found
+  | p :: rest -> if same_groups p.groups groups 0 then p else find_groups groups rest
+
+let find t cell config groups =
+  find_groups groups
+    (Smap.find (Cell.Gate.name cell) (Atomic.get t.cells)).programs.(config)
+
+let entry t cell =
+  match Smap.find (Cell.Gate.name cell) (Atomic.get t.cells) with
+  | e -> e
+  | exception Not_found -> Mutex.protect t.lock (fun () -> entry_locked t cell)
+
+(* Every lookup counts once: a hit when a program is found, before or
+   after taking the lock, a build otherwise. So the counts depend on
+   the keys looked up, not on how domains interleave. *)
+let build t cell config groups =
+  Mutex.protect t.lock @@ fun () ->
+  match find t cell config groups with
+  | p ->
       Obs.incr c_model_hit;
-      m
-  | None ->
+      p
+  | exception Not_found ->
       Obs.incr c_model_build;
-      let m = build_config_model t cell config groups in
-      Hashtbl.add t.cache key m;
-      m
+      let p = compile t cell config groups in
+      let e = entry_locked t cell in
+      let programs = Array.copy e.programs in
+      programs.(config) <- p :: programs.(config);
+      Atomic.set t.cells
+        (Smap.add (Cell.Gate.name cell) { e with programs } (Atomic.get t.cells));
+      p
+
+let program t cell config groups =
+  if config < 0 || config >= Cell.Gate.config_count cell then
+    invalid_arg "Power.Model: configuration index out of range";
+  match find t cell config groups with
+  | p ->
+      Obs.incr c_model_hit;
+      p
+  | exception Not_found -> build t cell config groups
+
+(* --- Evaluation --- *)
+
+(* Each domain runs programs in its own slot array, grown on demand;
+   slots 0 and 1 hold the constants. *)
+let scratch = Domain.DLS.new_key (fun () -> ref [||])
+
+let slots_for n =
+  let r = Domain.DLS.get scratch in
+  if Array.length !r < n then begin
+    let a = Array.make (max n 256) 0. in
+    a.(1) <- 1.;
+    r := a
+  end;
+  !r
+
+(* Bdd.probability's Shannon expansion, once per node, for every root. *)
+let run (p : program) input_stats =
+  let code = p.code in
+  let slots = slots_for (Array.length code + 2) in
+  for k = 0 to Array.length code - 1 do
+    let c = code.(k) in
+    let pv = input_stats.(c land slot_mask).Stats.prob in
+    let lo = slots.((c lsr slot_bits) land slot_mask) in
+    let hi = slots.(c lsr (2 * slot_bits)) in
+    slots.(k + 2) <- (pv *. hi) +. ((1. -. pv) *. lo)
+  done;
+  slots
+
+let root p r = String.get_uint16_le p.roots (2 * r)
+
+(* The paper's steady-state node probability; a node that can never be
+   driven (P(H)+P(G) = 0 under these statistics) is reported at 0. *)
+let node_probability (p : program) slots ~arity j =
+  let base = j * ((2 * arity) + 2) in
+  let p_h = slots.(root p base) and p_g = slots.(root p (base + arity + 1)) in
+  let denom = p_h +. p_g in
+  if denom <= 0. then 0. else p_h /. denom
+
+(* Σᵢ T(node j|xᵢ) in pin order; each term also goes to [by_input]
+   unless it is empty. *)
+let transitions (p : program) slots input_stats ~p_node j by_input =
+  let arity = Array.length input_stats in
+  let base = j * ((2 * arity) + 2) in
+  let total = ref 0. in
+  for i = 0 to arity - 1 do
+    let d_i = input_stats.(i).Stats.density in
+    if d_i > 0. then begin
+      let toggle_h = slots.(root p (base + 1 + i)) in
+      let toggle_g = slots.(root p (base + arity + 2 + i)) in
+      let t_i = d_i *. (((1. -. p_node) *. toggle_h) +. (p_node *. toggle_g)) in
+      if Array.length by_input > 0 then by_input.(i) <- t_i;
+      total := !total +. t_i
+    end
+  done;
+  !total
+
+let node_capacitance (p : program) j ~load =
+  p.shape.caps.(j)
+  +. match p.shape.nodes.(j) with Sp.Network.Output -> load | _ -> 0.
 
 let check_stats cell input_stats =
   if Array.length input_stats <> Cell.Gate.arity cell then
@@ -216,58 +301,33 @@ let resolve_groups cell = function
       validate_groups ~arity:(Cell.Gate.arity cell) groups;
       groups
 
-let prob_fn input_stats i = Stats.prob input_stats.(i)
-
-(* The paper's steady-state node probability; a node that can never be
-   driven (P(H)+P(G) = 0 under these statistics) is reported at 0. *)
-let node_probability ~p_h ~p_g =
-  let denom = p_h +. p_g in
-  if denom <= 0. then 0. else p_h /. denom
-
-let node_power_of t input_stats ~extra_cap ns =
-  Obs.incr c_node_evals;
-  let p = prob_fn input_stats in
-  let p_h = Bdd.probability ns.h p and p_g = Bdd.probability ns.g p in
-  let p_node = node_probability ~p_h ~p_g in
-  let by_input = Array.make (Array.length ns.dh) 0. in
-  let transitions = ref 0. in
-  Array.iteri
-    (fun i dh_i ->
-      let d_i = Stats.density input_stats.(i) in
-      if d_i > 0. then begin
-        let toggle_h = Bdd.probability dh_i p in
-        let toggle_g = Bdd.probability ns.dg.(i) p in
-        let t_i = d_i *. (((1. -. p_node) *. toggle_h) +. (p_node *. toggle_g)) in
-        by_input.(i) <- t_i;
-        transitions := !transitions +. t_i
-      end)
-    ns.dh;
-  let capacitance = ns.sym_cap +. extra_cap in
-  let vdd = t.proc.Cell.Process.vdd in
-  {
-    node = ns.sym_node;
-    probability = p_node;
-    transitions = !transitions;
-    by_input;
-    capacitance;
-    power = 0.5 *. capacitance *. vdd *. vdd *. !transitions;
-  }
-
-let gate_power t cell ~config ~input_stats ?groups ~load () =
+let check_eval cell input_stats ~load =
   Obs.incr c_gate_powers;
   check_stats cell input_stats;
-  if load < 0. then invalid_arg "Power.Model.gate_power: negative load";
-  let groups = resolve_groups cell groups in
-  let model = get t cell config groups in
-  let nodes =
-    List.map
-      (fun ns ->
-        let extra_cap =
-          match ns.sym_node with Sp.Network.Output -> load | _ -> 0.
-        in
-        node_power_of t input_stats ~extra_cap ns)
-      model.nodes
+  if load < 0. then invalid_arg "Power.Model.gate_power: negative load"
+
+let gate_power t cell ~config ~input_stats ?groups ~load () =
+  check_eval cell input_stats ~load;
+  let p = program t cell config (resolve_groups cell groups) in
+  Obs.add c_node_evals (Array.length p.shape.nodes);
+  let slots = run p input_stats in
+  let arity = Array.length input_stats in
+  let vdd = t.proc.Cell.Process.vdd in
+  let node_power j node =
+    let p_node = node_probability p slots ~arity j in
+    let by_input = Array.make arity 0. in
+    let transitions = transitions p slots input_stats ~p_node j by_input in
+    let capacitance = node_capacitance p j ~load in
+    {
+      node;
+      probability = p_node;
+      transitions;
+      by_input;
+      capacitance;
+      power = 0.5 *. capacitance *. vdd *. vdd *. transitions;
+    }
   in
+  let nodes = Array.to_list (Array.mapi node_power p.shape.nodes) in
   let split (internal, output) np =
     match np.node with
     | Sp.Network.Output -> (internal, output +. np.power)
@@ -276,46 +336,50 @@ let gate_power t cell ~config ~input_stats ?groups ~load () =
   let internal, output = List.fold_left split (0., 0.) nodes in
   { nodes; internal; output; total = internal +. output }
 
-let output_stats t cell ~input_stats ?groups () =
+(* [gate_power]'s total, node for node the same floats, without the
+   records. *)
+let gate_total t cell ~config ~input_stats ~groups ~load =
+  check_eval cell input_stats ~load;
+  validate_groups ~arity:(Cell.Gate.arity cell) groups;
+  let p = program t cell config groups in
+  Obs.add c_node_evals (Array.length p.shape.nodes);
+  let slots = run p input_stats in
+  let arity = Array.length input_stats in
+  let vdd = t.proc.Cell.Process.vdd in
+  let internal = ref 0. and output = ref 0. in
+  for j = 0 to Array.length p.shape.nodes - 1 do
+    let p_node = node_probability p slots ~arity j in
+    let transitions = transitions p slots input_stats ~p_node j [||] in
+    let capacitance = node_capacitance p j ~load in
+    let power = 0.5 *. capacitance *. vdd *. vdd *. transitions in
+    match p.shape.nodes.(j) with
+    | Sp.Network.Output -> output := !output +. power
+    | _ -> internal := !internal +. power
+  done;
+  !internal +. !output
+
+(* f and ∂f/∂xᵢ are the same for every configuration; configuration 0's
+   program serves them as roots [0 .. arity]. *)
+let output_slots t cell ~input_stats groups =
   check_stats cell input_stats;
-  let groups = resolve_groups cell groups in
-  let model = get t cell 0 groups in
-  let p = prob_fn input_stats in
-  let prob = Bdd.probability model.f p in
-  let density =
-    Array.to_list model.df
-    |> List.mapi (fun i df_i ->
-           Stats.density input_stats.(i) *. Bdd.probability df_i p)
-    |> List.fold_left ( +. ) 0.
-  in
-  Stats.make ~prob ~density
+  let p = program t cell 0 (resolve_groups cell groups) in
+  (p, run p input_stats)
+
+let output_stats t cell ~input_stats ?groups () =
+  let p, slots = output_slots t cell ~input_stats groups in
+  let density = ref 0. in
+  for i = 0 to Array.length input_stats - 1 do
+    density :=
+      !density +. (input_stats.(i).Stats.density *. slots.(root p (1 + i)))
+  done;
+  Stats.make ~prob:slots.(root p 0) ~density:!density
 
 let output_density_contributions t cell ~input_stats ?groups () =
-  check_stats cell input_stats;
-  let groups = resolve_groups cell groups in
-  let model = get t cell 0 groups in
-  let p = prob_fn input_stats in
-  Array.mapi
-    (fun i df_i -> Stats.density input_stats.(i) *. Bdd.probability df_i p)
-    model.df
+  let p, slots = output_slots t cell ~input_stats groups in
+  Array.mapi (fun i s -> s.Stats.density *. slots.(root p (1 + i))) input_stats
 
 let input_pin_capacitance t cell pin =
-  let name = Cell.Gate.name cell in
-  let caps =
-    with_lock t.lock @@ fun () ->
-    match Hashtbl.find_opt t.pin_caps name with
-    | Some caps -> caps
-    | None ->
-        let network = Cell.Config.network (Cell.Config.reference cell) in
-        let caps =
-          Array.init (Cell.Gate.arity cell) (fun i ->
-              Cell.Process.input_pin_capacitance t.proc network i)
-        in
-        Hashtbl.add t.pin_caps name caps;
-        caps
-  in
+  let caps = (entry t cell).pin_caps in
   if pin < 0 || pin >= Array.length caps then
     invalid_arg "Power.Model.input_pin_capacitance: pin out of range";
   caps.(pin)
-
-let cached_configs t = with_lock t.lock (fun () -> Hashtbl.length t.cache)

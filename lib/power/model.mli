@@ -13,43 +13,30 @@
       collapses to Najm's transition density at the output node;
     - node power [W(nk) = ½·C(nk)·Vdd²·Σᵢ T(nk|xi)].
 
-    Symbolic data is cached per (cell, configuration) in a {!table}; the
-    numeric evaluation for given input statistics is cheap, which is
-    what makes exhaustive per-gate exploration fast (§4.1). *)
+    Each (cell, configuration, pin-groups) model is compiled on first
+    use into one immutable program: the BDD nodes of H, G and every
+    ∂H/∂xᵢ, ∂G/∂xᵢ, children first ({!Bdd.post_order}), their root
+    slots and the node capacitances. Evaluating it for given input
+    statistics is one pass over a float array with {!Bdd.probability}'s
+    Shannon expansion, bit-identical to walking each diagram, and needs
+    no symbolic work: that is what makes exhaustive per-gate exploration
+    cheap (§4.1). *)
 
 type table
-(** Cache of per-configuration symbolic models for one process.
+(** Compiled models for one process, shared by every domain.
 
-    The cache and pin-capacitance tables are mutex-guarded, so lookups
-    (and the model builds they trigger) are safe from any domain. The
-    intended multicore pattern is still one table per domain: worker
-    domains call {!domain_local} to get a private fork (own BDD manager,
-    own caches — no lock contention, and identical floats, since BDD
-    probability evaluation depends only on the canonical ROBDD shape),
-    and the coordinator calls {!merge_forks} at the join point. *)
+    Lookups take no lock and allocate nothing: programs sit in an
+    immutable map behind an [Atomic.t]. A missing key is compiled under
+    the table's one mutex, after looking again, so each distinct key is
+    built once however many domains ask for it. [power.model_build]
+    counts builds and [power.model_hit] every other lookup, so both
+    depend on the keys looked up, not on the domain count. Each (cell,
+    configuration)'s raw H/G path functions are computed once per table
+    and kept with it; a tied-pin key only remaps and differentiates
+    them. Nothing is compiled until a key is first asked for. *)
 
 val table : Cell.Process.t -> table
 val process : table -> Cell.Process.t
-
-val fork : table -> table
-(** A fresh private table for the same process: new BDD manager, empty
-    symbolic cache, and a copy of the pin-capacitance cache as built so
-    far. Numeric results from a fork are bit-identical to the parent's
-    (same process parameters, same canonical BDDs). *)
-
-val domain_local : table -> table
-(** [domain_local t] is [t] on the domain that created it, and a
-    per-domain {!fork} of [t] (created on first use, then reused) on
-    any other domain. The fork registry lives in [t], so one shared
-    table transparently fans out to per-worker private models. *)
-
-val merge_forks : table -> int
-(** Fold every registered fork's manager-independent data (pin
-    capacitances) back into the shared table — the explicit join-side
-    merge after a parallel region. Symbolic models stay with their
-    owning fork (they are tied to its BDD manager) and are reused by
-    the same worker domain on the next region. Returns the number of
-    forks merged. *)
 
 type node_power = {
   node : Sp.Network.node;
@@ -97,6 +84,19 @@ val gate_power :
     from the arity, [groups] is not of the {!groups_of_nets} form, or
     [config] is out of range. *)
 
+val gate_total :
+  table ->
+  Cell.Gate.t ->
+  config:int ->
+  input_stats:Stoch.Signal_stats.t array ->
+  groups:int array ->
+  load:float ->
+  float
+(** [(gate_power ...).total], the same float, without building the node
+    records: the sweep's and the ledger's candidate cost. Counted in
+    [power.gate_powers] and [power.node_evals] like {!gate_power}.
+    @raise Invalid_argument as {!gate_power} does. *)
+
 val output_stats :
   table ->
   Cell.Gate.t ->
@@ -123,6 +123,3 @@ val output_density_contributions :
 val input_pin_capacitance : table -> Cell.Gate.t -> int -> float
 (** Load presented by pin [i] of the gate (independent of
     configuration). *)
-
-val cached_configs : table -> int
-(** Number of (cell, configuration) models built so far (diagnostics). *)

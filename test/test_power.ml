@@ -414,6 +414,194 @@ let test_scenario_names () =
   Alcotest.(check bool) "of_name b" true
     (Power.Scenario.of_name "b" = Power.Scenario.B)
 
+(* --- Compiled programs vs the symbolic walk --- *)
+
+(* The model as the diagrams define it, one Bdd.probability walk per
+   root: H/G path search, the Bdd.compose group remap and Boolean
+   differences, on a manager of its own. *)
+module Walk = struct
+  type node = {
+    node : Sp.Network.node;
+    cap : float;
+    h : Bdd.t;
+    g : Bdd.t;
+    dh : Bdd.t array;
+    dg : Bdd.t array;
+  }
+
+  type t = { nodes : node list; f : Bdd.t; df : Bdd.t array }
+
+  let m = Bdd.manager ()
+
+  let build proc cell config groups =
+    let network = Cell.Config.network (List.nth (Cell.Config.all cell) config) in
+    let remap f =
+      let r = ref f in
+      Array.iteri
+        (fun pin rep -> if rep <> pin then r := Bdd.compose !r pin (Bdd.var m rep))
+        groups;
+      !r
+    in
+    let differences f =
+      Array.init (Array.length groups) (fun i ->
+          if groups.(i) = i then Bdd.boolean_difference f i else Bdd.zero m)
+    in
+    let symbolic node =
+      let h = remap (Sp.Network.h_function m network node) in
+      let g = remap (Sp.Network.g_function m network node) in
+      {
+        node;
+        cap = Cell.Process.node_capacitance proc network node;
+        h;
+        g;
+        dh = differences h;
+        dg = differences g;
+      }
+    in
+    let f = remap (Sp.Network.output_function m network) in
+    { nodes = List.map symbolic (Sp.Network.power_nodes network); f; df = differences f }
+
+  let gate_power proc w input_stats ~load =
+    let p i = S.prob input_stats.(i) in
+    let node_power n =
+      let p_h = Bdd.probability n.h p and p_g = Bdd.probability n.g p in
+      let probability = if p_h +. p_g <= 0. then 0. else p_h /. (p_h +. p_g) in
+      let by_input = Array.make (Array.length n.dh) 0. in
+      let transitions = ref 0. in
+      Array.iteri
+        (fun i dh_i ->
+          let d_i = S.density input_stats.(i) in
+          if d_i > 0. then begin
+            let toggle_h = Bdd.probability dh_i p in
+            let toggle_g = Bdd.probability n.dg.(i) p in
+            let t_i =
+              d_i *. (((1. -. probability) *. toggle_h) +. (probability *. toggle_g))
+            in
+            by_input.(i) <- t_i;
+            transitions := !transitions +. t_i
+          end)
+        n.dh;
+      let capacitance =
+        n.cap +. match n.node with Sp.Network.Output -> load | _ -> 0.
+      in
+      let vdd = proc.Cell.Process.vdd in
+      {
+        M.node = n.node;
+        probability;
+        transitions = !transitions;
+        by_input;
+        capacitance;
+        power = 0.5 *. capacitance *. vdd *. vdd *. !transitions;
+      }
+    in
+    let nodes = List.map node_power w.nodes in
+    let split (internal, output) (np : M.node_power) =
+      match np.M.node with
+      | Sp.Network.Output -> (internal, output +. np.M.power)
+      | _ -> (internal +. np.M.power, output)
+    in
+    let internal, output = List.fold_left split (0., 0.) nodes in
+    { M.nodes; internal; output; total = internal +. output }
+
+  let contributions w input_stats =
+    let p i = S.prob input_stats.(i) in
+    Array.mapi (fun i df_i -> S.density input_stats.(i) *. Bdd.probability df_i p) w.df
+
+  let output_stats w input_stats =
+    S.make
+      ~prob:(Bdd.probability w.f (fun i -> S.prob input_stats.(i)))
+      ~density:(Array.fold_left ( +. ) 0. (contributions w input_stats))
+end
+
+(* Identity groups and, from arity 2, two tied-pin patterns: pin 1 on
+   pin 0, and every pin on pin 0. *)
+let group_patterns arity =
+  let identity = Array.init arity Fun.id in
+  if arity < 2 then [ identity ]
+  else
+    [ identity; Array.init arity (fun i -> if i = 1 then 0 else i); Array.make arity 0 ]
+
+(* Seeded statistics with density-0 pins and probabilities 0 and 1;
+   tied pins copy their representative's. *)
+let draw_stats rng groups =
+  let pick () =
+    match Stoch.Rng.int rng 5 with
+    | 0 -> stats 0. (Stoch.Rng.float_range rng 1. 1e6)
+    | 1 -> stats 1. (Stoch.Rng.float_range rng 1. 1e6)
+    | 2 -> stats (Stoch.Rng.float rng) 0.
+    | _ -> stats (Stoch.Rng.float rng) (Stoch.Rng.float_range rng 1. 1e6)
+  in
+  let drawn = Array.map (fun _ -> pick ()) groups in
+  Array.map (fun rep -> drawn.(rep)) groups
+
+let test_compiled_bit_identical () =
+  let proc = Cell.Process.default in
+  let t = table () in
+  let rng = Stoch.Rng.create 2024 in
+  let bits = Int64.bits_of_float in
+  let same what a b =
+    if bits a <> bits b then
+      Alcotest.failf "%s: compiled %h, walk %h" what a b
+  in
+  let same_array what a b =
+    Alcotest.(check int) (what ^ " length") (Array.length b) (Array.length a);
+    Array.iteri (fun i x -> same (Printf.sprintf "%s.(%d)" what i) x b.(i)) a
+  in
+  let evaluations = ref 0 in
+  List.iter
+    (fun cell ->
+      let arity = Cell.Gate.arity cell in
+      List.iter
+        (fun groups ->
+          for config = 0 to Cell.Gate.config_count cell - 1 do
+            let w = Walk.build proc cell config groups in
+            for draw = 1 to 3 do
+              incr evaluations;
+              let input_stats = draw_stats rng groups in
+              let load = float_of_int draw *. 7e-15 in
+              let where =
+                Printf.sprintf "%s config %d groups [%s] draw %d" (Cell.Gate.name cell)
+                  config
+                  (String.concat ";" (Array.to_list (Array.map string_of_int groups)))
+                  draw
+              in
+              let got = M.gate_power t cell ~config ~input_stats ~groups ~load () in
+              let want = Walk.gate_power proc w input_stats ~load in
+              Alcotest.(check int) (where ^ " nodes") (List.length want.M.nodes)
+                (List.length got.M.nodes);
+              List.iter2
+                (fun (g : M.node_power) (r : M.node_power) ->
+                  let what field =
+                    Format.asprintf "%s node %a %s" where Sp.Network.pp_node r.M.node field
+                  in
+                  Alcotest.(check bool) (what "id") true (g.M.node = r.M.node);
+                  same (what "probability") g.M.probability r.M.probability;
+                  same (what "transitions") g.M.transitions r.M.transitions;
+                  same_array (what "by_input") g.M.by_input r.M.by_input;
+                  same (what "capacitance") g.M.capacitance r.M.capacitance;
+                  same (what "power") g.M.power r.M.power)
+                got.M.nodes want.M.nodes;
+              same (where ^ " internal") got.M.internal want.M.internal;
+              same (where ^ " output") got.M.output want.M.output;
+              same (where ^ " total") got.M.total want.M.total;
+              same (where ^ " gate_total")
+                (M.gate_total t cell ~config ~input_stats ~groups ~load)
+                want.M.total;
+              if config = 0 then begin
+                let out = M.output_stats t cell ~input_stats ~groups () in
+                let ref_out = Walk.output_stats w input_stats in
+                same (where ^ " output prob") (S.prob out) (S.prob ref_out);
+                same (where ^ " output density") (S.density out) (S.density ref_out);
+                same_array (where ^ " contributions")
+                  (M.output_density_contributions t cell ~input_stats ~groups ())
+                  (Walk.contributions w input_stats)
+              end
+            done
+          done)
+        (group_patterns arity))
+    Cell.Gate.library;
+  Alcotest.(check bool) "covered the library" true (!evaluations > 1000)
+
 let () =
   Alcotest.run "power"
     [
@@ -452,6 +640,8 @@ let () =
           Alcotest.test_case "groups validation" `Quick test_groups_validation;
           Alcotest.test_case "analysis uses groups" `Quick
             test_analysis_uses_groups;
+          Alcotest.test_case "compiled programs bit-identical to the walk"
+            `Quick test_compiled_bit_identical;
           QCheck_alcotest.to_alcotest prop_output_stats_config_invariant;
           QCheck_alcotest.to_alcotest prop_gate_power_nonnegative;
         ] );
