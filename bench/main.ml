@@ -136,8 +136,8 @@ let adder_profile () =
     (Experiments.Adder_profile.render
        (Experiments.Adder_profile.run ctx ~bits:16 ()))
 
-(* The STA-checked delay-bounded pass is quadratic in circuit size, so
-   the ablations run on a representative medium subset. *)
+(* E9 runs the timed switch-level simulator on every circuit, its
+   expensive step, so it keeps to a representative medium subset. *)
 let ablation_subset () =
   List.map
     (fun n -> (n, Circuits.Suite.find n))
@@ -150,8 +150,7 @@ let ablation_delay () =
   section "E6 / delay-bounded reordering";
   print_string
     (Experiments.Ablations.render_delay_bounded
-       (Experiments.Ablations.delay_bounded ctx ~circuits:(ablation_subset ())
-          Power.Scenario.A))
+       (Experiments.Ablations.delay_bounded ctx Power.Scenario.A))
 
 let ablation_inputreorder () =
   section "E7 / input reordering vs transistor reordering";

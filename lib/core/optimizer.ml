@@ -70,14 +70,23 @@ let argmin cost seed candidates =
       if c < best then (i, c) else acc)
     seed candidates
 
+(* The delay bound, under [Min_power_delay_bounded] only: the input's
+   timing, each net's required time against its critical delay, and the
+   arrivals at the outputs of the gates decided so far. Sessions re-run
+   this objective cold, so every gate is dirty and its fanins' arrivals
+   are decided before it is. *)
+type timing = {
+  sta : Delay.Sta.t;
+  required : float array;  (* per net *)
+  arrival : float array;  (* per net *)
+}
+
 (* Everything one sweep reads. Statistics and loads do not depend on
    any configuration (§4.2), so every gate's decision is independent of
-   the others' — except for the delay-bounded objective, whose STA check
-   reads [configs]: the decided configurations so far, incumbents
-   elsewhere. *)
+   the others' — except for the delay-bounded objective, whose check
+   reads the arrivals of the gates decided before it. *)
 type sweep = {
   delay : Delay.Elmore.table;
-  external_load : float;
   objective : objective;
   input_only : bool;
   memo : Memo.t option;
@@ -86,7 +95,7 @@ type sweep = {
   loads : float array;  (* per gate *)
   candidates : int list array;  (* per gate; [] for clean gates *)
   configs : int array;  (* per gate *)
-  budget : float;  (* Min_power_delay_bounded: the input's critical delay *)
+  timing : timing option;
 }
 
 (* A gate's verdict; [settle] applies these in level-major order, so
@@ -125,17 +134,18 @@ let decide sw table g =
   in
   (* The delay bound: a candidate is admissible if the circuit, with it
      in place and the decisions so far, stays within the input's
-     critical delay. *)
-  let admissible config =
+     critical delay. Gates are decided level by level, so the gates
+     upstream of this one are decided and those downstream are still at
+     their incumbents, as the required times assume; and no path meets
+     two gates of one level, so paths avoiding this gate stay within the
+     budget. That makes one forward step against the output's required
+     time exactly the circuit-level check. *)
+  let admissible timing config =
     Obs.incr c_sta_checks;
-    sw.configs.(g) <- config;
-    let d =
-      Delay.Sta.critical_delay
-        (Delay.Sta.run sw.delay ~external_load:sw.external_load
-           ~configs:sw.configs sw.circuit)
+    let ok =
+      Delay.Sta.step timing.sta timing.arrival g ~config
+      <= timing.required.(gate.C.output)
     in
-    sw.configs.(g) <- incumbent;
-    let ok = d <= sw.budget in
     if not ok then Obs.incr c_sta_rejects;
     ok
   in
@@ -180,12 +190,13 @@ let decide sw table g =
           (chosen, reduction ~current ~best)
     | _ ->
         let candidates =
-          if sw.objective <> Min_power_delay_bounded then candidates
-          else
-            let kept = List.filter admissible candidates in
-            Obs.add c_configs_pruned
-              (List.length candidates - List.length kept);
-            kept
+          match sw.timing with
+          | None -> candidates
+          | Some timing ->
+              let kept = List.filter (admissible timing) candidates in
+              Obs.add c_configs_pruned
+                (List.length candidates - List.length kept);
+              kept
         in
         let current = cost incumbent in
         let chosen, best = argmin cost (incumbent, current) candidates in
@@ -239,9 +250,9 @@ type cache = {
    bucketed by level and each level's decisions applied in topological
    order. A level of several gates maps across the pool when it has
    [jobs > 1] and the objective is a power objective; everything else
-   runs inline, because [Min_delay] shares the Elmore cache and the
-   bounded check writes [configs]. [cached] supplies clean gates' loads
-   and powers. *)
+   runs inline, because [Min_delay] and the bounded check share the
+   Elmore cache, an unsynchronized [Hashtbl]. [cached] supplies clean
+   gates' loads and powers. *)
 let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
     ~phase circuit ~stats ~dirty cached =
   let n = C.gate_count circuit in
@@ -261,17 +272,22 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
         total := !total + List.length candidates.(g)
       end)
     (C.topological_order circuit);
-  let budget =
+  let timing =
     match objective with
     | Min_power_delay_bounded ->
-        Delay.Sta.critical_delay (Delay.Sta.run delay ~external_load circuit)
-        +. 1e-18
-    | Min_power | Max_power | Min_delay -> infinity
+        let sta = Delay.Sta.run delay ~external_load circuit in
+        let budget = Delay.Sta.critical_delay sta +. 1e-18 in
+        Some
+          {
+            sta;
+            required = Delay.Sta.required sta ~budget;
+            arrival = Array.make (C.net_count circuit) 0.;
+          }
+    | Min_power | Max_power | Min_delay -> None
   in
   let sw =
     {
       delay;
-      external_load;
       objective;
       input_only;
       memo;
@@ -280,7 +296,7 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
       loads;
       candidates;
       configs = Array.init n (fun g -> (C.gate_at circuit g).C.config);
-      budget;
+      timing;
     }
   in
   (* The sweep's denominator is known before it starts (§4: every
@@ -295,6 +311,11 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
     explored := !explored + d.d_candidates;
     Option.iter (Obs.observe d_gate_reduction) d.d_reduction;
     sw.configs.(d.d_gate) <- d.d_chosen;
+    (match sw.timing with
+    | None -> ()
+    | Some t ->
+        t.arrival.((C.gate_at circuit d.d_gate).C.output) <-
+          Delay.Sta.step t.sta t.arrival d.d_gate ~config:d.d_chosen);
     Telemetry.progress_tick ~n:d.d_candidates ()
   in
   let pool =

@@ -30,11 +30,15 @@ type objective =
       (** worst-case ordering — the baseline Table 3 compares against *)
   | Min_power_delay_bounded
       (** best power subject to never exceeding the {e circuit}'s
-          critical-path delay as received (checked with incremental
-          static timing at every tentative choice) — the paper's "power
-          reductions without increasing the delay" future-work direction
-          (§6.b). Note a per-gate worst-case bound would be vacuous:
-          symmetric configurations share their worst-case pin delay. *)
+          critical-path delay as received — the paper's "power
+          reductions without increasing the delay" future-work
+          direction (§6.b). Each tentative choice is checked with one
+          forward timing step against its output's required time
+          ({!Delay.Sta.required}, computed once per run backward from
+          that delay), which decides exactly what a full static timing
+          of the circuit would. Note a per-gate worst-case bound would
+          be vacuous: symmetric configurations share their worst-case
+          pin delay. *)
   | Min_delay
       (** fastest configuration (the speed-oriented reordering of
           Carlson & Chen the paper contrasts with) *)
@@ -119,9 +123,9 @@ val optimize :
     pool's domains, every worker reading the one shared power table,
     when the pool has [jobs > 1] and the objective is [Min_power] or
     [Max_power]. Everything else runs inline on the calling domain:
-    [jobs = 1], single-gate levels, [Min_delay] (it shares the Elmore
-    table's cache) and [Min_power_delay_bounded] (its STA check writes
-    the tentative configuration array).
+    [jobs = 1], single-gate levels, [Min_delay] and
+    [Min_power_delay_bounded] (both read the Elmore table, whose cache
+    is an unsynchronized [Hashtbl]).
 
     [memo] (default none) reuses best-configuration verdicts across
     gates with the same cell, pin-tying groups, quantized input

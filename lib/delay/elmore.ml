@@ -8,106 +8,116 @@ type affine = { fixed : float; coef : float }
 
 type pin_model = { rise : affine list; fall : affine list }
 
-type table = {
-  proc : Cell.Process.t;
-  cache : (string * int, pin_model array) Hashtbl.t;
+(* Per cell: its configurations, enumerated once, and each one's pin
+   models once built. *)
+type entry = {
+  configs : Cell.Config.t array;
+  models : pin_model array option array;
 }
 
-let table proc = { proc; cache = Hashtbl.create 256 }
+type table = { proc : Cell.Process.t; cells : (string, entry) Hashtbl.t }
+
+let table proc = { proc; cells = Hashtbl.create 32 }
 let process t = t.proc
 
-(* All simple paths from Output to [rail], as device lists ordered from
-   the output toward the rail. *)
-let rail_paths network rail =
-  let blocked = match rail with N.Vss -> N.Vdd | _ -> N.Vss in
-  let adjacency n =
-    List.filter_map
-      (fun (d : N.device) ->
-        if d.a = n then Some (d, d.b)
-        else if d.b = n then Some (d, d.a)
-        else None)
-      (N.devices network)
-  in
-  let paths = ref [] in
-  let rec explore here on_path acc =
-    if here = rail then paths := List.rev acc :: !paths
-    else if here <> blocked then
-      List.iter
-        (fun (d, next) ->
-          if not (List.mem next on_path) then
-            explore next (next :: on_path) (d :: acc))
-        (adjacency here)
-  in
-  explore N.Output [ N.Output ] [];
-  !paths
+(* Node indices of the adjacency array: the output, the two rails, then
+   the internal nodes. *)
+let output = 0
+let vdd = 1
+let vss = 2
+let index = function
+  | N.Output -> output
+  | N.Vdd -> vdd
+  | N.Vss -> vss
+  | N.Internal i -> 3 + i
 
-(* Elmore terms for one path when [pin]'s device switches last. *)
-let path_affine t network pin path =
-  match
-    List.exists (fun (d : N.device) -> d.input = pin) path
-  with
-  | false -> None
-  | true ->
-      let resistances =
-        List.map
-          (fun (d : N.device) -> Cell.Process.device_resistance t.proc d.polarity)
-          path
-      in
-      let total_r = List.fold_left ( +. ) 0. resistances in
-      (* Nodes along the path, from the output side: node m sits between
-         device m and device m+1; its downstream resistance is the sum
-         of resistances of devices m+1..k. Only nodes above the pin's
-         device still carry charge. *)
-      let rec walk devices rs downstream node_entry fixed =
-        match (devices, rs) with
-        | [], [] -> fixed
-        | (d : N.device) :: rest_d, r :: rest_r ->
-            if d.input = pin then fixed
-            else
-              let downstream = downstream -. r in
-              let mid =
-                (* the node between this device and the next one *)
-                let further = if d.a = node_entry then d.b else d.a in
-                further
-              in
-              let fixed =
-                match mid with
-                | N.Internal _ ->
-                    fixed
-                    +. (Cell.Process.node_capacitance t.proc network mid
-                        *. downstream)
-                | N.Vdd | N.Vss | N.Output -> fixed
-              in
-              walk rest_d rest_r downstream mid fixed
-        | _ -> assert false
-      in
-      let internal_fixed = walk path resistances total_r N.Output 0. in
-      let c_out = Cell.Process.node_capacitance t.proc network N.Output in
-      Some { fixed = internal_fixed +. (c_out *. total_r); coef = total_r }
-
-let build_models t cell config_index =
-  let configs = Cell.Config.all cell in
-  let config =
-    try List.nth configs config_index
-    with Failure _ | Invalid_argument _ ->
-      invalid_arg "Delay.Elmore: configuration index out of range"
-  in
+let build_models t cell config =
   let network = Cell.Config.network config in
-  let fall_paths = rail_paths network N.Vss in
-  let rise_paths = rail_paths network N.Vdd in
-  Array.init (Cell.Gate.arity cell) (fun pin ->
-      let collect paths =
-        List.filter_map (path_affine t network pin) paths
-      in
-      { rise = collect rise_paths; fall = collect fall_paths })
+  let devices = Array.of_list (N.devices network) in
+  let resistance =
+    Array.map
+      (fun (d : N.device) -> Cell.Process.device_resistance t.proc d.polarity)
+      devices
+  in
+  let nodes = 3 + N.internal_count network in
+  (* Internal nodes only: the output's term is [c_out], and a rail never
+     carries charge. *)
+  let capacitance =
+    Array.init nodes (fun i ->
+        if i < 3 then 0.
+        else Cell.Process.node_capacitance t.proc network (N.Internal (i - 3)))
+  in
+  let c_out = Cell.Process.node_capacitance t.proc network N.Output in
+  (* Each node's (device, far end) pairs, in device order. *)
+  let adjacency = Array.make nodes [] in
+  for d = Array.length devices - 1 downto 0 do
+    let a = index devices.(d).a and b = index devices.(d).b in
+    adjacency.(a) <- (d, b) :: adjacency.(a);
+    adjacency.(b) <- (d, a) :: adjacency.(b)
+  done;
+  let arity = Cell.Gate.arity cell in
+  (* Elmore terms of one path, [(device, node past it)] from the output
+     toward the rail, for every pin on it (each pin drives one device
+     per network). When a pin's device switches last, only the nodes
+     above it still carry charge, so its term is the path's prefix sum
+     up to that device; each node adds its capacitance times the
+     resistance still between it and the rail. *)
+  let add_path models path =
+    let total_r = List.fold_left (fun r (d, _) -> r +. resistance.(d)) 0. path in
+    let rec walk path downstream fixed =
+      match path with
+      | [] -> ()
+      | (d, node) :: rest ->
+          let pin = devices.(d).input in
+          models.(pin) <-
+            { fixed = fixed +. (c_out *. total_r); coef = total_r }
+            :: models.(pin);
+          let downstream = downstream -. resistance.(d) in
+          walk rest downstream (fixed +. (capacitance.(node) *. downstream))
+    in
+    walk path total_r 0.
+  in
+  (* Every simple path from the output to [rail] that does not cross the
+     opposite rail, depth first, marking the nodes on the current path. *)
+  let rail_models rail =
+    let models = Array.make arity [] in
+    let blocked = if rail = vss then vdd else vss in
+    let on_path = Array.make nodes false in
+    let rec explore here acc =
+      if here = rail then add_path models (List.rev acc)
+      else if here <> blocked then begin
+        on_path.(here) <- true;
+        List.iter
+          (fun (d, next) ->
+            if not on_path.(next) then explore next ((d, next) :: acc))
+          adjacency.(here);
+        on_path.(here) <- false
+      end
+    in
+    explore output [];
+    models
+  in
+  let fall = rail_models vss and rise = rail_models vdd in
+  Array.init arity (fun pin -> { rise = rise.(pin); fall = fall.(pin) })
 
 let get t cell config =
-  let key = (Cell.Gate.name cell, config) in
-  match Hashtbl.find_opt t.cache key with
+  let name = Cell.Gate.name cell in
+  let entry =
+    match Hashtbl.find_opt t.cells name with
+    | Some e -> e
+    | None ->
+        let configs = Array.of_list (Cell.Config.all cell) in
+        let e = { configs; models = Array.make (Array.length configs) None } in
+        Hashtbl.add t.cells name e;
+        e
+  in
+  if config < 0 || config >= Array.length entry.configs then
+    invalid_arg "Delay.Elmore: configuration index out of range";
+  match entry.models.(config) with
   | Some m -> m
   | None ->
-      let m = build_models t cell config in
-      Hashtbl.add t.cache key m;
+      let m = build_models t cell entry.configs.(config) in
+      entry.models.(config) <- Some m;
       m
 
 let eval load paths =

@@ -20,6 +20,11 @@
 type table
 
 val table : Cell.Process.t -> table
+(** An empty cache of each cell's configurations and of each
+    configuration's pin models, filled on first use. It is an
+    unsynchronized [Hashtbl]: share it between domains only behind a
+    lock. *)
+
 val process : table -> Cell.Process.t
 
 val pin_delay_rise_fall :

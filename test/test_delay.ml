@@ -97,6 +97,103 @@ let prop_all_pins_positive =
             (List.init (Cell.Gate.arity g) Fun.id))
         (List.init (Cell.Gate.config_count g) Fun.id))
 
+(* Reference pin models in their plainest form: rail paths enumerated
+   over device lists, one Elmore walk per (path, pin). The table's pin
+   delays must match them bit for bit. *)
+module Reference_elmore = struct
+  module N = Sp.Network
+
+  type affine = { fixed : float; coef : float }
+
+  let rail_paths network rail =
+    let blocked = match rail with N.Vss -> N.Vdd | _ -> N.Vss in
+    let adjacency n =
+      List.filter_map
+        (fun (d : N.device) ->
+          if d.a = n then Some (d, d.b)
+          else if d.b = n then Some (d, d.a)
+          else None)
+        (N.devices network)
+    in
+    let paths = ref [] in
+    let rec explore here on_path acc =
+      if here = rail then paths := List.rev acc :: !paths
+      else if here <> blocked then
+        List.iter
+          (fun (d, next) ->
+            if not (List.mem next on_path) then
+              explore next (next :: on_path) (d :: acc))
+          (adjacency here)
+    in
+    explore N.Output [ N.Output ] [];
+    !paths
+
+  let path_affine network pin path =
+    if not (List.exists (fun (d : N.device) -> d.input = pin) path) then None
+    else
+      let resistances =
+        List.map
+          (fun (d : N.device) -> Cell.Process.device_resistance proc d.polarity)
+          path
+      in
+      let total_r = List.fold_left ( +. ) 0. resistances in
+      let rec walk devices rs downstream node_entry fixed =
+        match (devices, rs) with
+        | [], [] -> fixed
+        | (d : N.device) :: rest_d, r :: rest_r ->
+            if d.input = pin then fixed
+            else
+              let downstream = downstream -. r in
+              let mid = if d.a = node_entry then d.b else d.a in
+              let fixed =
+                match mid with
+                | N.Internal _ ->
+                    fixed
+                    +. (Cell.Process.node_capacitance proc network mid
+                       *. downstream)
+                | N.Vdd | N.Vss | N.Output -> fixed
+              in
+              walk rest_d rest_r downstream mid fixed
+        | _ -> assert false
+      in
+      let internal_fixed = walk path resistances total_r N.Output 0. in
+      let c_out = Cell.Process.node_capacitance proc network N.Output in
+      Some { fixed = internal_fixed +. (c_out *. total_r); coef = total_r }
+
+  let eval load paths =
+    List.fold_left
+      (fun acc a -> Float.max acc (a.fixed +. (a.coef *. load)))
+      0. paths
+
+  let pin_delay_rise_fall cell ~config ~pin ~load =
+    let network = Cell.Config.network (List.nth (Cell.Config.all cell) config) in
+    let models rail =
+      List.filter_map (path_affine network pin) (rail_paths network rail)
+    in
+    (eval load (models N.Vdd), eval load (models N.Vss))
+end
+
+let test_pin_delays_bit_identical () =
+  let t = table () in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun cell ->
+      for config = 0 to Cell.Gate.config_count cell - 1 do
+        for pin = 0 to Cell.Gate.arity cell - 1 do
+          List.iter
+            (fun load ->
+              let rise, fall = El.pin_delay_rise_fall t cell ~config ~pin ~load in
+              let rise', fall' =
+                Reference_elmore.pin_delay_rise_fall cell ~config ~pin ~load
+              in
+              if bits rise <> bits rise' || bits fall <> bits fall' then
+                Alcotest.failf "%s config %d pin %d load %g: (%h, %h) <> (%h, %h)"
+                  (Cell.Gate.name cell) config pin load rise fall rise' fall')
+            [ 0.; 7e-15; 43e-15 ]
+        done
+      done)
+    Cell.Gate.library
+
 (* --- STA --- *)
 
 let chain_of_inverters n =
@@ -169,6 +266,89 @@ let test_sta_empty_circuit () =
   Alcotest.(check (float 0.)) "no gates, no delay" 0.
     (Sta.critical_delay (Sta.run t c))
 
+(* --- required times --- *)
+
+let latest_holds r d =
+  let x = Sta.latest r d in
+  if d > r then x = neg_infinity
+  else x >= 0. && x +. d <= r && (x = infinity || Float.succ x +. d > r)
+
+let check_latest r d =
+  if not (latest_holds r d) then
+    Alcotest.failf "latest %h %h = %h" r d (Sta.latest r d)
+
+let test_latest_random () =
+  let rng = Stoch.Rng.create 7 in
+  for _ = 1 to 2000 do
+    (* Independent pairs, some with [d > r], and required times built
+       as an arrival plus a delay, where the boundary sits. *)
+    let d = Stoch.Rng.float_range rng 0. 2e-8 in
+    check_latest (Stoch.Rng.float_range rng 0. 1e-7) d;
+    let a = Stoch.Rng.float_range rng 0. 1e-7 in
+    check_latest (a +. d) d;
+    Alcotest.(check bool) "an arrival meets its own sum" true
+      (a <= Sta.latest (a +. d) d)
+  done
+
+let test_latest_edges () =
+  let tiny = Int64.float_of_bits 1L in
+  Alcotest.(check (float 0.)) "d > r" neg_infinity (Sta.latest 1e-9 2e-9);
+  Alcotest.(check (float 0.)) "r = infinity" infinity (Sta.latest infinity 3e-9);
+  Alcotest.(check (float 0.)) "d = 0" 4e-9 (Sta.latest 4e-9 0.);
+  Alcotest.(check (float 0.)) "r = d = 0" 0. (Sta.latest 0. 0.);
+  Alcotest.(check (float 0.)) "subnormal difference" (7. *. tiny)
+    (Sta.latest (10. *. tiny) (3. *. tiny));
+  Alcotest.(check (float 0.)) "largest subnormal" (Float.min_float -. tiny)
+    (Sta.latest Float.min_float tiny);
+  let x = Sta.latest 1e-300 1e-300 in
+  Alcotest.(check bool) "d = r: a subnormal slack" true
+    (x > 0. && x < Float.min_float);
+  List.iter
+    (fun (r, d) -> check_latest r d)
+    [
+      (1e-9, 2e-9); (1e-9, 1e-9); (5e-8, 5e-8); (1., 1.); (infinity, 3e-9);
+      (infinity, infinity); (4e-9, 0.); (0., 0.); (10. *. tiny, 3. *. tiny);
+      (Float.min_float, tiny); (1e-300, 1e-300); (tiny, tiny); (tiny, 0.);
+    ]
+
+(* For every gate and configuration, the required-time verdict with the
+   rest of the circuit at its incumbents equals a full timing of the
+   circuit with only that change: against the optimizer's budget, and
+   against the critical delay itself, which the incumbents on the
+   critical path meet with no slack at all. *)
+let test_required_matches_full_sta () =
+  let t = table () in
+  let rejects = ref 0 in
+  List.iter
+    (fun name ->
+      let c = Circuits.Suite.find name in
+      let sta = Sta.run t c in
+      let arrival = Array.init (C.net_count c) (Sta.arrival sta) in
+      let configs = Array.map (fun (g : C.gate) -> g.C.config) (C.gates c) in
+      let critical = Sta.critical_delay sta in
+      let budgets = [ critical +. 1e-18; critical ] in
+      let required = List.map (fun budget -> Sta.required sta ~budget) budgets in
+      for g = 0 to C.gate_count c - 1 do
+        let gate = C.gate_at c g in
+        for config = 0 to Cell.Gate.config_count gate.C.cell - 1 do
+          let a = Sta.step sta arrival g ~config in
+          configs.(g) <- config;
+          let d = Sta.critical_delay (Sta.run t (C.with_configs c configs)) in
+          configs.(g) <- gate.C.config;
+          List.iter2
+            (fun budget required ->
+              let fast = a <= required.(gate.C.output) and full = d <= budget in
+              if fast <> full then
+                Alcotest.failf
+                  "%s gate %d config %d, budget %h: required %b, full STA %b"
+                  name g config budget fast full;
+              if not full then incr rejects)
+            budgets required
+        done
+      done)
+    [ "rca8"; "alu2"; "mult4"; "csel8" ];
+  Alcotest.(check bool) "some candidates break the bound" true (!rejects > 0)
+
 let () =
   Alcotest.run "delay"
     [
@@ -184,6 +364,8 @@ let () =
           Alcotest.test_case "worst = max pin" `Quick test_worst_delay_is_max_pin;
           Alcotest.test_case "validation" `Quick test_validation;
           QCheck_alcotest.to_alcotest prop_all_pins_positive;
+          Alcotest.test_case "pin delays bit-identical to the reference"
+            `Quick test_pin_delays_bit_identical;
         ] );
       ( "sta",
         [
@@ -193,5 +375,9 @@ let () =
           Alcotest.test_case "config affects delay" `Quick
             test_sta_config_affects_delay;
           Alcotest.test_case "empty circuit" `Quick test_sta_empty_circuit;
+          Alcotest.test_case "latest on random pairs" `Quick test_latest_random;
+          Alcotest.test_case "latest edge cases" `Quick test_latest_edges;
+          Alcotest.test_case "verdicts match a full STA" `Quick
+            test_required_matches_full_sta;
         ] );
     ]

@@ -24,6 +24,19 @@ let smoke_tests =
                 cex.R.case_seed cex.R.message cex.R.printed))
     (Proptest.Oracles.all ())
 
+(* The optimizer oracle on larger circuits, where the delay-bounded
+   objective's admissibility check meets more boundary cases. *)
+let test_optimizer_deep () =
+  match Proptest.Oracles.find "optimizer" with
+  | None -> Alcotest.fail "no optimizer oracle"
+  | Some p -> (
+      let r = R.run ~seed:42 ~count:30 ~size:60 p in
+      match r.R.counterexample with
+      | None -> Alcotest.(check int) "ran every case" 30 r.R.cases_run
+      | Some cex ->
+          Alcotest.failf "optimizer failed (seed %d): %s\n%s" cex.R.case_seed
+            cex.R.message cex.R.printed)
+
 (* --- generators --- *)
 
 let test_gen_circuit_valid () =
@@ -185,6 +198,8 @@ let () =
   Alcotest.run "proptest"
     [
       ("oracle smoke (200 cases each)", smoke_tests);
+      ( "oracle depth",
+        [ Alcotest.test_case "optimizer at size 60" `Quick test_optimizer_deep ] );
       ( "generators",
         [
           Alcotest.test_case "random circuits valid" `Quick

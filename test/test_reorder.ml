@@ -124,7 +124,7 @@ let test_delay_bounded_respects_circuit_delay () =
         (name ^ ": power not degraded")
         true
         (r.O.power_after <= r.O.power_before +. 1e-18))
-    [ "rca4"; "mux8"; "alu1"; "c17" ]
+    [ "rca4"; "mux8"; "alu1"; "c17"; "rca16"; "csel16"; "rnd_c" ]
 
 let test_delay_bounded_weaker_than_free () =
   let pt = power_table () and dt = delay_table () in
