@@ -577,7 +577,7 @@ let telemetry_overhead () =
 (* A ~10k-gate random circuit is cold-optimized once into an
    Incremental session, then scripted single-gate configuration edits
    replay through the dirty-cone engine. Interactive-latency targets:
-   median apply under 10 ms and at least 20x the cold full run, with
+   median apply under 1 ms and at least 20x the cold full run, with
    the settled state bit-identical to a cold optimization of the final
    circuit (checked here, and by the incremental-equivalence oracle on
    random circuits). eco.median_ms / eco.speedup land in
@@ -629,7 +629,7 @@ let perf_eco () =
     List.fold_left (fun acc t -> acc + t.Incremental.dirty_gates) 0 timings
   in
   (* Settle and verify the fixed point against a cold full run. *)
-  ignore (Incremental.apply sess []);
+  Incremental.apply sess [];
   let final = Incremental.report sess in
   let verify =
     O.optimize ctx.Experiments.Common.power ~delay:ctx.Experiments.Common.delay
@@ -652,9 +652,9 @@ let perf_eco () =
     (List.length timings) resweeps;
   Printf.printf "apply latency:    p50 %.3f ms   p90 %.3f ms   p99 %.3f ms\n"
     (p50 *. 1e3) (p90 *. 1e3) (p99 *. 1e3);
-  Printf.printf "speedup:          %.0fx (target: >= 20x, median < 10 ms)\n"
+  Printf.printf "speedup:          %.0fx (target: >= 20x, median < 1 ms)\n"
     speedup;
-  if p50 *. 1e3 >= 10. || speedup < 20. then begin
+  if p50 *. 1e3 >= 1. || speedup < 20. then begin
     Printf.eprintf
       "perf_eco: interactive-latency target missed (p50 %.3f ms, %.1fx)\n"
       (p50 *. 1e3) speedup;

@@ -1215,7 +1215,7 @@ let eco_cmd =
     (* Settle the session (empty apply) so the archived ledger is the
        final fixed point: before = after = the settled state, which a
        cold run of the final circuit reproduces bit-exactly. *)
-    ignore (Incremental.apply ~pool sess []);
+    Incremental.apply ~pool sess [];
     let final = Incremental.report sess in
     Printf.printf "final power: %s\n"
       (Report.Table.cell_power final.Reorder.Optimizer.power_after);

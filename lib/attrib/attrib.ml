@@ -52,31 +52,29 @@ let node_share_of circuit (gate : C.gate) ~vdd (np : M.node_power) =
         np.M.by_input;
   }
 
-let gate_entry table ?(external_load = 20e-15) ?(candidates = true) ~before
-    ~analysis ~config_after g =
-  let gate = C.gate_at before g in
+let gate_entry table ?(candidates = true) circuit g ~config_before
+    ~config_after ~input_stats ~load =
+  let gate = C.gate_at circuit g in
   let vdd = (Power.Model.process table).Cell.Process.vdd in
-  let input_stats = Power.Analysis.gate_input_stats analysis before g in
   let groups = M.groups_of_nets gate.C.fanins in
-  let load = Power.Estimate.output_load table ~external_load before g in
   let power_of config =
     M.gate_power table gate.C.cell ~config ~input_stats ~groups ~load ()
   in
-  let gp_before = power_of gate.C.config in
+  let gp_before = power_of config_before in
   let gp_after =
-    if config_after = gate.C.config then gp_before else power_of config_after
+    if config_after = config_before then gp_before else power_of config_after
   in
   {
     index = g;
     cell = Cell.Gate.name gate.C.cell;
-    out_net = C.net_name before gate.C.output;
-    config_before = gate.C.config;
+    out_net = C.net_name circuit gate.C.output;
+    config_before;
     config_after;
     before_total = gp_before.M.total;
     before_internal = gp_before.M.internal;
     after_total = gp_after.M.total;
     after_internal = gp_after.M.internal;
-    nodes = List.map (node_share_of before gate ~vdd) gp_after.M.nodes;
+    nodes = List.map (node_share_of circuit gate ~vdd) gp_after.M.nodes;
     candidates =
       (if not candidates then [||]
        else
@@ -99,18 +97,12 @@ let of_entries ~circuit ~external_load gates =
   }
 
 let settle e =
-  if
-    e.config_before = e.config_after
-    && e.before_total = e.after_total
-    && e.before_internal = e.after_internal
-  then e (* already settled: keep the record (ledger-patch hot path) *)
-  else
-    {
-      e with
-      config_before = e.config_after;
-      before_total = e.after_total;
-      before_internal = e.after_internal;
-    }
+  {
+    e with
+    config_before = e.config_after;
+    before_total = e.after_total;
+    before_internal = e.after_internal;
+  }
 
 let of_report table ?(external_load = 20e-15) ?(candidates = true) ~before
     ~inputs (report : Reorder.Optimizer.report) =
@@ -122,8 +114,11 @@ let of_report table ?(external_load = 20e-15) ?(candidates = true) ~before
   let analysis = Power.Analysis.run table before ~inputs in
   let gates =
     Array.init n (fun g ->
-        gate_entry table ~external_load ~candidates ~before ~analysis
-          ~config_after:report.Reorder.Optimizer.configs.(g) g)
+        gate_entry table ~candidates before g
+          ~config_before:(C.gate_at before g).C.config
+          ~config_after:report.Reorder.Optimizer.configs.(g)
+          ~input_stats:(Power.Analysis.gate_input_stats analysis before g)
+          ~load:(Power.Estimate.output_load table ~external_load before g))
   in
   of_entries ~circuit:(C.name before) ~external_load gates
 

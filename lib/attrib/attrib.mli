@@ -73,25 +73,27 @@ val of_report :
 
 (** {1 Incremental rebuilding}
 
-    The incremental engine ({!Incremental}) patches a retained ledger
-    instead of rebuilding it: entries of re-swept gates are recomputed
-    with {!gate_entry}, clean entries are {!settle}d (the previous
-    winner is the new incumbent — the optimizer's fixed point), and
-    {!of_entries} re-sums the totals in the same index order as
-    {!of_report}, so a patched ledger is bit-identical to one built
-    cold from the edited circuit. *)
+    The incremental engine ({!Incremental}) keeps a ledger's entries and
+    recomputes only the re-swept gates' with {!gate_entry}. Every other
+    gate kept its incumbent, the previous winner (the optimizer's fixed
+    point), so its entry is {!settle}d; {!of_entries} re-sums the totals
+    in the same index order as {!of_report}, so the ledger is
+    bit-identical to one built cold from the edited circuit. *)
 
 val gate_entry :
   Power.Model.table ->
-  ?external_load:float ->
   ?candidates:bool ->
-  before:Netlist.Circuit.t ->
-  analysis:Power.Analysis.t ->
-  config_after:int ->
+  Netlist.Circuit.t ->
   int ->
+  config_before:int ->
+  config_after:int ->
+  input_stats:Stoch.Signal_stats.t array ->
+  load:float ->
   gate_entry
-(** One gate's entry, computed exactly as {!of_report} does (the
-    incumbent configuration is read from [before]). *)
+(** One gate's entry, computed exactly as {!of_report} does, from its
+    configurations, its pins' statistics and its output load. The
+    circuit supplies the gate's cell, pins and net names; its
+    configuration field is not read. *)
 
 val of_entries :
   circuit:string -> external_load:float -> gate_entry array -> t

@@ -18,93 +18,84 @@ let edit_error fmt = Format.kasprintf (fun s -> raise (Edit_error s)) fmt
 
 type t = {
   table : Power.Model.table;
-  delay : Delay.Elmore.table;
   session : O.session;
-  keep_ledger : bool;
   ledger_candidates : bool;
-  mutable circuit : C.t;  (* settled: the last run's rewritten circuit *)
-  mutable pi_stats : Stats.t array;  (* per net; PI entries are live *)
+  entries : Attrib.gate_entry array option;
+      (* per gate, as its last sweep computed it; [None] without a ledger *)
+  pi_stats : Stats.t array;  (* per net; PI entries are live *)
+  mutable structure : C.t;  (* connectivity; the session has the configs *)
   mutable external_load : float;
   mutable objective : O.objective;
-  mutable input_only : bool;
-  mutable report : O.report;
-  mutable ledger : Attrib.t option;
+  mutable ledger : Attrib.t option;  (* built on first read after an apply *)
 }
 
-let circuit t = t.circuit
-let report t = t.report
-let ledger t = t.ledger
+let report t = O.session_report t.session
+let circuit t = (report t).O.circuit
 let session t = t.session
 let objective t = t.objective
 let external_load t = t.external_load
 
+let check_input circuit net =
+  match C.driver circuit net with
+  | C.Primary_input -> ()
+  | C.Driven_by g ->
+      edit_error
+        "set_input_stats: net %S is driven by gate %d, not a primary input"
+        (C.net_name circuit net) g
+
+let check_load l =
+  if not (Float.is_finite l) || l < 0. then
+    edit_error "set_external_load: %g F is not a load" l
+
 let input_stats t net =
-  match C.driver t.circuit net with
+  match C.driver t.structure net with
   | C.Primary_input -> t.pi_stats.(net)
   | C.Driven_by g ->
       edit_error "net %S is driven by gate %d, not a primary input"
-        (C.net_name t.circuit net) g
+        (C.net_name t.structure net) g
 
-(* Rebuild the ledger after a run. Fast path: the optimizer session
-   tells us exactly which gates it re-swept; their entries are
-   recomputed from the session's (already patched) statistics, every
-   other entry is settled in place — its statistics, load, incumbent
-   (the previous winner) and candidate sweep are all unchanged, so the
-   patched ledger is bit-identical to one built cold from the edited
-   circuit. *)
-let rebuild_ledger t ~before (rep : O.report) =
-  Obs.span "incremental.ledger" @@ fun () ->
-  let n = C.gate_count before in
-  let fresh_entries analysis dirty old =
-    let settled = ref 0 and patched = ref 0 in
-    let entries =
-      Array.init n (fun g ->
-          match old with
-          | Some (prev : Attrib.t) when not dirty.(g) ->
-              incr settled;
-              Attrib.settle prev.Attrib.gates.(g)
-          | _ ->
-              incr patched;
-              Attrib.gate_entry t.table ~external_load:t.external_load
-                ~candidates:t.ledger_candidates ~before ~analysis
-                ~config_after:rep.O.configs.(g) g)
-    in
-    Obs.add c_ledger_settled !settled;
-    Obs.add c_ledger_patched !patched;
-    entries
-  in
-  let ledger =
-    match (O.session_stats t.session, O.session_dirty t.session) with
-    | Some stats, Some dirty when Array.length dirty = n ->
-        let analysis = Power.Analysis.of_stats stats in
-        let old =
-          match t.ledger with
-          | Some prev when Array.length prev.Attrib.gates = n -> Some prev
-          | _ -> None
-        in
-        Attrib.of_entries ~circuit:(C.name before)
-          ~external_load:t.external_load
-          (fresh_entries analysis dirty old)
-    | _ ->
-        (* Non-power objective: the session kept no cache; build cold. *)
-        Attrib.of_report t.table ~external_load:t.external_load
-          ~candidates:t.ledger_candidates ~before
-          ~inputs:(fun net -> t.pi_stats.(net))
-          rep
-  in
-  t.ledger <- Some ledger
+(* A swept gate's entry, from what its sweep decided. *)
+let entry table ~candidates structure session g =
+  let st = O.session_gate session g in
+  Attrib.gate_entry table ~candidates structure g
+    ~config_before:st.O.incumbent ~config_after:st.O.chosen
+    ~input_stats:st.O.input_stats ~load:st.O.load
 
-let run ?pool t circuit =
-  let rep =
-    O.optimize t.table ~delay:t.delay ~external_load:t.external_load
-      ~objective:t.objective ~input_reordering_only:t.input_only ?pool
-      ~session:t.session circuit
-      ~inputs:(fun net -> t.pi_stats.(net))
-  in
-  t.report <- rep;
-  t.circuit <- rep.O.circuit;
-  if t.keep_ledger then rebuild_ledger t ~before:circuit rep;
-  rep
+(* Recompute the entries of the gates the last settle swept, in place.
+   Every other gate kept its statistics, load, incumbent (the previous
+   winner) and candidate sweep, so its entry only settles, which the
+   snapshot does. *)
+let patch_ledger t =
+  Option.iter
+    (fun entries ->
+      Obs.span "incremental.ledger" @@ fun () ->
+      let swept = O.session_swept t.session in
+      List.iter
+        (fun g ->
+          entries.(g) <-
+            entry t.table ~candidates:t.ledger_candidates t.structure
+              t.session g)
+        swept;
+      let patched = List.length swept in
+      Obs.add c_ledger_patched patched;
+      Obs.add c_ledger_settled (Array.length entries - patched))
+    t.entries;
+  t.ledger <- None
+
+let ledger t =
+  match (t.entries, t.ledger) with
+  | None, _ -> None
+  | Some _, (Some _ as l) -> l
+  | Some entries, None ->
+      let gates = Array.map Attrib.settle entries in
+      List.iter (fun g -> gates.(g) <- entries.(g)) (O.session_swept t.session);
+      let l =
+        Some
+          (Attrib.of_entries ~circuit:(C.name t.structure)
+             ~external_load:t.external_load gates)
+      in
+      t.ledger <- l;
+      l
 
 let create table ~delay ?(external_load = 20e-15) ?(objective = O.Min_power)
     ?(input_reordering_only = false) ?(memoize = false) ?(ledger = true)
@@ -113,103 +104,114 @@ let create table ~delay ?(external_load = 20e-15) ?(objective = O.Min_power)
     Array.make (C.net_count circuit) (Stats.constant false)
   in
   List.iter (fun net -> pi_stats.(net) <- inputs net) (C.primary_inputs circuit);
-  let t =
-    {
-      table;
-      delay;
-      session = O.session ~memoize ();
-      keep_ledger = ledger;
-      ledger_candidates;
-      circuit;
-      pi_stats;
-      external_load;
-      objective;
-      input_only = input_reordering_only;
-      report =
-        (* placeholder, replaced by [run] below before [create] returns *)
-        {
-          O.circuit;
-          configs = [||];
-          power_before = 0.;
-          power_after = 0.;
-          gates_changed = 0;
-          configurations_explored = 0;
-        };
-      ledger = None;
-    }
+  let session =
+    O.start table ~delay ~external_load ~objective ~input_reordering_only
+      ?pool
+      ?memo:(if memoize then Some (Reorder.Memo.create ()) else None)
+      circuit
+      ~inputs:(fun net -> pi_stats.(net))
   in
-  ignore (run ?pool t circuit);
-  t
+  let entries =
+    if not ledger then None
+    else
+      Obs.span "incremental.ledger" @@ fun () ->
+      let n = C.gate_count circuit in
+      Obs.add c_ledger_patched n;
+      Some
+        (Array.init n
+           (entry table ~candidates:ledger_candidates circuit session))
+  in
+  {
+    table;
+    session;
+    ledger_candidates;
+    entries;
+    pi_stats;
+    structure = circuit;
+    external_load;
+    objective;
+    ledger = None;
+  }
 
-(* Staged validation: every edit is checked (and the replacement
-   circuit built) before any session state mutates, so a failing batch
-   leaves the session untouched. *)
+(* The last edit of each key in a newest-first list. *)
+let latest edits =
+  List.fold_left
+    (fun acc ((key, _) as e) ->
+      if List.mem_assoc key acc then acc else e :: acc)
+    [] edits
+
+(* Staged validation: every edit is checked (and a rewired circuit
+   built) before any session state mutates, so a failing batch leaves
+   the session untouched. The batch reaches the optimizer classified:
+   configuration-only replacements need no new circuit and move no
+   statistics (§4.2). *)
 let apply ?pool t edits =
-  let pi_updates = ref [] in
-  let replacements = ref [] in
-  let ext_load = ref t.external_load in
-  let obj = ref t.objective in
+  let inputs = ref [] and replacements = ref [] in
+  let ext_load = ref t.external_load and obj = ref t.objective in
   List.iter
     (fun edit ->
       Obs.incr c_edits;
       match edit with
       | Set_input_stats (net, s) ->
-          if net < 0 || net >= C.net_count t.circuit then
+          if net < 0 || net >= C.net_count t.structure then
             edit_error "set_input_stats: unknown net %d" net;
-          (match C.driver t.circuit net with
-          | C.Primary_input -> pi_updates := (net, s) :: !pi_updates
-          | C.Driven_by g ->
-              edit_error
-                "set_input_stats: net %S is driven by gate %d, not a primary \
-                 input"
-                (C.net_name t.circuit net) g)
+          check_input t.structure net;
+          inputs := (net, s) :: !inputs
       | Replace_gate (g, gate) ->
-          if g < 0 || g >= C.gate_count t.circuit then
+          if g < 0 || g >= C.gate_count t.structure then
             edit_error "replace_gate: no gate %d (circuit has %d)" g
-              (C.gate_count t.circuit);
+              (C.gate_count t.structure);
+          if gate.C.config < 0
+             || gate.C.config >= Cell.Gate.config_count gate.C.cell
+          then
+            edit_error
+              "replace_gate: gate %d (%s): configuration %d out of range" g
+              (Cell.Gate.name gate.C.cell) gate.C.config;
           replacements := (g, gate) :: !replacements
       | Set_external_load l ->
-          if not (Float.is_finite l) || l < 0. then
-            edit_error "set_external_load: %g F is not a load" l;
+          check_load l;
           ext_load := l
       | Set_objective o -> obj := o)
     edits;
-  let circuit =
-    if !replacements = [] then t.circuit
-    else begin
-      let gates = C.gates t.circuit in
-      List.iter (fun (g, gate) -> gates.(g) <- gate) (List.rev !replacements);
-      let config_only =
-        List.for_all
-          (fun (g, (gate : C.gate)) ->
-            let old = C.gate_at t.circuit g in
-            gate.C.output = old.C.output
-            && gate.C.fanins = old.C.fanins
-            && Cell.Gate.name gate.C.cell = Cell.Gate.name old.C.cell)
-          !replacements
-      in
-      try
-        if config_only then
-          (* Connectivity is untouched: swap configurations through the
-             validated O(gates) fast path instead of a full [create]
-             (index rebuild + acyclicity check) — this is the ECO
-             latency hot path. *)
-          C.with_configs t.circuit
-            (Array.map (fun (gate : C.gate) -> gate.C.config) gates)
-        else
-          C.create ~name:(C.name t.circuit)
-            ~net_names:
-              (Array.init (C.net_count t.circuit) (C.net_name t.circuit))
-            ~primary_inputs:(C.primary_inputs t.circuit)
-            ~primary_outputs:(C.primary_outputs t.circuit)
-            ~gates:(Array.to_list gates)
-      with C.Invalid msg -> edit_error "replace_gate: %s" msg
-    end
+  let rewires (g, (gate : C.gate)) =
+    let old = C.gate_at t.structure g in
+    gate.C.output <> old.C.output
+    || gate.C.fanins <> old.C.fanins
+    || Cell.Gate.name gate.C.cell <> Cell.Gate.name old.C.cell
   in
-  List.iter (fun (net, s) -> t.pi_stats.(net) <- s) (List.rev !pi_updates);
+  let rewired, configs = List.partition rewires (latest !replacements) in
+  let rewired =
+    match rewired with
+    | [] -> None
+    | rewired -> (
+        let gates = C.gates t.structure in
+        List.iter (fun (g, gate) -> gates.(g) <- gate) rewired;
+        match
+          C.create ~name:(C.name t.structure)
+            ~net_names:
+              (Array.init (C.net_count t.structure) (C.net_name t.structure))
+            ~primary_inputs:(C.primary_inputs t.structure)
+            ~primary_outputs:(C.primary_outputs t.structure)
+            ~gates:(Array.to_list gates)
+        with
+        | circuit -> Some (circuit, List.map fst rewired)
+        | exception C.Invalid msg -> edit_error "replace_gate: %s" msg)
+  in
+  let inputs = latest !inputs in
+  List.iter (fun (net, s) -> t.pi_stats.(net) <- s) inputs;
   t.external_load <- !ext_load;
   t.objective <- !obj;
-  run ?pool t circuit
+  Option.iter (fun (circuit, _) -> t.structure <- circuit) rewired;
+  O.resettle ?pool t.session
+    {
+      O.inputs;
+      configs =
+        List.map (fun (g, (gate : C.gate)) -> (g, gate.C.config)) configs;
+      rewired;
+      external_load = !ext_load;
+      objective = !obj;
+    };
+  patch_ledger t
 
 (* --- NDJSON edit scripts -------------------------------------------- *)
 
@@ -258,6 +260,7 @@ module Script = struct
     match Option.bind (J.member "op" json) J.to_string with
     | Some "set_input_stats" ->
         let net = net_of ~circuit json "net" in
+        check_input circuit net;
         let prob = float_of json "prob" and density = float_of json "density" in
         let stats =
           try Stats.make ~prob ~density
@@ -303,7 +306,9 @@ module Script = struct
         Replace_gate
           (g, { C.cell; config; fanins; output = old.C.output })
     | Some "set_external_load" ->
-        Set_external_load (float_of json "farads")
+        let l = float_of json "farads" in
+        check_load l;
+        Set_external_load l
     | Some "set_objective" -> (
         match Option.bind (J.member "objective" json) J.to_string with
         | Some s -> Set_objective (objective_of_string s)
@@ -353,14 +358,9 @@ let replay ?pool t script =
   List.iteri
     (fun i edits ->
       let t0 = Unix.gettimeofday () in
-      ignore (apply ?pool t edits);
+      apply ?pool t edits;
       let dt = Unix.gettimeofday () -. t0 in
-      let dirty_gates =
-        match O.session_dirty t.session with
-        | Some dirty ->
-            Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dirty
-        | None -> C.gate_count t.circuit
-      in
+      let dirty_gates = List.length (O.session_swept t.session) in
       timings :=
         { batch = i; edits = List.length edits; seconds = dt; dirty_gates }
         :: !timings)

@@ -1,21 +1,24 @@
 (** ECO-style incremental re-optimization sessions.
 
     A session wraps a {!Reorder.Optimizer.session} together with the
-    run's input-statistics model, the settled circuit and the retained
-    {!Attrib} power-attribution ledger, and exposes a typed edit
-    language over it. [apply] stages and validates a batch of edits,
-    re-optimizes through the optimizer's dirty-cone fast path — only
-    the fan-out cones of the edited nets are re-propagated and only the
-    dirty gates re-swept — and patches the ledger in place. Every
-    report and ledger is bit-identical to a cold full optimization of
-    the edited circuit (the [incremental-equivalence] proptest oracle),
-    at interactive latency: the per-edit cost is proportional to the
-    edit's cone, not the circuit.
+    run's input-statistics model and the {!Attrib} power-attribution
+    ledger's entries, and exposes a typed edit language over it. [apply]
+    stages and validates a batch of edits and hands it on classified:
+    only the fan-out cones of the edited nets are re-propagated, only
+    the dirty gates re-swept, and only their ledger entries recomputed,
+    each in place. The per-edit cost is proportional to the edit's cone,
+    not the circuit: a configuration edit re-sweeps one gate and
+    allocates nothing of the circuit's size, and only a rewiring
+    rebuilds the circuit. The report, circuit and
+    ledger are snapshots built on first read, each bit-identical to a
+    cold full optimization of the edited circuit (the
+    [incremental-equivalence] proptest oracle).
 
     Observability: [incremental.edits],
     [incremental.ledger_entries_patched] /
-    [incremental.ledger_entries_settled] counters here, plus the
-    optimizer's [incremental.applies] / [incremental.dirty_nets] /
+    [incremental.ledger_entries_settled] counters and the
+    [incremental.ledger] span here, plus the optimizer's
+    [incremental.applies] / [incremental.dirty_nets] /
     [incremental.dirty_gates] / [incremental.cutoffs] counters and
     [incremental.apply] span. *)
 
@@ -31,13 +34,14 @@ type edit =
   | Set_external_load of float  (** Primary-output load, F. *)
   | Set_objective of Reorder.Optimizer.objective
       (** Re-decide every gate under a new objective (statistics are
-          untouched — the §4.2 invariant). Non-power objectives fall
-          back to a cold full run. *)
+          untouched — the §4.2 invariant). Under a delay objective every
+          later apply re-decides every gate too. *)
 
 exception Edit_error of string
 (** An invalid edit (unknown net, non-PI stats target, bad gate index,
-    broken rewiring, malformed script line). A failing [apply] batch
-    leaves the session untouched. *)
+    configuration out of range, broken rewiring, negative load,
+    malformed script line). A failing [apply] batch leaves the session
+    untouched. *)
 
 type t
 
@@ -60,19 +64,24 @@ val create :
     attribution ledger across applies; [ledger_candidates] (default
     true) keeps the per-configuration candidate sweeps in it. *)
 
-val apply : ?pool:Par.Pool.t -> t -> edit list -> Reorder.Optimizer.report
-(** Validate and apply one batch of edits, re-optimize incrementally,
-    patch the ledger, and settle the session on the result. The report
-    is bit-identical to a cold {!Reorder.Optimizer.optimize} of the
-    edited circuit (except [configurations_explored], which counts only
+val apply : ?pool:Par.Pool.t -> t -> edit list -> unit
+(** Validate and apply one batch of edits: re-optimize incrementally and
+    recompute the re-swept gates' ledger entries. The next {!report} is
+    bit-identical to a cold {!Reorder.Optimizer.optimize} of the edited
+    circuit (except [configurations_explored], which counts only
     re-examined candidates). @raise Edit_error without mutating. *)
 
-(** {1 Accessors} *)
+(** {1 Accessors}
 
-val circuit : t -> Netlist.Circuit.t
-(** The settled circuit: last report's rewrite (winning configs). *)
+    {!report}, {!circuit} and {!ledger} are snapshots: built on the
+    first read after an apply, then shared by every read until the next
+    apply, and never changed by later applies. *)
 
 val report : t -> Reorder.Optimizer.report
+
+val circuit : t -> Netlist.Circuit.t
+(** The settled circuit: the report's rewrite (winning configs). *)
+
 val ledger : t -> Attrib.t option
 (** [None] only when the session was created with [~ledger:false]. *)
 
@@ -100,7 +109,9 @@ val input_stats : t -> Netlist.Circuit.net -> Stoch.Signal_stats.t
     [replace_gate] keeps the old gate's output net; [cell], [config]
     and [fanins] default to the old gate's values. Net and gate
     references resolve against the given circuit (names and indices
-    are stable across applies). *)
+    are stable across applies). An edit the circuit cannot take is
+    refused when the script loads: a [set_input_stats] on a
+    gate-driven net, or a negative or non-finite load. *)
 
 module Script : sig
   val edit_of_json : circuit:Netlist.Circuit.t -> Trace.Json.t -> edit

@@ -77,18 +77,3 @@ let lookup t k =
 let store t k v =
   with_lock t.lock @@ fun () ->
   if not (Hashtbl.mem t.table k) then Hashtbl.add t.table k v
-
-let merge ~into src =
-  if into != src then begin
-    (* Snapshot the source outside the destination's lock so taking the
-       two locks in sequence (never nested) cannot deadlock. *)
-    let entries =
-      with_lock src.lock (fun () ->
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.table [])
-    in
-    with_lock into.lock (fun () ->
-        List.iter
-          (fun (k, v) ->
-            if not (Hashtbl.mem into.table k) then Hashtbl.add into.table k v)
-          entries)
-  end

@@ -72,10 +72,3 @@ val lookup : t -> string -> int option
 val store : t -> string -> int -> unit
 (** First writer wins (racing writers store the same value by the
     purity argument above). *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into src] copies every entry of [src] that [into] lacks
-    (first-writer-wins, consistent with {!store}). Lets a session keep
-    one warm memo across incremental re-optimizations instead of
-    seeding a fresh table per run and throwing the verdicts away.
-    Merging a memo into itself is a no-op. *)

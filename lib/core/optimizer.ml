@@ -72,31 +72,99 @@ let argmin cost seed candidates =
 
 (* The delay bound, under [Min_power_delay_bounded] only: the input's
    timing, each net's required time against its critical delay, and the
-   arrivals at the outputs of the gates decided so far. Sessions re-run
-   this objective cold, so every gate is dirty and its fanins' arrivals
-   are decided before it is. *)
+   arrivals at the outputs of the gates decided so far. Every settle
+   under this objective sweeps every gate, so each gate's fanins'
+   arrivals are decided before it is. *)
 type timing = {
   sta : Delay.Sta.t;
   required : float array;  (* per net *)
   arrival : float array;  (* per net *)
 }
 
-(* Everything one sweep reads. Statistics and loads do not depend on
-   any configuration (§4.2), so every gate's decision is independent of
-   the others' — except for the delay-bounded objective, whose check
-   reads the arrivals of the gates decided before it. *)
-type sweep = {
+(* --- Sessions: the one sweep driver and the state it settles ---------
+
+   A session keeps everything a settled run computed, in arrays it owns:
+   the per-net statistics (§4.2: configuration-independent), each gate's
+   configuration, output load, and internal and output power under its
+   winning configuration. A settle decides the dirty gates and updates
+   only their entries. A cold run is a settle with every gate dirty; an
+   edit batch dirties the gates it touches, re-propagates Najm
+   statistics only through the fan-out cones of the nets it edits (with
+   a bit-identical early cut-off) and settles those gates. The report is
+   built on first read: the per-gate powers folded in
+   {!Power.Estimate.circuit}'s exact summation order, so it is
+   bit-identical to a cold run on the same circuit.
+
+   The bit-identity rests on two fixed points. First, statistics: a
+   clean net's value is exactly what [Power.Analysis.run] would
+   recompute from clean fanins. Second, decisions: a clean gate's
+   incumbent configuration is the previous winner, and [argmin] seeds
+   its fold with the incumbent and replaces only on strict [<], so
+   re-sweeping it would return the incumbent — skipping the sweep
+   changes nothing. Memoized sessions rely on verdict purity instead: a
+   warm entry equals what a fresh miss would compute, so the memo is
+   fixed when the session starts. *)
+
+type session = {
+  table : Power.Model.table;
   delay : Delay.Elmore.table;
-  objective : objective;
-  input_only : bool;
   memo : Memo.t option;
-  circuit : C.t;
+  input_only : bool;
+  mutable objective : objective;
+  mutable external_load : float;
+  mutable circuit : C.t;  (* connectivity; [configs] has the configurations *)
+  mutable levels : int array;  (* per gate *)
+  mutable order : int array;  (* the gates in sweep order *)
+  mutable rank : int array;  (* per gate, its position in [order] *)
   stats : Stats.t array;  (* per net *)
-  loads : float array;  (* per gate *)
-  candidates : int list array;  (* per gate; [] for clean gates *)
-  configs : int array;  (* per gate *)
-  timing : timing option;
+  configs : int array;  (* per gate: the winner, the next incumbent *)
+  incumbents : int array;  (* per gate: what its last sweep started from *)
+  loads : float array;  (* per gate output load, F *)
+  internal : float array;  (* per gate, winning configuration, W *)
+  output : float array;
+  internal_before : float array;  (* per gate, incumbent, W *)
+  output_before : float array;
+  dirty : bool array;  (* per gate: swept by the last settle *)
+  mutable swept : int list;  (* the same gates, ascending after a settle *)
+  mutable explored : int;
+  mutable changed : int;
+  mutable report : report option;  (* built on first read after a settle *)
+  reached : bool array;  (* per gate, scratch for the cone walk *)
+  moved : bool array;  (* per net, scratch: statistics changed *)
 }
+
+(* The order [settle] decides gates in: level by level, each level in
+   topological order. *)
+let sweep_order circuit levels =
+  let depth = C.depth circuit in
+  let next = Array.make (depth + 2) 0 in
+  Array.iter (fun l -> next.(l + 1) <- next.(l + 1) + 1) levels;
+  for l = 1 to depth + 1 do
+    next.(l) <- next.(l) + next.(l - 1)
+  done;
+  let order = Array.make (Array.length levels) 0 in
+  List.iter
+    (fun g ->
+      let l = levels.(g) in
+      order.(next.(l)) <- g;
+      next.(l) <- next.(l) + 1)
+    (C.topological_order circuit);
+  order
+
+let rank_of order =
+  let rank = Array.make (Array.length order) 0 in
+  Array.iteri (fun i g -> rank.(g) <- i) order;
+  rank
+
+let by_rank s a b = Int.compare s.rank.(a) s.rank.(b)
+let input_stats_of s (gate : C.gate) =
+  Array.map (fun net -> s.stats.(net)) gate.C.fanins
+
+let mark s g =
+  if not s.dirty.(g) then begin
+    s.dirty.(g) <- true;
+    s.swept <- g :: s.swept
+  end
 
 (* A gate's verdict; [settle] applies these in level-major order, so
    counters, distributions and [configs] evolve the same whether the
@@ -111,24 +179,24 @@ type decision = {
 (* One gate decision under any objective, on the calling domain or a
    pool worker. Returns the chosen configuration and, for the
    power-minimizing objectives, its per-gate reduction over the
-   incumbent. *)
-let decide sw table g =
+   incumbent. Reads the gate's own entry of [configs] only, which no
+   decision of its level writes. *)
+let decide s timing (g, candidates) =
   Obs.span "optimize.gate" @@ fun () ->
-  let gate = C.gate_at sw.circuit g in
-  let cell = gate.C.cell and incumbent = gate.C.config in
-  let candidates = sw.candidates.(g) in
-  let input_stats = Array.map (fun net -> sw.stats.(net)) gate.C.fanins in
+  let gate = C.gate_at s.circuit g in
+  let cell = gate.C.cell and incumbent = s.configs.(g) in
+  let input_stats = input_stats_of s gate in
   let groups = Power.Model.groups_of_nets gate.C.fanins in
-  let load = sw.loads.(g) in
-  let maximize = sw.objective = Max_power in
+  let load = s.loads.(g) in
+  let maximize = s.objective = Max_power in
   (* The objective's cost of one configuration: power, negated to
      maximize it, or worst-case pin delay. *)
   let cost ?(input_stats = input_stats) ?(load = load) config =
-    match sw.objective with
-    | Min_delay -> Delay.Elmore.worst_delay sw.delay cell ~config ~load
+    match s.objective with
+    | Min_delay -> Delay.Elmore.worst_delay s.delay cell ~config ~load
     | Min_power | Max_power | Min_power_delay_bounded ->
         let p =
-          Power.Model.gate_total table cell ~config ~input_stats ~groups ~load
+          Power.Model.gate_total s.table cell ~config ~input_stats ~groups ~load
         in
         if maximize then -.p else p
   in
@@ -150,20 +218,20 @@ let decide sw table g =
     ok
   in
   let reduction ~current ~best =
-    match sw.objective with
+    match s.objective with
     | Min_power | Min_power_delay_bounded ->
         Some (reduction_percent ~best ~worst:current)
     | Max_power | Min_delay -> None
   in
   let chosen, reduction =
-    match (sw.objective, sw.memo) with
+    match (s.objective, s.memo) with
     | (Min_power | Max_power), Some memo ->
         (* A memo hit, or a miss decided at the key's representative
            statistics and load and seeded with the first candidate, not
            the incumbent: the verdict is a pure function of the key, so
            racing workers store the same value. *)
         let key =
-          Memo.key ~cell ~maximize ~input_only:sw.input_only ~groups
+          Memo.key ~cell ~maximize ~input_only:s.input_only ~groups
             ~input_stats ~load
         in
         let chosen =
@@ -190,7 +258,7 @@ let decide sw table g =
           (chosen, reduction ~current ~best)
     | _ ->
         let candidates =
-          match sw.timing with
+          match timing with
           | None -> candidates
           | Some timing ->
               let kept = List.filter (admissible timing) candidates in
@@ -209,73 +277,52 @@ let decide sw table g =
     d_reduction = reduction;
   }
 
-(* --- Settling: the one sweep driver ----------------------------------
-
-   A session caches everything the last power-objective run computed:
-   the rewritten circuit, the per-net statistics (§4.2:
-   configuration-independent), each gate's output load and its internal
-   and output power under the winning configuration. A cold run is a
-   settle with every gate dirty and no cache; an apply diffs its
-   arguments against the cache, re-propagates Najm statistics only
-   through the fan-out cones of the edited nets (with a bit-identical
-   early cut-off) and settles with only those gates dirty. Either way
-   the per-gate powers are folded in {!Power.Estimate.circuit}'s exact
-   summation order, so the report is bit-identical to a cold run on the
-   same circuit.
-
-   The bit-identity rests on two fixed points. First, statistics: a
-   clean net's cached value is exactly what [Power.Analysis.run] would
-   recompute from clean fanins. Second, decisions: a clean gate's
-   incumbent configuration is the previous winner, and [argmin] seeds
-   its fold with the incumbent and replaces only on strict [<], so
-   re-sweeping it would return the incumbent — skipping the sweep
-   changes nothing. Memoized sessions rely on verdict purity instead: a
-   warm entry equals what a fresh miss would compute, so the memo mode
-   must stay constant for a session's lifetime (fixed at creation). *)
-
-type cache = {
-  k_table : Power.Model.table;
-  k_circuit : C.t;  (* last rewritten circuit (winning configurations) *)
-  k_stats : Stats.t array;  (* per net *)
-  k_internal : float array;  (* per gate, winning config, W *)
-  k_output : float array;  (* per gate, winning config, W *)
-  k_loads : float array;  (* per gate output load, F *)
-  k_external_load : float;
-  k_objective : objective;
-  k_input_only : bool;
-  k_dirty : bool array;  (* gates re-swept by the last settle *)
-}
-
-(* Decide the [dirty] gates and fold the report. The dirty gates are
-   bucketed by level and each level's decisions applied in topological
-   order. A level of several gates maps across the pool when it has
-   [jobs > 1] and the objective is a power objective; everything else
-   runs inline, because [Min_delay] and the bounded check share the
-   Elmore cache, an unsynchronized [Hashtbl]. [cached] supplies clean
-   gates' loads and powers. *)
-let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
-    ~phase circuit ~stats ~dirty cached =
-  let n = C.gate_count circuit in
-  let loads =
-    match cached with Some k -> Array.copy k.k_loads | None -> Array.make n 0.
+(* Decide the dirty gates ([s.swept]) and record their powers. The
+   gates are decided level by level, each level in topological order,
+   and each level's decisions applied in that order. A level of several
+   gates maps across the pool when it has [jobs > 1] and the objective
+   is a power objective; everything else runs inline, because
+   [Min_delay] and the bounded check share the Elmore cache, an
+   unsynchronized [Hashtbl]. *)
+let settle ?pool s ~phase =
+  let circuit = s.circuit in
+  (* Every gate dirty, as on a cold run: the sweep order as it stands.
+     Sorting every gate would cost a cold run a few percent. *)
+  let n = Array.length s.order in
+  let gates =
+    if List.compare_length_with s.swept n = 0 then begin
+      s.swept <- List.init n Fun.id;
+      s.order
+    end
+    else begin
+      s.swept <- List.sort Int.compare s.swept;
+      let gates = Array.of_list s.swept in
+      Array.sort (by_rank s) gates;
+      gates
+    end
   in
-  let levels = C.levels circuit in
-  let buckets = Array.make (C.depth circuit + 1) [] in
-  let candidates = Array.make n [] in
   let total = ref 0 in
-  List.iter
-    (fun g ->
-      if dirty.(g) then begin
-        loads.(g) <- Power.Estimate.output_load table ~external_load circuit g;
-        buckets.(levels.(g)) <- g :: buckets.(levels.(g));
-        candidates.(g) <- candidates_of ~input_only (C.gate_at circuit g);
-        total := !total + List.length candidates.(g)
-      end)
-    (C.topological_order circuit);
+  let work =
+    Array.map
+      (fun g ->
+        s.loads.(g) <-
+          Power.Estimate.output_load s.table ~external_load:s.external_load
+            circuit g;
+        s.incumbents.(g) <- s.configs.(g);
+        let candidates =
+          candidates_of ~input_only:s.input_only (C.gate_at circuit g)
+        in
+        total := !total + List.length candidates;
+        (g, candidates))
+      gates
+  in
   let timing =
-    match objective with
+    match s.objective with
     | Min_power_delay_bounded ->
-        let sta = Delay.Sta.run delay ~external_load circuit in
+        let sta =
+          Delay.Sta.run s.delay ~external_load:s.external_load
+            (C.with_configs circuit s.configs)
+        in
         let budget = Delay.Sta.critical_delay sta +. 1e-18 in
         Some
           {
@@ -284,20 +331,6 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
             arrival = Array.make (C.net_count circuit) 0.;
           }
     | Min_power | Max_power | Min_delay -> None
-  in
-  let sw =
-    {
-      delay;
-      objective;
-      input_only;
-      memo;
-      circuit;
-      stats;
-      loads;
-      candidates;
-      configs = Array.init n (fun g -> (C.gate_at circuit g).C.config);
-      timing;
-    }
   in
   (* The sweep's denominator is known before it starts (§4: every
      gate's candidate list is enumerable up-front), so the telemetry
@@ -310,8 +343,8 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
     Obs.observe d_configs_per_gate (float_of_int d.d_candidates);
     explored := !explored + d.d_candidates;
     Option.iter (Obs.observe d_gate_reduction) d.d_reduction;
-    sw.configs.(d.d_gate) <- d.d_chosen;
-    (match sw.timing with
+    s.configs.(d.d_gate) <- d.d_chosen;
+    (match timing with
     | None -> ()
     | Some t ->
         t.arrival.((C.gate_at circuit d.d_gate).C.output) <-
@@ -320,246 +353,291 @@ let settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
   in
   let pool =
     match pool with
-    | Some p when Par.Pool.jobs p > 1 && power_objective objective -> Some p
+    | Some p when Par.Pool.jobs p > 1 && power_objective s.objective -> Some p
     | _ -> None
   in
-  Array.iter
-    (fun bucket ->
-      let batch = Array.of_list (List.rev bucket) in
+  let rec sweep i =
+    if i < Array.length work then begin
+      let level = s.levels.(fst work.(i)) in
+      let j = ref i in
+      while !j < Array.length work && s.levels.(fst work.(!j)) = level do
+        incr j
+      done;
+      let batch = Array.sub work i (!j - i) in
       let decisions =
         match pool with
         | Some p when Array.length batch > 1 ->
             Obs.span "optimize.level" @@ fun () ->
             Obs.incr c_parallel_levels;
-            Par.Pool.map p (decide sw table) batch
-        | _ -> Array.map (decide sw table) batch
+            Par.Pool.map p (decide s timing) batch
+        | _ -> Array.map (decide s timing) batch
       in
-      Array.iter finish decisions)
-    buckets;
-  (* Fold the per-gate powers in Estimate.circuit's exact order
-     (internal and output accumulated separately, gate index ascending),
-     reading clean gates' powers from the cache: a clean gate's
-     incumbent is its cached winner, so its before and after agree. *)
-  let internal = Array.make n 0. and output = Array.make n 0. in
-  let internal_b = ref 0. and output_b = ref 0. in
-  let gates_changed = ref 0 in
-  for g = 0 to n - 1 do
-    let gate = C.gate_at circuit g in
-    let chosen = sw.configs.(g) in
-    if chosen <> gate.C.config then incr gates_changed;
-    match cached with
-    | Some k when not dirty.(g) ->
-        internal.(g) <- k.k_internal.(g);
-        output.(g) <- k.k_output.(g);
-        internal_b := !internal_b +. internal.(g);
-        output_b := !output_b +. output.(g)
-    | _ ->
-        let record config =
-          Power.Model.gate_power table gate.C.cell ~config
-            ~input_stats:(Array.map (fun net -> stats.(net)) gate.C.fanins)
-            ~groups:(Power.Model.groups_of_nets gate.C.fanins)
-            ~load:loads.(g) ()
-        in
-        let before = record gate.C.config in
-        let after = if chosen = gate.C.config then before else record chosen in
-        internal_b := !internal_b +. before.Power.Model.internal;
-        output_b := !output_b +. before.Power.Model.output;
-        internal.(g) <- after.Power.Model.internal;
-        output.(g) <- after.Power.Model.output
-  done;
-  let sum = Array.fold_left ( +. ) 0. in
-  let rewritten = C.with_configs circuit sw.configs in
-  ( {
-      circuit = rewritten;
-      configs = sw.configs;
-      power_before = !internal_b +. !output_b;
-      power_after = sum internal +. sum output;
-      gates_changed = !gates_changed;
-      configurations_explored = !explored;
-    },
-    {
-      k_table = table;
-      k_circuit = rewritten;
-      k_stats = stats;
-      k_internal = internal;
-      k_output = output;
-      k_loads = loads;
-      k_external_load = external_load;
-      k_objective = objective;
-      k_input_only = input_only;
-      k_dirty = dirty;
-    } )
+      Array.iter finish decisions;
+      sweep !j
+    end
+  in
+  sweep 0;
+  (* The swept gates' incumbent and winner powers, in gate order. *)
+  let changed = ref 0 in
+  List.iter
+    (fun g ->
+      let gate = C.gate_at circuit g in
+      let incumbent = s.incumbents.(g) and chosen = s.configs.(g) in
+      let record config =
+        Power.Model.gate_power s.table gate.C.cell ~config
+          ~input_stats:(input_stats_of s gate)
+          ~groups:(Power.Model.groups_of_nets gate.C.fanins)
+          ~load:s.loads.(g) ()
+      in
+      let before = record incumbent in
+      let after =
+        if chosen = incumbent then before
+        else begin
+          incr changed;
+          record chosen
+        end
+      in
+      s.internal_before.(g) <- before.Power.Model.internal;
+      s.output_before.(g) <- before.Power.Model.output;
+      s.internal.(g) <- after.Power.Model.internal;
+      s.output.(g) <- after.Power.Model.output)
+    s.swept;
+  s.explored <- !explored;
+  s.changed <- !changed;
+  s.report <- None
 
-let cold table ~delay ~external_load ~objective ~input_only ?pool ?memo
+let cold table ~delay ?(external_load = default_external_load)
+    ?(objective = Min_power) ?(input_reordering_only = false) ?pool ?memo
     circuit ~inputs =
   Obs.span "optimize.run" @@ fun () ->
   let analysis = Power.Analysis.run table circuit ~inputs in
-  settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
-    ~phase:"optimize.sweep" circuit
-    ~stats:(Power.Analysis.all_stats analysis)
-    ~dirty:(Array.make (C.gate_count circuit) true)
-    None
+  let n = C.gate_count circuit in
+  let floats () = Array.make n 0. in
+  let levels = C.levels circuit in
+  let order = sweep_order circuit levels in
+  let s =
+    {
+      table;
+      delay;
+      memo;
+      input_only = input_reordering_only;
+      objective;
+      external_load;
+      circuit;
+      levels;
+      order;
+      rank = rank_of order;
+      stats = Power.Analysis.all_stats analysis;
+      configs = Array.init n (fun g -> (C.gate_at circuit g).C.config);
+      incumbents = Array.make n 0;
+      loads = floats ();
+      internal = floats ();
+      output = floats ();
+      internal_before = floats ();
+      output_before = floats ();
+      dirty = Array.make n true;
+      swept = List.init n Fun.id;
+      explored = 0;
+      changed = 0;
+      report = None;
+      reached = Array.make n false;
+      moved = Array.make (C.net_count circuit) false;
+    }
+  in
+  settle ?pool s ~phase:"optimize.sweep";
+  s
 
-type session = { s_memo : Memo.t option; mutable s_cache : cache option }
+let start table ~delay ?external_load ?objective ?input_reordering_only ?pool
+    ?memo circuit ~inputs =
+  Obs.incr c_inc_cold_runs;
+  cold table ~delay ?external_load ?objective ?input_reordering_only ?pool
+    ?memo circuit ~inputs
 
-let session ?(memoize = false) () =
-  { s_memo = (if memoize then Some (Memo.create ()) else None);
-    s_cache = None }
+let session_report s =
+  match s.report with
+  | Some r -> r
+  | None ->
+      (* Estimate.circuit's order: internal and output accumulated
+         separately, gate index ascending. A gate the last settle did
+         not sweep kept its incumbent, so its before and after agree. *)
+      let internal_b = ref 0. and output_b = ref 0. in
+      let internal_a = ref 0. and output_a = ref 0. in
+      for g = 0 to Array.length s.configs - 1 do
+        if s.dirty.(g) then begin
+          internal_b := !internal_b +. s.internal_before.(g);
+          output_b := !output_b +. s.output_before.(g)
+        end
+        else begin
+          internal_b := !internal_b +. s.internal.(g);
+          output_b := !output_b +. s.output.(g)
+        end;
+        internal_a := !internal_a +. s.internal.(g);
+        output_a := !output_a +. s.output.(g)
+      done;
+      let r =
+        {
+          circuit = C.with_configs s.circuit s.configs;
+          configs = Array.copy s.configs;
+          power_before = !internal_b +. !output_b;
+          power_after = !internal_a +. !output_a;
+          gates_changed = s.changed;
+          configurations_explored = s.explored;
+        }
+      in
+      s.report <- Some r;
+      r
 
-let session_memo s = s.s_memo
-let session_circuit s = Option.map (fun k -> k.k_circuit) s.s_cache
-let session_stats s = Option.map (fun k -> Array.copy k.k_stats) s.s_cache
-let session_dirty s = Option.map (fun k -> Array.copy k.k_dirty) s.s_cache
+let session_memo s = s.memo
+let session_dirty s = Some (Array.copy s.dirty)
+let session_swept s = s.swept
+
+type gate_state = {
+  incumbent : int;
+  chosen : int;
+  input_stats : Stats.t array;
+  load : float;
+}
+
+let session_gate s g =
+  {
+    incumbent = s.incumbents.(g);
+    chosen = s.configs.(g);
+    input_stats = input_stats_of s (C.gate_at s.circuit g);
+    load = s.loads.(g);
+  }
 
 let same_stats a b =
   Stats.prob a = Stats.prob b && Stats.density a = Stats.density b
 
-(* Diff the arguments against the cache, re-propagate statistics over
-   the edited cones, and settle the dirty gates. *)
-let apply table ~delay ~external_load ~objective ~input_only ?pool ?memo k
-    circuit ~inputs =
+type edits = {
+  inputs : (C.net * Stats.t) list;
+  configs : (int * int) list;
+  rewired : (C.t * int list) option;
+  external_load : float;
+  objective : objective;
+}
+
+let resettle ?pool s (e : edits) =
   Obs.span "incremental.apply" @@ fun () ->
-  Obs.incr c_inc_applies;
-  let n = C.gate_count circuit in
-  let stats = Array.copy k.k_stats in
-  let net_dirty = Array.make (C.net_count circuit) false in
-  let dirty = Array.make n false in
-  let structural = Array.make n false in
-  let seeds = ref [] in
+  List.iter (fun g -> s.dirty.(g) <- false) s.swept;
+  s.swept <- [];
+  let seeds = ref [] and moved = ref [] in
+  let move net stats =
+    s.stats.(net) <- stats;
+    s.moved.(net) <- true;
+    moved := net :: !moved;
+    Obs.incr c_inc_dirty_nets
+  in
   (* Primary-input statistic edits. *)
   List.iter
-    (fun pi ->
-      let next = inputs pi in
-      if not (same_stats next stats.(pi)) then begin
-        stats.(pi) <- next;
-        net_dirty.(pi) <- true;
-        seeds := pi :: !seeds;
-        Obs.incr c_inc_dirty_nets
+    (fun (pi, stats) ->
+      if not (same_stats stats s.stats.(pi)) then begin
+        move pi stats;
+        seeds := pi :: !seeds
       end)
-    (C.primary_inputs circuit);
-  (* Structural gate edits, diffed against the cached circuit. A
-     replaced or rewired gate changes its own output statistics and the
-     loads of the gates driving every touched pin net (pin capacitances
-     follow the reader's cell). A configuration-only difference is the
-     §4.2 case: the gate re-sweeps but no statistics move. *)
-  for g = 0 to n - 1 do
-    let og = C.gate_at k.k_circuit g and ng = C.gate_at circuit g in
-    (* Circuit rebuilds reuse untouched gate records, so physical
-       equality clears the overwhelmingly common case without field
-       compares. *)
-    if og != ng then begin
-      let same_struct =
-        og.C.output = ng.C.output
-        && og.C.fanins = ng.C.fanins
-        && Cell.Gate.name og.C.cell = Cell.Gate.name ng.C.cell
-      in
-      if not same_struct then begin
-        structural.(g) <- true;
-        dirty.(g) <- true;
-        seeds := ng.C.output :: !seeds;
-        let mark_driver net =
-          match C.driver circuit net with
-          | C.Driven_by d -> dirty.(d) <- true
-          | C.Primary_input -> ()
-        in
-        Array.iter mark_driver og.C.fanins;
-        Array.iter mark_driver ng.C.fanins
-      end
-      else if og.C.config <> ng.C.config then dirty.(g) <- true
-    end
-  done;
+    e.inputs;
+  (* A rewired gate changes its own output statistics and the loads of
+     the gates driving every touched pin net (pin capacitances follow
+     the reader's cell). *)
+  let rewired =
+    match e.rewired with
+    | None -> []
+    | Some (circuit, gates) ->
+        let old = s.circuit in
+        s.circuit <- circuit;
+        s.levels <- C.levels circuit;
+        s.order <- sweep_order circuit s.levels;
+        s.rank <- rank_of s.order;
+        List.iter
+          (fun g ->
+            let og = C.gate_at old g and ng = C.gate_at circuit g in
+            s.configs.(g) <- ng.C.config;
+            mark s g;
+            seeds := ng.C.output :: !seeds;
+            let mark_driver net =
+              match C.driver circuit net with
+              | C.Driven_by d -> mark s d
+              | C.Primary_input -> ()
+            in
+            Array.iter mark_driver og.C.fanins;
+            Array.iter mark_driver ng.C.fanins)
+          gates;
+        gates
+  in
+  (* A configuration edit is the §4.2 case: the gate re-sweeps but no
+     statistics move. *)
+  List.iter
+    (fun (g, config) ->
+      if config <> s.configs.(g) then begin
+        s.configs.(g) <- config;
+        mark s g
+      end)
+    e.configs;
   (* External-load edits touch exactly the primary-output drivers. *)
-  if external_load <> k.k_external_load then
+  if e.external_load <> s.external_load then begin
+    s.external_load <- e.external_load;
     List.iter
       (fun po ->
-        match C.driver circuit po with
-        | C.Driven_by d -> dirty.(d) <- true
+        match C.driver s.circuit po with
+        | C.Driven_by d -> mark s d
         | C.Primary_input -> ())
-      (C.primary_outputs circuit);
-  (* An objective or restriction flip re-decides every gate — but the
-     statistics stay clean, so Najm propagation is still skipped. *)
-  if objective <> k.k_objective || input_only <> k.k_input_only then
-    Array.fill dirty 0 n true;
-  (* Najm re-propagation, restricted to the fan-out cones of the edited
-     nets. The early cut-off: a recomputed net whose statistics are
-     bit-identical to the cache stops dirtying its readers. *)
+      (C.primary_outputs s.circuit)
+  end;
+  (* Najm re-propagation over the fan-out cones of the edited nets, in
+     sweep order. The early cut-off: a recomputed net whose statistics
+     are bit-identical to the old ones stops dirtying its readers. *)
   if !seeds <> [] then begin
-    let cone = C.fanout_cone circuit !seeds in
+    let cone = ref rewired in
+    List.iter (fun g -> s.reached.(g) <- true) rewired;
+    let rec visit net =
+      List.iter
+        (fun g ->
+          if not s.reached.(g) then begin
+            s.reached.(g) <- true;
+            cone := g :: !cone;
+            visit (C.gate_at s.circuit g).C.output
+          end)
+        (C.fanout s.circuit net)
+    in
+    List.iter visit !seeds;
     List.iter
       (fun g ->
-        if cone.(g) || structural.(g) then begin
-          let gate = C.gate_at circuit g in
-          if
-            structural.(g)
-            || Array.exists (fun net -> net_dirty.(net)) gate.C.fanins
-          then begin
-            dirty.(g) <- true;
-            let input_stats =
-              Array.map (fun net -> stats.(net)) gate.C.fanins
-            in
-            let groups = Power.Model.groups_of_nets gate.C.fanins in
-            let next =
-              Power.Model.output_stats table gate.C.cell ~input_stats ~groups
-                ()
-            in
-            if same_stats next stats.(gate.C.output) then
-              Obs.incr c_inc_cutoffs
-            else begin
-              stats.(gate.C.output) <- next;
-              net_dirty.(gate.C.output) <- true;
-              Obs.incr c_inc_dirty_nets
-            end
-          end
+        s.reached.(g) <- false;
+        let gate = C.gate_at s.circuit g in
+        if
+          List.mem g rewired
+          || Array.exists (fun net -> s.moved.(net)) gate.C.fanins
+        then begin
+          mark s g;
+          let next =
+            Power.Model.output_stats s.table gate.C.cell
+              ~input_stats:(input_stats_of s gate)
+              ~groups:(Power.Model.groups_of_nets gate.C.fanins)
+              ()
+          in
+          if same_stats next s.stats.(gate.C.output) then
+            Obs.incr c_inc_cutoffs
+          else move gate.C.output next
         end)
-      (C.topological_order circuit)
+      (List.sort (by_rank s) !cone)
   end;
-  Obs.add c_inc_dirty_gates
-    (Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dirty);
-  settle table ~delay ~external_load ~objective ~input_only ?pool ?memo
-    ~phase:"incremental.sweep" circuit ~stats ~dirty (Some k)
+  List.iter (fun net -> s.moved.(net) <- false) !moved;
+  (* An objective flip re-decides every gate, and so does every settle
+     under a delay objective; the statistics stay clean either way. *)
+  let delay_objective = not (power_objective e.objective) in
+  if e.objective <> s.objective || delay_objective then begin
+    s.objective <- e.objective;
+    Array.iteri (fun g _ -> mark s g) s.dirty
+  end;
+  Obs.incr (if delay_objective then c_inc_cold_runs else c_inc_applies);
+  Obs.add c_inc_dirty_gates (List.length s.swept);
+  settle ?pool s ~phase:"incremental.sweep"
 
-let optimize power_table ~delay ?(external_load = default_external_load)
-    ?(objective = Min_power) ?(input_reordering_only = false) ?pool ?memo
-    ?session:sess circuit ~inputs =
-  let input_only = input_reordering_only in
-  match sess with
-  | None ->
-      fst
-        (cold power_table ~delay ~external_load ~objective ~input_only ?pool
-           ?memo circuit ~inputs)
-  | Some s ->
-      (* The session's memoization policy wins: verdict purity makes a
-         warm memo equivalent to a fresh one, but a memoized and an
-         unmemoized sweep can legitimately disagree near quantization
-         boundaries, so the mode must not change mid-session. *)
-      let memo =
-        match (s.s_memo, memo) with
-        | Some own, Some provided ->
-            Memo.merge ~into:own provided;
-            Some own
-        | Some own, None -> Some own
-        | None, _ -> None
-      in
-      let compatible k =
-        power_objective objective && k.k_table == power_table
-        && C.net_count k.k_circuit = C.net_count circuit
-        && C.gate_count k.k_circuit = C.gate_count circuit
-        && C.primary_inputs k.k_circuit = C.primary_inputs circuit
-        && C.primary_outputs k.k_circuit = C.primary_outputs circuit
-      in
-      let report, cache =
-        match s.s_cache with
-        | Some k when compatible k ->
-            apply power_table ~delay ~external_load ~objective ~input_only
-              ?pool ?memo k circuit ~inputs
-        | _ ->
-            Obs.incr c_inc_cold_runs;
-            cold power_table ~delay ~external_load ~objective ~input_only
-              ?pool ?memo circuit ~inputs
-      in
-      (* Only the power objectives re-settle incrementally. *)
-      s.s_cache <- (if power_objective objective then Some cache else None);
-      report
+let optimize power_table ~delay ?external_load ?objective
+    ?input_reordering_only ?pool ?memo circuit ~inputs =
+  session_report
+    (cold power_table ~delay ?external_load ?objective ?input_reordering_only
+       ?pool ?memo circuit ~inputs)
 
 let best_and_worst power_table ~delay ?external_load ?pool ?memo circuit
     ~inputs =

@@ -56,52 +56,90 @@ val pp_report : Format.formatter -> report -> unit
 
 (** {1 Incremental sessions}
 
-    A {!session} retains everything a power-objective run computed —
-    the rewritten circuit, the per-net statistics, each gate's output
-    load and winning-configuration internal and output power — so the next
-    {!optimize} call with the same session only pays for what changed:
-    it diffs the incoming circuit, input statistics, external load and
-    objective against the cache, re-runs Najm propagation over the
-    fan-out cones of the edited nets with a bit-identical early
-    cut-off (§4.2: statistics are configuration-independent, so pure
-    re-sweeps dirty nothing downstream), re-sweeps only the dirty
-    gates, and re-folds the cached per-gate powers in
-    {!Power.Estimate.circuit}'s summation order. The report is
-    bit-identical to a cold full run on the same arguments — the
-    [incremental-equivalence] proptest oracle enforces this — except
-    for [configurations_explored], which counts only the candidates
-    actually re-examined.
+    A {!session} keeps a settled run's state in arrays it owns: the
+    per-net statistics and each gate's configuration, output load and
+    internal and output power under its winning configuration.
+    {!resettle} takes an edit batch the caller has already classified,
+    re-runs Najm propagation over the fan-out cones of the edited nets
+    only, with a bit-identical early cut-off (§4.2: statistics are
+    configuration-independent, so configuration edits move none),
+    re-sweeps only the dirty gates and updates their entries in place.
+    What it costs is the dirty gates' sweeps: it allocates nothing of
+    the circuit's size. The report is a snapshot built on first read,
+    bit-identical to a cold {!optimize} of the edited circuit — the
+    [incremental-equivalence] proptest oracle enforces this — except for
+    [configurations_explored], which counts only the candidates
+    re-examined.
 
-    The fast path covers [Min_power] / [Max_power] with the same power
-    table and circuit shape (net/gate counts, primary inputs and
-    outputs); anything else falls back to a full run that reseeds the
-    cache ([incremental.cold_runs]). Observability:
-    [incremental.applies], [incremental.dirty_nets],
+    Under [Min_power] / [Max_power] only the dirty gates re-sweep. An
+    objective flip re-decides every gate, and so does every settle under
+    [Min_delay] or [Min_power_delay_bounded]: [incremental.cold_runs]
+    counts those settles and each {!start}, [incremental.applies] the
+    other settles.
+    Observability: [incremental.applies], [incremental.dirty_nets],
     [incremental.dirty_gates], [incremental.cutoffs] counters and the
     [incremental.apply] span. *)
 
 type session
 
-val session : ?memoize:bool -> unit -> session
-(** A fresh session with no cached run. [memoize] (default [false])
-    gives the session its own {!Memo.t}, kept warm across every apply
-    ({!Memo.merge}); the memoization mode is fixed for the session's
-    lifetime because memoized and unmemoized sweeps may legitimately
-    disagree near quantization boundaries. When a session is passed to
-    {!optimize}, the session's memo policy wins: an explicit [?memo]
-    argument is merged into the session's memo if it has one, and
-    ignored otherwise. *)
+val start :
+  Power.Model.table ->
+  delay:Delay.Elmore.table ->
+  ?external_load:float ->
+  ?objective:objective ->
+  ?input_reordering_only:bool ->
+  ?pool:Par.Pool.t ->
+  ?memo:Memo.t ->
+  Netlist.Circuit.t ->
+  inputs:(Netlist.Circuit.net -> Stoch.Signal_stats.t) ->
+  session
+(** A cold run, every gate dirty, that keeps its state: {!optimize}
+    returns its {!session_report}. Arguments as for {!optimize}. [memo]
+    stays the session's for its lifetime, warm across every settle; the
+    memoization mode cannot change mid-session because memoized and
+    unmemoized sweeps may legitimately disagree near quantization
+    boundaries. *)
+
+type edits = {
+  inputs : (Netlist.Circuit.net * Stoch.Signal_stats.t) list;
+      (** new statistics of primary inputs, at most one per net *)
+  configs : (int * int) list;
+      (** [(gate, configuration)]: the gate keeps its cell and pins *)
+  rewired : (Netlist.Circuit.t * int list) option;
+      (** the circuit with some gates' cells or pins replaced, and those
+          gates; same nets, gates, inputs and outputs *)
+  external_load : float;
+  objective : objective;
+}
+(** One batch of edits against the session's circuit, validated. *)
+
+val resettle : ?pool:Par.Pool.t -> session -> edits -> unit
+(** Apply the batch and settle the gates it dirties. [pool] as for
+    {!optimize}. *)
+
+val session_report : session -> report
+(** The last settle's report, built on first read and unchanged by later
+    settles. *)
 
 val session_memo : session -> Memo.t option
-val session_circuit : session -> Netlist.Circuit.t option
-(** The last run's rewritten circuit (winning configurations). *)
-
-val session_stats : session -> Stoch.Signal_stats.t array option
-(** The last run's per-net statistics, indexed by net (a copy). *)
 
 val session_dirty : session -> bool array option
-(** Which gates the most recent apply re-swept, indexed by gate (all
-    [true] after a cold run; a copy). *)
+(** Which gates the last settle re-swept, indexed by gate (all [true]
+    after {!start}; a copy, always [Some]). *)
+
+val session_swept : session -> int list
+(** The same gates, ascending. *)
+
+type gate_state = {
+  incumbent : int;  (** the configuration its last sweep started from *)
+  chosen : int;  (** the winner *)
+  input_stats : Stoch.Signal_stats.t array;  (** per pin *)
+  load : float;  (** output load, F *)
+}
+
+val session_gate : session -> int -> gate_state
+(** What the last sweep of a gate decided from, for the attribution
+    ledger. *)
 
 val optimize :
   Power.Model.table ->
@@ -111,7 +149,6 @@ val optimize :
   ?input_reordering_only:bool ->
   ?pool:Par.Pool.t ->
   ?memo:Memo.t ->
-  ?session:session ->
   Netlist.Circuit.t ->
   inputs:(Netlist.Circuit.net -> Stoch.Signal_stats.t) ->
   report

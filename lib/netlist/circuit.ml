@@ -14,6 +14,7 @@ type t = {
   net_names : string array;
   primary_inputs : net list;
   primary_outputs : net list;
+  output_flags : bool array;  (* per net: is it a primary output *)
   gates : gate array;
   drivers : driver option array;  (* per net *)
   readers : (int * int) list array;  (* per net, (gate, pin) *)
@@ -108,6 +109,8 @@ let create ~name ~net_names ~primary_inputs ~primary_outputs ~gates =
       if d = None then invalid "net %S has no driver" net_names.(n))
     drivers;
   List.iter (check_net "primary output") primary_outputs;
+  let output_flags = Array.make net_count false in
+  List.iter (fun n -> output_flags.(n) <- true) primary_outputs;
   let readers = Array.make net_count [] in
   Array.iteri
     (fun g (gate : gate) ->
@@ -153,6 +156,7 @@ let create ~name ~net_names ~primary_inputs ~primary_outputs ~gates =
     net_names = Array.copy net_names;
     primary_inputs;
     primary_outputs;
+    output_flags;
     gates;
     drivers;
     readers;
@@ -208,7 +212,7 @@ let fanout_cone t seeds =
   List.iter visit seeds;
   dirty_gate
 
-let is_primary_output t n = List.mem n t.primary_outputs
+let is_primary_output t n = t.output_flags.(n)
 let topological_order t = t.topo
 
 let levels t = Array.copy t.levels
@@ -235,8 +239,8 @@ let with_configs t configs =
           invalid "gate %d (%s): configuration %d out of range" g
             (Cell.Gate.name gate.cell)
             configs.(g);
-        (* Reuse untouched records so callers can detect unchanged
-           gates by physical equality. *)
+        (* Reuse untouched records: a rewrite allocates only the gates
+           it changes. *)
         if gate.config = configs.(g) then gate
         else { gate with config = configs.(g) })
       t.gates

@@ -69,6 +69,7 @@ val fanout_cone : t -> net list -> bool array
     @raise Invalid on an unknown net. *)
 
 val is_primary_output : t -> net -> bool
+(** O(1): a per-net flag computed at {!create}. *)
 
 (** {1 Analysis} *)
 

@@ -31,7 +31,6 @@ let run table circuit ~inputs =
     (C.topological_order circuit);
   { per_net }
 
-let of_stats per_net = { per_net = Array.copy per_net }
 let stats t net = t.per_net.(net)
 let all_stats t = Array.copy t.per_net
 

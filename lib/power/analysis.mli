@@ -16,12 +16,6 @@ val run :
   t
 (** [inputs] gives the statistics of each primary input net. *)
 
-val of_stats : Stoch.Signal_stats.t array -> t
-(** Wrap an externally maintained per-net statistics array (indexed by
-    net id, copied defensively). Used by the incremental engine, which
-    patches only the dirty entries of a cached array instead of
-    re-running {!run}. *)
-
 val stats : t -> Netlist.Circuit.net -> Stoch.Signal_stats.t
 val all_stats : t -> Stoch.Signal_stats.t array
 (** Indexed by net id. *)

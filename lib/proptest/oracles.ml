@@ -1166,9 +1166,9 @@ let check_incremental_equivalence ~seed c =
   in
   let edited = apply_cold settled batch in
   let edited_memo = apply_cold settled_memo batch in
-  ignore (I.apply sess batch);
-  ignore (I.apply ~pool sess_pool batch);
-  ignore (I.apply sess_memo batch);
+  I.apply sess batch;
+  I.apply ~pool sess_pool batch;
+  I.apply sess_memo batch;
   let* () = compare_cold "sequential" sess edited in
   let* () = compare_cold "jobs=4" sess_pool edited in
   let* () = compare_cold ~memoized:true "memoized" sess_memo edited_memo in
@@ -1177,7 +1177,7 @@ let check_incremental_equivalence ~seed c =
      from a warm cache rather than a fresh one. *)
   let batch2 = [ stat_edit () ] in
   let edited2 = apply_cold (I.circuit sess) batch2 in
-  ignore (I.apply sess batch2);
+  I.apply sess batch2;
   compare_cold "second apply" sess edited2
 
 (* --- registry --- *)

@@ -94,14 +94,16 @@ let test_stats_edit_equivalence () =
   let edited = S.make ~prob:0.3 ~density:4.2e7 in
   Hashtbl.replace tbl pi edited;
   let entering = I.circuit sess in
-  let rep = I.apply sess [ I.Set_input_stats (pi, edited) ] in
+  I.apply sess [ I.Set_input_stats (pi, edited) ];
+  let rep = I.report sess in
   Alcotest.(check bool)
     "incremental path explores a strict subset" true
     (rep.O.configurations_explored < cold_explored);
   check_equivalent "stats edit" sess entering tbl;
   (* The settled circuit is a fixed point: applying an empty batch
      changes nothing and re-sweeps nothing. *)
-  let rep2 = I.apply sess [] in
+  I.apply sess [];
+  let rep2 = I.report sess in
   Alcotest.(check int) "empty batch: no gates changed" 0 rep2.O.gates_changed;
   Alcotest.(check int)
     "empty batch: nothing explored" 0 rep2.O.configurations_explored
@@ -119,7 +121,7 @@ let test_dirty_cone_is_narrow () =
   let other_config = (gate.C.config + 1) mod Cell.Gate.config_count gate.C.cell in
   let replacement = { gate with C.config = other_config } in
   let entering = replace_in (I.circuit sess) g replacement in
-  ignore (I.apply sess [ I.Replace_gate (g, replacement) ]);
+  I.apply sess [ I.Replace_gate (g, replacement) ];
   let dirty = Option.get (O.session_dirty (I.session sess)) in
   let dirty_count =
     Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dirty
@@ -134,7 +136,7 @@ let test_dirty_cone_is_narrow () =
   let edited = S.make ~prob:0.9 ~density:9.9e6 in
   Hashtbl.replace tbl pi edited;
   let entering = I.circuit sess in
-  ignore (I.apply sess [ I.Set_input_stats (pi, edited) ]);
+  I.apply sess [ I.Set_input_stats (pi, edited) ];
   let cone = C.fanout_cone circuit [ pi ] in
   let dirty = Option.get (O.session_dirty (I.session sess)) in
   Array.iteri
@@ -146,13 +148,51 @@ let test_dirty_cone_is_narrow () =
     dirty;
   check_equivalent "stats edit after config edit" sess entering tbl
 
+(* Rewiring edits: one gate re-pinned onto primary inputs (no cycle can
+   form) and another's cell swapped, in one batch. The re-pinned gate's
+   output statistics move, and so do the loads of the nets it left and
+   joined. *)
+let test_rewiring_equivalence () =
+  let pt = power_table () and dt = delay_table () in
+  let circuit = Circuits.Suite.find "rca8" in
+  let tbl = stats_table circuit ~seed:31 in
+  let sess = I.create pt ~delay:dt circuit ~inputs:(inputs_of tbl) in
+  let settled = I.circuit sess in
+  let pis = Array.of_list (C.primary_inputs circuit) in
+  let nand2 g = Cell.Gate.name (C.gate_at settled g).C.cell = "nand2" in
+  let nand2s = List.filter nand2 (List.init (C.gate_count settled) Fun.id) in
+  let g = List.nth nand2s 20 and h = List.nth nand2s 40 in
+  let gate_g = C.gate_at settled g and gate_h = C.gate_at settled h in
+  let repinned = { gate_g with C.fanins = [| pis.(3); pis.(11) |] } in
+  let swapped = { gate_h with C.cell = Cell.Gate.of_name "nor2"; config = 1 } in
+  let entering = replace_in (replace_in settled g repinned) h swapped in
+  I.apply sess [ I.Replace_gate (g, repinned); I.Replace_gate (h, swapped) ];
+  check_equivalent "rewiring" sess entering tbl;
+  let dirty = Option.get (O.session_dirty (I.session sess)) in
+  Alcotest.(check bool) "both rewired gates re-swept" true
+    (dirty.(g) && dirty.(h));
+  (* A configuration edit on the rewired circuit stays narrow. *)
+  let k = (h + 1) mod C.gate_count settled in
+  let gate_k = C.gate_at (I.circuit sess) k in
+  let flipped =
+    {
+      gate_k with
+      C.config = (gate_k.C.config + 1) mod Cell.Gate.config_count gate_k.C.cell;
+    }
+  in
+  let entering = replace_in (I.circuit sess) k flipped in
+  I.apply sess [ I.Replace_gate (k, flipped) ];
+  check_equivalent "config edit after rewiring" sess entering tbl;
+  Alcotest.(check int) "one gate re-swept" 1
+    (List.length (O.session_swept (I.session sess)))
+
 let test_external_load_and_objective () =
   let pt = power_table () and dt = delay_table () in
   let circuit = Circuits.Suite.find "rca4" in
   let tbl = stats_table circuit ~seed:3 in
   let sess = I.create pt ~delay:dt circuit ~inputs:(inputs_of tbl) in
   let entering = I.circuit sess in
-  ignore (I.apply sess [ I.Set_external_load 35e-15 ]);
+  I.apply sess [ I.Set_external_load 35e-15 ];
   (* Only primary-output drivers may re-sweep. *)
   let dirty = Option.get (O.session_dirty (I.session sess)) in
   let po_drivers =
@@ -174,7 +214,7 @@ let test_external_load_and_objective () =
   (* Objective flip re-decides everything but skips propagation. *)
   let before_nets = Obs.value (Obs.counter "incremental.dirty_nets") in
   let entering = I.circuit sess in
-  ignore (I.apply sess [ I.Set_objective O.Max_power ]);
+  I.apply sess [ I.Set_objective O.Max_power ];
   Alcotest.(check int)
     "objective flip dirties no nets" before_nets
     (Obs.value (Obs.counter "incremental.dirty_nets"));
@@ -199,7 +239,7 @@ let test_memo_warm_across_applies () =
   and b = S.make ~prob:0.6 ~density:7e6 in
   let apply_with s =
     Hashtbl.replace tbl pi s;
-    ignore (I.apply sess [ I.Set_input_stats (pi, s) ])
+    I.apply sess [ I.Set_input_stats (pi, s) ]
   in
   apply_with a;
   apply_with b;
@@ -221,20 +261,6 @@ let test_memo_warm_across_applies () =
   check_float "memoized: settled power is a fixed point" cold.O.power_after
     (I.report sess).O.power_after
 
-let test_memo_merge () =
-  let m1 = Reorder.Memo.create () and m2 = Reorder.Memo.create () in
-  Reorder.Memo.store m1 "a" 1;
-  Reorder.Memo.store m2 "a" 2;
-  Reorder.Memo.store m2 "b" 3;
-  Reorder.Memo.merge ~into:m1 m2;
-  Alcotest.(check int) "merged size" 2 (Reorder.Memo.size m1);
-  Alcotest.(check (option int)) "first writer wins" (Some 1)
-    (Reorder.Memo.lookup m1 "a");
-  Alcotest.(check (option int)) "new entry copied" (Some 3)
-    (Reorder.Memo.lookup m1 "b");
-  Reorder.Memo.merge ~into:m1 m1;
-  Alcotest.(check int) "self-merge is a no-op" 2 (Reorder.Memo.size m1)
-
 let test_parallel_and_memo_equivalence () =
   let pt = power_table () and dt = delay_table () in
   let circuit = Circuits.Suite.find "rca8" in
@@ -255,8 +281,9 @@ let test_parallel_and_memo_equivalence () =
       edit tbl_seq pi;
       edit tbl_par pi;
       let s = S.make ~prob:0.25 ~density:3e7 in
-      let r_seq = I.apply seq [ I.Set_input_stats (pi, s) ] in
-      let r_par = I.apply ~pool par [ I.Set_input_stats (pi, s) ] in
+      I.apply seq [ I.Set_input_stats (pi, s) ];
+      I.apply ~pool par [ I.Set_input_stats (pi, s) ];
+      let r_seq = I.report seq and r_par = I.report par in
       check_float
         (Printf.sprintf "memoize=%b: jobs 1 = jobs 4 (after)" memoize)
         r_seq.O.power_after r_par.O.power_after;
@@ -265,37 +292,167 @@ let test_parallel_and_memo_equivalence () =
         r_seq.O.configs r_par.O.configs)
     [ false; true ]
 
+(* What a reader of the session sees: configs, report, circuit and
+   ledger, rendered exactly (floats in hex, the ledger's JSON at %.17g). *)
+let observed sess =
+  let rep = I.report sess in
+  ( Array.copy rep.O.configs,
+    Printf.sprintf "%h %h %d %d" rep.O.power_before rep.O.power_after
+      rep.O.gates_changed rep.O.configurations_explored,
+    Netlist.Io.to_string (I.circuit sess),
+    Option.map Attrib.to_json (I.ledger sess) )
+
+let check_observed name expected actual =
+  let configs, report, circuit, ledger = expected
+  and configs', report', circuit', ledger' = actual in
+  Alcotest.(check (array int)) (name ^ ": configs") configs configs';
+  Alcotest.(check string) (name ^ ": report") report report';
+  Alcotest.(check string) (name ^ ": circuit") circuit circuit';
+  Alcotest.(check (option string)) (name ^ ": ledger") ledger ledger'
+
 let test_edit_validation () =
   let pt = power_table () and dt = delay_table () in
   let circuit = Circuits.Suite.find "rca4" in
   let tbl = stats_table circuit ~seed:5 in
   let sess = I.create pt ~delay:dt circuit ~inputs:(inputs_of tbl) in
-  let before = I.report sess in
-  let gate_driven =
-    (C.gate_at circuit 0).C.output
+  let before = observed sess in
+  let pi = List.hd (C.primary_inputs circuit) in
+  let pi_stats = I.input_stats sess pi in
+  let gate0 = C.gate_at (I.circuit sess) 0
+  and gate1 = C.gate_at (I.circuit sess) 1 in
+  let valid =
+    [
+      I.Set_input_stats (pi, S.make ~prob:0.3 ~density:5e6);
+      I.Replace_gate
+        ( 1,
+          {
+            gate1 with
+            C.config =
+              (gate1.C.config + 1) mod Cell.Gate.config_count gate1.C.cell;
+          } );
+      I.Set_external_load 30e-15;
+      I.Set_objective O.Max_power;
+    ]
   in
-  Alcotest.(check bool) "stats edit on a gate-driven net is refused" true
-    (try
-       ignore
-         (I.apply sess
-            [ I.Set_input_stats (gate_driven, S.make ~prob:0.5 ~density:1e6) ]);
-       false
-     with I.Edit_error _ -> true);
-  Alcotest.(check bool) "bad gate index is refused" true
-    (try
-       ignore
-         (I.apply sess [ I.Replace_gate (9999, C.gate_at circuit 0) ]);
-       false
-     with I.Edit_error _ -> true);
-  Alcotest.(check bool) "negative load is refused" true
-    (try
-       ignore (I.apply sess [ I.Set_external_load (-1.) ]);
-       false
-     with I.Edit_error _ -> true);
-  (* A failing batch leaves the session untouched. *)
-  let after = I.report sess in
-  check_float "report unchanged by failed batches" before.O.power_after
-    after.O.power_after
+  let invalid =
+    [
+      ( "stats edit on a gate-driven net",
+        I.Set_input_stats (gate0.C.output, S.make ~prob:0.5 ~density:1e6) );
+      ("bad gate index", I.Replace_gate (9999, gate0));
+      ("negative load", I.Set_external_load (-1.));
+      ( "configuration out of range",
+        I.Replace_gate
+          (0, { gate0 with C.config = Cell.Gate.config_count gate0.C.cell }) );
+      ( "rewiring onto a driven net",
+        I.Replace_gate (0, { gate0 with C.output = gate1.C.output }) );
+    ]
+  in
+  (* A batch whose valid edits come before an invalid one is refused
+     whole: configs, report, circuit and ledger stay bit-identical. *)
+  List.iter
+    (fun (what, bad) ->
+      List.iter
+        (fun good ->
+          Alcotest.(check bool)
+            (what ^ " is refused")
+            true
+            (match I.apply sess [ good; bad ] with
+            | () -> false
+            | exception I.Edit_error _ -> true);
+          check_observed (what ^ " after a valid edit") before (observed sess))
+        valid)
+    invalid;
+  Alcotest.(check bool) "input stats untouched" true
+    (I.input_stats sess pi == pi_stats);
+  check_float "external load untouched" 20e-15 (I.external_load sess);
+  Alcotest.(check bool) "objective untouched" true
+    (I.objective sess = O.Min_power);
+  (* And the session still settles correctly. *)
+  let entering = replace_in (I.circuit sess) 1 { gate1 with C.config = 0 } in
+  I.apply sess [ I.Replace_gate (1, { gate1 with C.config = 0 }) ];
+  check_equivalent "valid batch after refused ones" sess entering tbl
+
+(* Snapshots are values: what a reader holds never changes under it, and
+   every read between two applies returns the same snapshot. *)
+let test_snapshots_survive_applies () =
+  let pt = power_table () and dt = delay_table () in
+  let circuit = Circuits.Suite.find "rca8" in
+  let tbl = stats_table circuit ~seed:19 in
+  let sess = I.create pt ~delay:dt circuit ~inputs:(inputs_of tbl) in
+  let rep = I.report sess and settled = I.circuit sess in
+  let ledger = Option.get (I.ledger sess) in
+  Alcotest.(check bool) "a second read shares the report" true
+    (I.report sess == rep);
+  Alcotest.(check bool) "and the ledger" true
+    (Option.get (I.ledger sess) == ledger);
+  let held () =
+    ( Array.copy rep.O.configs,
+      Printf.sprintf "%h %h %d %d" rep.O.power_before rep.O.power_after
+        rep.O.gates_changed rep.O.configurations_explored,
+      Netlist.Io.to_string settled,
+      Some (Attrib.to_json ledger) )
+  in
+  let expected = held () in
+  Alcotest.(check bool) "held values are the session's" true
+    (expected = observed sess);
+  let pi = List.nth (C.primary_inputs circuit) 3 in
+  let flips =
+    List.map
+      (fun g ->
+        let gate = C.gate_at settled g in
+        I.Replace_gate
+          ( g,
+            {
+              gate with
+              C.config =
+                (gate.C.config + 1) mod Cell.Gate.config_count gate.C.cell;
+            } ))
+      [ 0; 5; C.gate_count settled - 1 ]
+  in
+  List.iter
+    (fun batch ->
+      I.apply sess batch;
+      ignore (observed sess);
+      check_observed "first snapshot after an apply" expected (held ()))
+    ([ List.hd flips ]
+    :: [ I.Set_input_stats (pi, S.make ~prob:0.8 ~density:6e7) ]
+    :: List.tl flips
+    :: [ [ I.Set_external_load 40e-15 ]; [ I.Set_objective O.Max_power ]; [] ])
+
+(* A configuration edit costs the same whatever the circuit's size:
+   words allocated per apply (minor + major, mean over the same script of
+   flips) on an 8k-gate circuit stay within 2x of a 1k-gate one. *)
+let test_apply_allocation_is_flat () =
+  let pt = power_table () and dt = delay_table () in
+  let words_per_apply gates =
+    let circuit =
+      Circuits.Generators.random_logic ~seed:11 ~inputs:64 ~gates
+    in
+    let inputs = scenario_inputs 5 Power.Scenario.A circuit in
+    let sess = I.create pt ~delay:dt circuit ~inputs in
+    let settled = I.circuit sess in
+    let rng = Stoch.Rng.create 23 in
+    let batches =
+      List.init 100 (fun _ ->
+          let g = Stoch.Rng.int rng (C.gate_count settled) in
+          let gate = C.gate_at settled g in
+          let k = Cell.Gate.config_count gate.C.cell in
+          [ I.Replace_gate (g, { gate with C.config = Stoch.Rng.int rng k }) ])
+    in
+    let words () =
+      let s = Gc.quick_stat () in
+      s.Gc.minor_words +. s.Gc.major_words
+    in
+    let w0 = words () in
+    List.iter (I.apply sess) batches;
+    (words () -. w0) /. float_of_int (List.length batches)
+  in
+  let small = words_per_apply 1_000 and large = words_per_apply 8_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "8k gates: %.0f words per apply, 1k gates: %.0f" large
+       small)
+    true
+    (large <= 2. *. small)
 
 let test_script_parsing () =
   let circuit = Circuits.Suite.find "rca4" in
@@ -350,6 +507,11 @@ let test_script_parsing () =
   rejected "gate past the end"
     (Printf.sprintf {|{"op":"replace_gate","gate":%d}|} (C.gate_count circuit));
   rejected "fractional config" {|{"op":"replace_gate","gate":0,"config":1.7}|};
+  rejected "stats on a gate-driven net"
+    (Printf.sprintf
+       {|{"op":"set_input_stats","net":"%s","prob":0.5,"density":1}|}
+       (C.net_name circuit (C.gate_at circuit 0).C.output));
+  rejected "negative load" {|{"op":"set_external_load","farads":-1e-15}|};
   rejected "config out of range"
     (Printf.sprintf {|{"op":"replace_gate","gate":0,"config":%d}|}
        (Cell.Gate.config_count (C.gate_at circuit 0).C.cell))
@@ -384,7 +546,7 @@ let test_replay_and_percentiles () =
      settled state is a fixed point, checkable with an empty batch. *)
   Hashtbl.replace tbl pi (S.make ~prob:0.5 ~density:4e6);
   let entering = I.circuit sess in
-  ignore (I.apply sess []);
+  I.apply sess [];
   check_equivalent "after replay" sess entering tbl
 
 let test_cold_fallback_on_non_power_objective () =
@@ -394,16 +556,31 @@ let test_cold_fallback_on_non_power_objective () =
   let sess = I.create pt ~delay:dt circuit ~inputs:(inputs_of tbl) in
   let cold_runs = Obs.counter "incremental.cold_runs" in
   let before = Obs.value cold_runs in
-  ignore (I.apply sess [ I.Set_objective O.Min_delay ]);
-  Alcotest.(check bool) "non-power objective falls back to a cold run" true
+  let entering = I.circuit sess in
+  I.apply sess [ I.Set_objective O.Min_delay ];
+  Alcotest.(check bool) "a delay objective re-decides every gate" true
     (Obs.value cold_runs > before);
-  (* And a later power-objective apply recovers (another cold run that
-     reseeds the cache, then incremental again). *)
-  ignore (I.apply sess [ I.Set_objective O.Min_power ]);
+  check_equivalent "min delay" sess entering tbl;
+  (* Under the delay bound too, and with an input edit in the batch: its
+     statistics still re-propagate incrementally. *)
+  let pi = List.hd (C.primary_inputs circuit) in
+  let edited = S.make ~prob:0.35 ~density:8e7 in
+  Hashtbl.replace tbl pi edited;
+  let entering = I.circuit sess in
+  I.apply sess
+    [
+      I.Set_objective O.Min_power_delay_bounded; I.Set_input_stats (pi, edited);
+    ];
+  check_equivalent "delay bounded" sess entering tbl;
+  (* A later power-objective apply re-decides every gate once, then the
+     session settles incrementally again. *)
+  let entering = I.circuit sess in
+  I.apply sess [ I.Set_objective O.Min_power ];
+  check_equivalent "back to min power" sess entering tbl;
   let applies = Obs.counter "incremental.applies" in
   let a0 = Obs.value applies in
   let entering = I.circuit sess in
-  ignore (I.apply sess []);
+  I.apply sess [];
   Alcotest.(check bool) "back on the incremental path" true
     (Obs.value applies > a0);
   check_equivalent "recovered" sess entering tbl
@@ -418,6 +595,7 @@ let () =
             test_dirty_cone_is_narrow;
           Alcotest.test_case "external load and objective" `Quick
             test_external_load_and_objective;
+          Alcotest.test_case "rewiring" `Quick test_rewiring_equivalence;
           Alcotest.test_case "parallel and memo" `Quick
             test_parallel_and_memo_equivalence;
         ] );
@@ -425,11 +603,14 @@ let () =
         [
           Alcotest.test_case "warm across applies" `Quick
             test_memo_warm_across_applies;
-          Alcotest.test_case "merge" `Quick test_memo_merge;
         ] );
       ( "edits",
         [
           Alcotest.test_case "validation" `Quick test_edit_validation;
+          Alcotest.test_case "snapshots survive applies" `Quick
+            test_snapshots_survive_applies;
+          Alcotest.test_case "apply allocation is flat in circuit size" `Quick
+            test_apply_allocation_is_flat;
           Alcotest.test_case "script parsing" `Quick test_script_parsing;
           Alcotest.test_case "replay and percentiles" `Quick
             test_replay_and_percentiles;

@@ -136,6 +136,29 @@ let test_with_configs () =
     (C.Invalid "with_configs: 1 entries for 2 gates") (fun () ->
       ignore (C.with_configs c [| 0 |]))
 
+(* The per-net output flag agrees with the output list on every suite
+   circuit, and the rewrites that keep the nets carry it over. *)
+let test_primary_output_flags () =
+  List.iter
+    (fun (name, c) ->
+      let check what c =
+        let mismatches = ref [] in
+        for net = C.net_count c - 1 downto 0 do
+          if C.is_primary_output c net <> List.mem net (C.primary_outputs c)
+          then mismatches := net :: !mismatches
+        done;
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s (%s): flags match the output list" name what)
+          [] !mismatches
+      in
+      check "created" c;
+      check "with_name" (C.with_name c "renamed");
+      check "with_configs"
+        (C.with_configs c
+           (Array.map (fun (g : C.gate) -> g.C.config) (C.gates c)));
+      check "rename_net" (C.rename_net c 0 "__renamed"))
+    (Circuits.Suite.all ())
+
 let test_stats () =
   let c = nand_inv () in
   Alcotest.(check (list (pair string int))) "histogram"
@@ -561,6 +584,8 @@ let () =
           Alcotest.test_case "transistor count" `Quick test_transistor_count;
           Alcotest.test_case "with_configs" `Quick test_with_configs;
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "primary-output flags" `Quick
+            test_primary_output_flags;
         ] );
       ( "validation",
         [
