@@ -84,13 +84,13 @@ let append_history path =
   let argv_json =
     "["
     ^ String.concat ","
-        (List.map Trace.Json.escape (List.tl (Array.to_list Sys.argv)))
+        (List.map Obs.json_string (List.tl (Array.to_list Sys.argv)))
     ^ "]"
   in
   let line (name, time, seconds, json) =
     Printf.sprintf
       "{\"v\":1,\"time\":%.6f,\"target\":%s,\"argv\":%s,\"seconds\":%.6f,\"metrics\":%s}\n"
-      time (Trace.Json.escape name) argv_json seconds json
+      time (Obs.json_string name) argv_json seconds json
   in
   let payload = String.concat "" (List.rev_map line !metrics) in
   match

@@ -10,8 +10,18 @@ open Cmdliner
    output and the run-archive manifests must agree. *)
 let version = "1.0.0"
 
+(* A malformed netlist is one line on stderr and exit 1, like every
+   other reader's error. *)
 let load_circuit spec =
-  if Sys.file_exists spec then Netlist.Io.load spec
+  if Sys.file_exists spec then (
+    match Netlist.Io.load spec with
+    | circuit -> circuit
+    | exception Netlist.Io.Parse_error { line; message } ->
+        Printf.eprintf "error: %s: line %d: %s\n" spec line message;
+        exit 1
+    | exception (Netlist.Circuit.Invalid message | Sys_error message) ->
+        Printf.eprintf "error: %s: %s\n" spec message;
+        exit 1)
   else
     try Circuits.Suite.find spec
     with Not_found ->
@@ -1247,10 +1257,8 @@ let eco_cmd =
     end;
     Option.iter
       (fun p ->
-        Option.iter
-          (fun ledger ->
-            Runlog.attach p ~name:"ledger" ~json:(Attrib.to_json ledger))
-          (Incremental.ledger sess))
+        Runlog.attach p ~name:"ledger"
+          ~json:(Attrib.to_json (Incremental.ledger sess)))
       pending;
     Option.iter
       (fun path ->

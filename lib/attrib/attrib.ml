@@ -104,8 +104,8 @@ let settle e =
     before_internal = e.after_internal;
   }
 
-let of_report table ?(external_load = 20e-15) ?(candidates = true) ~before
-    ~inputs (report : Reorder.Optimizer.report) =
+let of_report table ?(external_load = Netlist.Load.default_external)
+    ?(candidates = true) ~before ~inputs (report : Reorder.Optimizer.report) =
   Obs.span "attrib.build" @@ fun () ->
   Obs.incr c_ledgers;
   let n = C.gate_count before in
@@ -118,7 +118,9 @@ let of_report table ?(external_load = 20e-15) ?(candidates = true) ~before
           ~config_before:(C.gate_at before g).C.config
           ~config_after:report.Reorder.Optimizer.configs.(g)
           ~input_stats:(Power.Analysis.gate_input_stats analysis before g)
-          ~load:(Power.Estimate.output_load table ~external_load before g))
+          ~load:
+            (Netlist.Load.output (Power.Model.process table) ~external_load
+               before g))
   in
   of_entries ~circuit:(C.name before) ~external_load gates
 
@@ -347,28 +349,25 @@ let render_explain ?(top = 5) t =
 
 (* --- JSON --- *)
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.17g" x else "0"
-let str = Trace.Json.escape
-
 let to_json t =
   let b = Buffer.create 4096 in
   let field ?(first = false) name =
     if not first then Buffer.add_char b ',';
-    Buffer.add_string b (str name);
+    Buffer.add_string b (Obs.json_string name);
     Buffer.add_char b ':'
   in
   Buffer.add_char b '{';
   field ~first:true "circuit";
-  Buffer.add_string b (str t.circuit);
+  Buffer.add_string b (Obs.json_string t.circuit);
   field "external_load";
-  Buffer.add_string b (json_float t.external_load);
+  Buffer.add_string b (Obs.json_float t.external_load);
   field "total_before";
-  Buffer.add_string b (json_float t.total_before);
+  Buffer.add_string b (Obs.json_float t.total_before);
   field "total_after";
-  Buffer.add_string b (json_float t.total_after);
+  Buffer.add_string b (Obs.json_float t.total_after);
   field "reduction_percent";
   Buffer.add_string b
-    (json_float
+    (Obs.json_float
        (Reorder.Optimizer.reduction_percent ~best:t.total_after
           ~worst:t.total_before));
   field "gates";
@@ -380,21 +379,21 @@ let to_json t =
       field ~first:true "index";
       Buffer.add_string b (string_of_int e.index);
       field "cell";
-      Buffer.add_string b (str e.cell);
+      Buffer.add_string b (Obs.json_string e.cell);
       field "output";
-      Buffer.add_string b (str e.out_net);
+      Buffer.add_string b (Obs.json_string e.out_net);
       field "config_before";
       Buffer.add_string b (string_of_int e.config_before);
       field "config_after";
       Buffer.add_string b (string_of_int e.config_after);
       field "power_before";
-      Buffer.add_string b (json_float e.before_total);
+      Buffer.add_string b (Obs.json_float e.before_total);
       field "power_after";
-      Buffer.add_string b (json_float e.after_total);
+      Buffer.add_string b (Obs.json_float e.after_total);
       field "internal_before";
-      Buffer.add_string b (json_float e.before_internal);
+      Buffer.add_string b (Obs.json_float e.before_internal);
       field "internal_after";
-      Buffer.add_string b (json_float e.after_internal);
+      Buffer.add_string b (Obs.json_float e.after_internal);
       field "nodes";
       Buffer.add_char b '[';
       List.iteri
@@ -402,23 +401,23 @@ let to_json t =
           if j > 0 then Buffer.add_char b ',';
           Buffer.add_char b '{';
           field ~first:true "node";
-          Buffer.add_string b (str (node_label ns.node));
+          Buffer.add_string b (Obs.json_string (node_label ns.node));
           field "probability";
-          Buffer.add_string b (json_float ns.probability);
+          Buffer.add_string b (Obs.json_float ns.probability);
           field "capacitance";
-          Buffer.add_string b (json_float ns.capacitance);
+          Buffer.add_string b (Obs.json_float ns.capacitance);
           field "transitions";
-          Buffer.add_string b (json_float ns.transitions);
+          Buffer.add_string b (Obs.json_float ns.transitions);
           field "power";
-          Buffer.add_string b (json_float ns.power);
+          Buffer.add_string b (Obs.json_float ns.power);
           field "per_input";
           Buffer.add_char b '{';
           Array.iteri
             (fun k (name, w) ->
               if k > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (str name);
+              Buffer.add_string b (Obs.json_string name);
               Buffer.add_char b ':';
-              Buffer.add_string b (json_float w))
+              Buffer.add_string b (Obs.json_float w))
             ns.per_input;
           Buffer.add_char b '}';
           Buffer.add_char b '}')
@@ -429,9 +428,9 @@ let to_json t =
       Array.iteri
         (fun k (config, w) ->
           if k > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (str (string_of_int config));
+          Buffer.add_string b (Obs.json_string (string_of_int config));
           Buffer.add_char b ':';
-          Buffer.add_string b (json_float w))
+          Buffer.add_string b (Obs.json_float w))
         e.candidates;
       Buffer.add_char b '}';
       Buffer.add_char b '}')

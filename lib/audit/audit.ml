@@ -357,39 +357,39 @@ let render ?(top = 10) t =
 
 (* --- JSON --- *)
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.17g" x else "0"
-let str = Trace.Json.escape
-
 let net_row_json n =
   Printf.sprintf
     "{\"net\":%d,\"name\":%s,\"driver\":%s,\"driver_gate\":%s,\"fanout\":%d,\"depth\":%d,\"pred_prob\":%s,\"meas_prob\":%s,\"prob_err\":%s,\"pred_density\":%s,\"meas_density\":%s,\"meas_density_se\":%s,\"density_err_pct\":%s,\"toggles\":%d,\"sim_energy\":%s}"
-    n.net (str n.name) (str n.driver)
+    n.net (Obs.json_string n.name) (Obs.json_string n.driver)
     (match n.driver_gate with None -> "null" | Some g -> string_of_int g)
-    n.fanout n.depth (json_float n.pred_prob) (json_float n.meas_prob)
-    (json_float n.prob_err) (json_float n.pred_density)
-    (json_float n.meas_density)
-    (json_float n.meas_density_se)
-    (json_float n.density_err_pct) n.toggles
-    (json_float n.sim_energy)
+    n.fanout n.depth (Obs.json_float n.pred_prob) (Obs.json_float n.meas_prob)
+    (Obs.json_float n.prob_err) (Obs.json_float n.pred_density)
+    (Obs.json_float n.meas_density)
+    (Obs.json_float n.meas_density_se)
+    (Obs.json_float n.density_err_pct) n.toggles
+    (Obs.json_float n.sim_energy)
 
 let gate_row_json g =
   Printf.sprintf
     "{\"gate\":%d,\"cell\":%s,\"output\":%s,\"model_power\":%s,\"sim_power\":%s,\"power_err_pct\":%s}"
-    g.gate (str g.cell) (str g.output_name) (json_float g.model_power)
-    (json_float g.sim_power) (json_float g.power_err_pct)
+    g.gate (Obs.json_string g.cell)
+    (Obs.json_string g.output_name)
+    (Obs.json_float g.model_power)
+    (Obs.json_float g.sim_power)
+    (Obs.json_float g.power_err_pct)
 
 let summary_json t =
   let s = t.summary in
   Printf.sprintf
     "{\"circuit\":%s,\"backend\":%s,\"window\":%s,\"nets\":%d,\"active_nets\":%d,\"mean_density_err_pct\":%s,\"max_density_err_pct\":%s,\"mean_prob_err\":%s,\"max_prob_err\":%s,\"model_total\":%s,\"sim_total\":%s,\"total_err_pct\":%s}"
-    (str t.circuit)
-    (str (Power.Backend.name t.backend))
-    (json_float t.window) s.nets s.active_nets
-    (json_float s.mean_density_err_pct)
-    (json_float s.max_density_err_pct)
-    (json_float s.mean_prob_err) (json_float s.max_prob_err)
-    (json_float s.model_total) (json_float s.sim_total)
-    (json_float s.total_err_pct)
+    (Obs.json_string t.circuit)
+    (Obs.json_string (Power.Backend.name t.backend))
+    (Obs.json_float t.window) s.nets s.active_nets
+    (Obs.json_float s.mean_density_err_pct)
+    (Obs.json_float s.max_density_err_pct)
+    (Obs.json_float s.mean_prob_err) (Obs.json_float s.max_prob_err)
+    (Obs.json_float s.model_total) (Obs.json_float s.sim_total)
+    (Obs.json_float s.total_err_pct)
 
 let to_json t =
   let join f arr = Array.to_list arr |> List.map f |> String.concat "," in

@@ -13,6 +13,7 @@ type t = {
   pull_down : T.t;
   arity : int;
   config_count : int;
+  pin_devices : int array;
 }
 
 let group_name prefix groups =
@@ -61,16 +62,29 @@ let pull_down_of_kind = function
       validate_groups groups;
       grouped T.series T.parallel groups
 
+(* Devices each pin drives: one per leaf of the pull-down network and
+   one per leaf of its dual, the pull-up, which has the same leaves. *)
+let pin_devices_of pull_down arity =
+  let counts = Array.make arity 0 in
+  let rec walk = function
+    | T.Leaf i -> counts.(i) <- counts.(i) + 2
+    | T.Series cs | T.Parallel cs -> List.iter walk cs
+  in
+  walk pull_down;
+  counts
+
 let make kind =
   let pull_down = pull_down_of_kind kind in
+  let arity = List.length (T.inputs pull_down) in
   {
     kind;
     name = kind_name kind;
     pull_down;
-    arity = List.length (T.inputs pull_down);
-    (* Precomputed: callers query this on per-gate hot paths. *)
+    arity;
+    (* Precomputed: callers query these on per-gate hot paths. *)
     config_count =
       T.count_orderings pull_down * T.count_orderings (T.dual pull_down);
+    pin_devices = pin_devices_of pull_down arity;
   }
 
 let name t = t.name
@@ -114,6 +128,10 @@ let function_bdd m t = Bdd.not_ (T.conduction m T.Nmos t.pull_down)
 let transistor_count t = 2 * T.transistor_count t.pull_down
 
 let config_count t = t.config_count
+
+let pin_devices t pin =
+  if pin < 0 || pin >= t.arity then invalid_arg "Gate.pin_devices: no such pin";
+  t.pin_devices.(pin)
 
 (* Erase leaf labels: two configurations with the same label-erased
    shape pair differ only by an input permutation, so they can share one

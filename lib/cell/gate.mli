@@ -43,6 +43,12 @@ val config_count : t -> int
 (** Number of electrically distinct transistor reorderings of the whole
     gate — the paper's Table-2 [#C] column. *)
 
+val pin_devices : t -> int -> int
+(** [pin_devices t i]: the transistors, pull-up and pull-down, whose
+    gates input pin [i] drives. The same for every configuration;
+    precomputed by {!make}.
+    @raise Invalid_argument if [i] is not a pin. *)
+
 val instance_count : t -> int
 (** Number of layout instances needed to reach every configuration by
     input permutation alone — the paper's [\[A,B,...\]] annotations

@@ -34,11 +34,5 @@ let node_capacitance t network node =
   | Sp.Network.Vdd | Sp.Network.Vss ->
       invalid_arg "Process.node_capacitance: supply rail"
 
-let input_pin_capacitance t network input =
-  let driven =
-    List.length
-      (List.filter
-         (fun (d : Sp.Network.device) -> d.input = input)
-         (Sp.Network.devices network))
-  in
-  float_of_int driven *. t.c_gate
+let input_pin_capacitance t cell pin =
+  float_of_int (Gate.pin_devices cell pin) *. t.c_gate

@@ -35,9 +35,12 @@ val device_resistance : t -> Sp.Sp_tree.polarity -> float
 val node_capacitance : t -> Sp.Network.t -> Sp.Network.node -> float
 (** Capacitance of a node {e inside} one gate: junction capacitance per
     attached device terminal, plus the wire capacitance on the output
-    node. Fan-out gate-input load is added by the consumer (it depends
-    on the circuit, not the cell). *)
+    node. The fan-out load on the output node depends on the circuit,
+    not the cell: [Netlist.Load.output] defines it. *)
 
-val input_pin_capacitance : t -> Sp.Network.t -> int -> float
-(** Capacitance presented by one input pin of a gate: [c_gate] per
-    transistor the pin drives. Identical across reorderings. *)
+val input_pin_capacitance : t -> Gate.t -> int -> float
+(** Capacitance presented by one input pin of a cell: [c_gate] per
+    transistor the pin drives ({!Gate.pin_devices}). Identical across
+    reorderings. A gate's output load sums these over its readers:
+    [Netlist.Load.output] is the one place that does.
+    @raise Invalid_argument if the pin is not one of the cell's. *)

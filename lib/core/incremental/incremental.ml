@@ -20,8 +20,8 @@ type t = {
   table : Power.Model.table;
   session : O.session;
   ledger_candidates : bool;
-  entries : Attrib.gate_entry array option;
-      (* per gate, as its last sweep computed it; [None] without a ledger *)
+  entries : Attrib.gate_entry array;
+      (* per gate, as its last sweep computed it *)
   pi_stats : Stats.t array;  (* per net; PI entries are live *)
   mutable structure : C.t;  (* connectivity; the session has the configs *)
   mutable external_load : float;
@@ -66,40 +66,36 @@ let entry table ~candidates structure session g =
    winner) and candidate sweep, so its entry only settles, which the
    snapshot does. *)
 let patch_ledger t =
-  Option.iter
-    (fun entries ->
-      Obs.span "incremental.ledger" @@ fun () ->
-      let swept = O.session_swept t.session in
-      List.iter
-        (fun g ->
-          entries.(g) <-
-            entry t.table ~candidates:t.ledger_candidates t.structure
-              t.session g)
-        swept;
-      let patched = List.length swept in
-      Obs.add c_ledger_patched patched;
-      Obs.add c_ledger_settled (Array.length entries - patched))
-    t.entries;
+  (Obs.span "incremental.ledger" @@ fun () ->
+   let swept = O.session_swept t.session in
+   List.iter
+     (fun g ->
+       t.entries.(g) <-
+         entry t.table ~candidates:t.ledger_candidates t.structure t.session g)
+     swept;
+   let patched = List.length swept in
+   Obs.add c_ledger_patched patched;
+   Obs.add c_ledger_settled (Array.length t.entries - patched));
   t.ledger <- None
 
 let ledger t =
-  match (t.entries, t.ledger) with
-  | None, _ -> None
-  | Some _, (Some _ as l) -> l
-  | Some entries, None ->
-      let gates = Array.map Attrib.settle entries in
-      List.iter (fun g -> gates.(g) <- entries.(g)) (O.session_swept t.session);
+  match t.ledger with
+  | Some l -> l
+  | None ->
+      let gates = Array.map Attrib.settle t.entries in
+      List.iter
+        (fun g -> gates.(g) <- t.entries.(g))
+        (O.session_swept t.session);
       let l =
-        Some
-          (Attrib.of_entries ~circuit:(C.name t.structure)
-             ~external_load:t.external_load gates)
+        Attrib.of_entries ~circuit:(C.name t.structure)
+          ~external_load:t.external_load gates
       in
-      t.ledger <- l;
+      t.ledger <- Some l;
       l
 
-let create table ~delay ?(external_load = 20e-15) ?(objective = O.Min_power)
-    ?(input_reordering_only = false) ?(memoize = false) ?(ledger = true)
-    ?(ledger_candidates = true) ?pool circuit ~inputs =
+let create table ~delay ?(external_load = Netlist.Load.default_external)
+    ?(objective = O.Min_power) ?(input_reordering_only = false)
+    ?(memoize = false) ?(ledger_candidates = true) ?pool circuit ~inputs =
   let pi_stats =
     Array.make (C.net_count circuit) (Stats.constant false)
   in
@@ -112,14 +108,10 @@ let create table ~delay ?(external_load = 20e-15) ?(objective = O.Min_power)
       ~inputs:(fun net -> pi_stats.(net))
   in
   let entries =
-    if not ledger then None
-    else
-      Obs.span "incremental.ledger" @@ fun () ->
-      let n = C.gate_count circuit in
-      Obs.add c_ledger_patched n;
-      Some
-        (Array.init n
-           (entry table ~candidates:ledger_candidates circuit session))
+    Obs.span "incremental.ledger" @@ fun () ->
+    let n = C.gate_count circuit in
+    Obs.add c_ledger_patched n;
+    Array.init n (entry table ~candidates:ledger_candidates circuit session)
   in
   {
     table;

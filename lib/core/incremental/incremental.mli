@@ -52,7 +52,6 @@ val create :
   ?objective:Reorder.Optimizer.objective ->
   ?input_reordering_only:bool ->
   ?memoize:bool ->
-  ?ledger:bool ->
   ?ledger_candidates:bool ->
   ?pool:Par.Pool.t ->
   Netlist.Circuit.t ->
@@ -60,9 +59,9 @@ val create :
   t
 (** Run the initial (cold) optimization and retain everything.
     [memoize] (default false) keeps one warm {!Reorder.Memo} for the
-    session's whole lifetime. [ledger] (default true) maintains the
-    attribution ledger across applies; [ledger_candidates] (default
-    true) keeps the per-configuration candidate sweeps in it. *)
+    session's whole lifetime. The attribution ledger is maintained
+    across applies; [ledger_candidates] (default true) keeps the
+    per-configuration candidate sweeps in it. *)
 
 val apply : ?pool:Par.Pool.t -> t -> edit list -> unit
 (** Validate and apply one batch of edits: re-optimize incrementally and
@@ -82,8 +81,7 @@ val report : t -> Reorder.Optimizer.report
 val circuit : t -> Netlist.Circuit.t
 (** The settled circuit: the report's rewrite (winning configs). *)
 
-val ledger : t -> Attrib.t option
-(** [None] only when the session was created with [~ledger:false]. *)
+val ledger : t -> Attrib.t
 
 val session : t -> Reorder.Optimizer.session
 val objective : t -> Reorder.Optimizer.objective

@@ -43,8 +43,6 @@ let pp_report ppf r =
     r.gates_changed
     (Array.length r.configs) r.configurations_explored
 
-let default_external_load = 20e-15
-
 let power_objective = function
   | Min_power | Max_power -> true
   | Min_power_delay_bounded | Min_delay -> false
@@ -306,8 +304,8 @@ let settle ?pool s ~phase =
     Array.map
       (fun g ->
         s.loads.(g) <-
-          Power.Estimate.output_load s.table ~external_load:s.external_load
-            circuit g;
+          Netlist.Load.output (Power.Model.process s.table)
+            ~external_load:s.external_load circuit g;
         s.incumbents.(g) <- s.configs.(g);
         let candidates =
           candidates_of ~input_only:s.input_only (C.gate_at circuit g)
@@ -406,7 +404,7 @@ let settle ?pool s ~phase =
   s.changed <- !changed;
   s.report <- None
 
-let cold table ~delay ?(external_load = default_external_load)
+let cold table ~delay ?(external_load = Netlist.Load.default_external)
     ?(objective = Min_power) ?(input_reordering_only = false) ?pool ?memo
     circuit ~inputs =
   Obs.span "optimize.run" @@ fun () ->

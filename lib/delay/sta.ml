@@ -8,23 +8,6 @@ type t = {
   worst_fanin : int array;  (* per net: the fanin net realizing it, -1 *)
 }
 
-let default_external_load = 20e-15
-
-let gate_load table ~external_load circuit g =
-  let gate = C.gate_at circuit g in
-  let pins =
-    List.fold_left
-      (fun acc (reader, pin) ->
-        let cell = (C.gate_at circuit reader).C.cell in
-        let network = Cell.Config.network (Cell.Config.reference cell) in
-        acc
-        +. Cell.Process.input_pin_capacitance (Elmore.process table) network pin)
-      0.
-      (C.readers circuit gate.C.output)
-  in
-  if C.is_primary_output circuit gate.C.output then pins +. external_load
-  else pins
-
 (* The forward step, the only one: the latest fanin arrival plus that
    pin's delay, and the fanin realizing it (-1 when none beats 0). *)
 let forward table circuit loads arrival g ~config =
@@ -42,9 +25,10 @@ let forward table circuit loads arrival g ~config =
     gate.C.fanins;
   (!best, !from)
 
-let run table ?(external_load = default_external_load) circuit =
+let run table ?external_load circuit =
   let loads =
-    Array.init (C.gate_count circuit) (gate_load table ~external_load circuit)
+    Array.init (C.gate_count circuit)
+      (Netlist.Load.output (Elmore.process table) ?external_load circuit)
   in
   let arrival = Array.make (C.net_count circuit) 0. in
   let worst_fanin = Array.make (C.net_count circuit) (-1) in

@@ -16,7 +16,9 @@
 type t
 
 val run : Elmore.table -> ?external_load:float -> Netlist.Circuit.t -> t
-(** [external_load] (default 20 fF) loads every primary output net. *)
+(** Each gate drives its {!Netlist.Load.output}: the pins reading its
+    output, plus [external_load] (default
+    {!Netlist.Load.default_external}) on a primary output. *)
 
 val step : t -> float array -> int -> config:int -> float
 (** [step t arrival g ~config] is {!run}'s forward step for gate [g] in

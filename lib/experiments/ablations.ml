@@ -33,8 +33,7 @@ let scenario_stats ~seed scenario name circuit =
 
 let critical (ctx : Common.t) circuit =
   Delay.Sta.critical_delay
-    (Delay.Sta.run ctx.Common.delay ~external_load:ctx.Common.external_load
-       circuit)
+    (Delay.Sta.run ctx.Common.delay circuit)
 
 let delay_bounded (ctx : Common.t) ?(seed = 42) ?circuits scenario =
   let circuits =
@@ -44,8 +43,8 @@ let delay_bounded (ctx : Common.t) ?(seed = 42) ?circuits scenario =
     (fun (name, circuit) ->
       let inputs = scenario_stats ~seed scenario name circuit in
       let optimize objective =
-        O.optimize ctx.Common.power ~delay:ctx.Common.delay
-          ~external_load:ctx.Common.external_load ~objective circuit ~inputs
+        O.optimize ctx.Common.power ~delay:ctx.Common.delay ~objective circuit
+          ~inputs
       in
       let best = optimize O.Min_power in
       let worst = optimize O.Max_power in
@@ -77,8 +76,7 @@ let input_reordering (ctx : Common.t) ?(seed = 42) ?circuits scenario =
       let inputs = scenario_stats ~seed scenario name circuit in
       let optimize ~input_reordering_only =
         O.optimize ctx.Common.power ~delay:ctx.Common.delay
-          ~external_load:ctx.Common.external_load ~input_reordering_only
-          circuit ~inputs
+          ~input_reordering_only circuit ~inputs
       in
       let full = optimize ~input_reordering_only:false in
       let restricted = optimize ~input_reordering_only:true in
@@ -99,13 +97,9 @@ let model_accuracy (ctx : Common.t) ?(seed = 42) ?(sim_horizon = 2e-3)
         let stats = scenario_stats ~seed scenario name circuit in
         let analysis = Power.Analysis.run ctx.Common.power circuit ~inputs:stats in
         let model_power =
-          Power.Estimate.total ctx.Common.power
-            ~external_load:ctx.Common.external_load circuit analysis
+          Power.Estimate.total ctx.Common.power circuit analysis
         in
-        let sim =
-          Switchsim.Sim.build ctx.Common.proc
-            ~external_load:ctx.Common.external_load circuit
-        in
+        let sim = Switchsim.Sim.build ctx.Common.proc circuit in
         let result =
           Switchsim.Sim.run_stats sim
             ~rng:(Stoch.Rng.create (seed + (3 * Hashtbl.hash name)))

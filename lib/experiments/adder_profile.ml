@@ -31,10 +31,7 @@ let run (ctx : Common.t) ?(seed = 7) ?(sim_horizon = 4e-3) ~bits () =
   let operand_density = 0.5 /. Power.Scenario.cycle_time in
   let stats _ = Stoch.Signal_stats.make ~prob:0.5 ~density:operand_density in
   let analysis = Power.Analysis.run ctx.Common.power circuit ~inputs:stats in
-  let sim =
-    Switchsim.Sim.build ctx.Common.proc ~external_load:ctx.Common.external_load
-      circuit
-  in
+  let sim = Switchsim.Sim.build ctx.Common.proc circuit in
   let result =
     Switchsim.Sim.run_stats sim ~rng:(Stoch.Rng.create seed) ~stats
       ~horizon:sim_horizon ()

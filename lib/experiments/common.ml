@@ -2,16 +2,10 @@ type t = {
   proc : Cell.Process.t;
   power : Power.Model.table;
   delay : Delay.Elmore.table;
-  external_load : float;
 }
 
-let create ?(proc = Cell.Process.default) ?(external_load = 20e-15) () =
-  {
-    proc;
-    power = Power.Model.table proc;
-    delay = Delay.Elmore.table proc;
-    external_load;
-  }
+let create ?(proc = Cell.Process.default) () =
+  { proc; power = Power.Model.table proc; delay = Delay.Elmore.table proc }
 
 let input_names names i =
   if i >= 0 && i < Array.length names then names.(i)

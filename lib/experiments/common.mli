@@ -1,14 +1,14 @@
 (** Shared context for the experiment drivers: one process, one power
-    model table, one delay table, one external-load convention. *)
+    model table, one delay table. Every driver loads primary outputs
+    with {!Netlist.Load.default_external}. *)
 
 type t = {
   proc : Cell.Process.t;
   power : Power.Model.table;
   delay : Delay.Elmore.table;
-  external_load : float;
 }
 
-val create : ?proc:Cell.Process.t -> ?external_load:float -> unit -> t
+val create : ?proc:Cell.Process.t -> unit -> t
 
 val input_names : string array -> int -> string
 (** Pin-index to name lookup with ["x<i>"] fallback — used when printing

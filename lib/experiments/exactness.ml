@@ -22,10 +22,7 @@ let row (ctx : Common.t) ?(seed = 42) ?(sim_horizon = 8e-3) (name, circuit) =
   let stats _ = S.make ~prob:0.5 ~density:(0.5 /. Power.Scenario.cycle_time) in
   let local = Power.Analysis.run ctx.Common.power circuit ~inputs:stats in
   let exact = Power.Exact.run circuit ~inputs:stats in
-  let sim =
-    Switchsim.Sim.build ctx.Common.proc ~external_load:ctx.Common.external_load
-      circuit
-  in
+  let sim = Switchsim.Sim.build ctx.Common.proc circuit in
   let result =
     Switchsim.Sim.run_stats sim
       ~rng:(Stoch.Rng.create (seed + Hashtbl.hash name))

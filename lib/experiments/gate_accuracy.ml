@@ -48,7 +48,7 @@ let exhaustive_power (ctx : Common.t) gate config =
       (fun node ->
         let base = Cell.Process.node_capacitance ctx.Common.proc network node in
         match node with
-        | Sp.Network.Output -> base +. ctx.Common.external_load
+        | Sp.Network.Output -> base +. Netlist.Load.default_external
         | Sp.Network.Vdd | Sp.Network.Vss | Sp.Network.Internal _ -> base)
       nodes
     |> Array.of_list
@@ -157,7 +157,7 @@ let exhaustive_power (ctx : Common.t) gate config =
 let model_power (ctx : Common.t) gate config =
   let input_stats = pin_stats (Cell.Gate.arity gate) in
   (Power.Model.gate_power ctx.Common.power gate ~config ~input_stats
-     ~load:ctx.Common.external_load ())
+     ~load:Netlist.Load.default_external ())
     .Power.Model.total
 
 let argmin xs =

@@ -13,27 +13,18 @@ type t = { rows : row list; avg_glitch : float; avg_timed_reduction : float }
 
 let gate_delay_fn (ctx : Common.t) circuit g =
   let gate = C.gate_at circuit g in
-  let load =
-    Power.Estimate.output_load ctx.Common.power
-      ~external_load:ctx.Common.external_load circuit g
-  in
+  let load = Netlist.Load.output ctx.Common.proc circuit g in
   Delay.Elmore.worst_delay ctx.Common.delay gate.C.cell ~config:gate.C.config
     ~load
 
 let timed_power (ctx : Common.t) ~seed ~horizon circuit stats =
-  let sim =
-    Switchsim.Sim.build ctx.Common.proc ~external_load:ctx.Common.external_load
-      circuit
-  in
+  let sim = Switchsim.Sim.build ctx.Common.proc circuit in
   (Switchsim.Sim.run_timed_stats sim ~rng:(Stoch.Rng.create seed) ~stats
      ~gate_delay:(gate_delay_fn ctx circuit) ~horizon ())
     .Switchsim.Sim.power
 
 let zero_power (ctx : Common.t) ~seed ~horizon circuit stats =
-  let sim =
-    Switchsim.Sim.build ctx.Common.proc ~external_load:ctx.Common.external_load
-      circuit
-  in
+  let sim = Switchsim.Sim.build ctx.Common.proc circuit in
   (Switchsim.Sim.run_stats sim ~rng:(Stoch.Rng.create seed) ~stats ~horizon ())
     .Switchsim.Sim.power
 
@@ -55,8 +46,8 @@ let run (ctx : Common.t) ?(seed = 42) ?(sim_horizon = 2e-3) ?circuits scenario =
           timed_power ctx ~seed:sim_seed ~horizon:sim_horizon circuit stats
         in
         let best, worst =
-          O.best_and_worst ctx.Common.power ~delay:ctx.Common.delay
-            ~external_load:ctx.Common.external_load circuit ~inputs:stats
+          O.best_and_worst ctx.Common.power ~delay:ctx.Common.delay circuit
+            ~inputs:stats
         in
         let timed_best =
           timed_power ctx ~seed:sim_seed ~horizon:sim_horizon best.O.circuit stats

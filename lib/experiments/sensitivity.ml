@@ -49,8 +49,8 @@ let run ?variants ?(seed = 42) ?circuits () =
                 Power.Scenario.A circuit
             in
             let best, worst =
-              O.best_and_worst ctx.Common.power ~delay:ctx.Common.delay
-                ~external_load:ctx.Common.external_load circuit ~inputs
+              O.best_and_worst ctx.Common.power ~delay:ctx.Common.delay circuit
+                ~inputs
             in
             O.reduction_percent ~best:best.O.power_after
               ~worst:worst.O.power_after)

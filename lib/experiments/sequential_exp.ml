@@ -53,8 +53,7 @@ let run (ctx : Common.t) ?(seed = 42) ?(cycles = 2048) ?machines () =
       (* Optimize the core under the fixpoint statistics. *)
       let stats net = Power.Analysis.stats fp.M.analysis net in
       let optimize objective =
-        O.optimize ctx.Common.power ~delay:ctx.Common.delay
-          ~external_load:ctx.Common.external_load ~objective
+        O.optimize ctx.Common.power ~delay:ctx.Common.delay ~objective
           (M.circuit machine) ~inputs:stats
       in
       let best = optimize O.Min_power in

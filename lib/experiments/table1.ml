@@ -22,7 +22,7 @@ let run (ctx : Common.t) =
   let case2 = [| stats 1e6; stats 1e5; stats 1e4 |] in
   let power input_stats config =
     (Power.Model.gate_power ctx.Common.power gate ~config ~input_stats
-       ~load:ctx.Common.external_load ())
+       ~load:Netlist.Load.default_external ())
       .Power.Model.total
   in
   let p1 = List.mapi (fun i _ -> power case1 i) configs in

@@ -18,10 +18,7 @@ type t = {
 }
 
 let simulate (ctx : Common.t) ~seed ~horizon circuit stats =
-  let sim =
-    Switchsim.Sim.build ctx.Common.proc ~external_load:ctx.Common.external_load
-      circuit
-  in
+  let sim = Switchsim.Sim.build ctx.Common.proc circuit in
   (* Same stimulus seed for every configuration of one circuit: the
      comparison is paired, like the paper's common input traces. *)
   let rng = Stoch.Rng.create seed in
@@ -35,8 +32,8 @@ let row (ctx : Common.t) ?(seed = 42) ?(sim_horizon = 2e-3) scenario
       scenario circuit
   in
   let best, worst =
-    O.best_and_worst ctx.Common.power ~delay:ctx.Common.delay
-      ~external_load:ctx.Common.external_load circuit ~inputs:stats
+    O.best_and_worst ctx.Common.power ~delay:ctx.Common.delay circuit
+      ~inputs:stats
   in
   let model_percent =
     O.reduction_percent ~best:best.O.power_after ~worst:worst.O.power_after
@@ -47,8 +44,7 @@ let row (ctx : Common.t) ?(seed = 42) ?(sim_horizon = 2e-3) scenario
   let sim_percent = O.reduction_percent ~best:p_best ~worst:p_worst in
   let delay circuit =
     Delay.Sta.critical_delay
-      (Delay.Sta.run ctx.Common.delay ~external_load:ctx.Common.external_load
-         circuit)
+      (Delay.Sta.run ctx.Common.delay circuit)
   in
   let d_orig = delay circuit and d_best = delay best.O.circuit in
   let delay_percent =

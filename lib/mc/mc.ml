@@ -272,11 +272,10 @@ let measured_stats r net =
   let p = Float.min 1. (Float.max 0. r.prob.(net)) in
   S.make ~prob:p ~density:(Float.max 0. r.density.(net))
 
-(* Output-net capacitance, mirroring Switchsim.Sim.build and
-   Power.Estimate.output_load: the configured network's own output-node
-   capacitance, the gate-input capacitance of every fan-out pin, and the
-   external load on primary outputs. Primary-input nets book no energy. *)
-let net_caps table ~external_load circuit =
+(* Output-net capacitance, as Switchsim.Sim.build and Power.Model charge
+   it: the configured network's own output-node capacitance plus the
+   gate's Netlist.Load.output. Primary-input nets book no energy. *)
+let net_caps table ?external_load circuit =
   let proc = Power.Model.process table in
   Array.init (C.net_count circuit) (fun net ->
       match C.driver circuit net with
@@ -289,24 +288,10 @@ let net_caps table ~external_load circuit =
               (Cell.Config.network config)
               Sp.Network.Output
           in
-          let fanout =
-            List.fold_left
-              (fun acc (reader, pin) ->
-                acc
-                +. Power.Model.input_pin_capacitance table
-                     (C.gate_at circuit reader).C.cell pin)
-              0.
-              (C.readers circuit net)
-          in
-          let ext =
-            if C.is_primary_output circuit net then external_load else 0.
-          in
-          own +. fanout +. ext)
+          own +. Netlist.Load.output proc ?external_load circuit g)
 
-let default_external_load = 20e-15
-
-let estimate table ?(external_load = default_external_load) ?pool ?dt
-    ?(words = 2) ?(steps = 128) ?(samples = 262144) ~seed ~inputs circuit =
+let estimate table ?external_load ?pool ?dt ?(words = 2) ?(steps = 128)
+    ?(samples = 262144) ~seed ~inputs circuit =
   if words < 1 then invalid_arg "Mc.estimate: words must be positive";
   if steps < 1 then invalid_arg "Mc.estimate: steps must be positive";
   if samples < 1 then invalid_arg "Mc.estimate: samples must be positive";
@@ -383,7 +368,7 @@ let estimate table ?(external_load = default_external_load) ?pool ?dt
   let density_se = se dsum dsq and prob_se = se psum psq in
   let trajectories = blocks * lanes_per_block in
   let window = float_of_int steps *. dt in
-  let caps = net_caps table ~external_load circuit in
+  let caps = net_caps table ?external_load circuit in
   let proc = Power.Model.process table in
   let vdd2 = proc.Cell.Process.vdd *. proc.Cell.Process.vdd in
   let per_net_energy =

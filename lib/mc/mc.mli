@@ -96,9 +96,11 @@ val estimate :
     sampled vectors; the engine rounds it up to at least two blocks of
     [words] (default 2) words × [steps] (default 128) steps. [dt]
     defaults to {!default_dt}. [pool] distributes blocks over worker
-    domains (bit-identical to the sequential fold); [external_load]
-    (default 20 fF) is added to primary-output nets, mirroring the
-    estimator and the simulator.
+    domains (bit-identical to the sequential fold). A gate's output net
+    books its energy at its output node's own capacitance plus
+    {!Netlist.Load.output}, with [external_load] (default
+    {!Netlist.Load.default_external}) on primary outputs: the
+    capacitance {!Power.Model} and [Switchsim.Sim.build] charge.
     @raise Invalid_argument if [dt], [words], [steps] or [samples] is
     not positive. *)
 

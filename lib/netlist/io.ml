@@ -47,6 +47,50 @@ type pending_gate = {
   config : int;
 }
 
+(* The names on one declaration line, each with that line, onto a
+   reversed list. *)
+let add_names line names into =
+  List.iter (fun n -> into := (line, n) :: !into) names
+
+(* Net ids: primary inputs first, then gate outputs in file order;
+   fanins and outputs may reference either. Every name carries the line
+   that mentions it, so the only error left to Circuit.create is one no
+   line shows, a combinational cycle. *)
+let assemble ~name ~inputs ~outputs pending =
+  let ids = Hashtbl.create 64 in
+  let names = ref [] in
+  let next = ref 0 in
+  let declare line what n =
+    if Hashtbl.mem ids n then parse_error line "net %S declared twice (%s)" n what;
+    Hashtbl.add ids n !next;
+    names := n :: !names;
+    incr next
+  in
+  List.iter (fun (line, n) -> declare line "input" n) inputs;
+  List.iter (fun pg -> declare pg.line "gate output" pg.out_name) pending;
+  let resolve (line, n) =
+    match Hashtbl.find_opt ids n with
+    | Some id -> id
+    | None -> parse_error line "undeclared net %S" n
+  in
+  let gates =
+    List.map
+      (fun pg ->
+        {
+          Circuit.cell = pg.cell;
+          config = pg.config;
+          fanins =
+            Array.of_list (List.map (fun n -> resolve (pg.line, n)) pg.in_names);
+          output = resolve (pg.line, pg.out_name);
+        })
+      pending
+  in
+  Circuit.create ~name
+    ~net_names:(Array.of_list (List.rev !names))
+    ~primary_inputs:(List.map resolve inputs)
+    ~primary_outputs:(List.map resolve outputs)
+    ~gates
+
 let of_string text =
   let name = ref "circuit" in
   let inputs = ref [] (* (line, name), reversed *) in
@@ -75,6 +119,10 @@ let of_string text =
         if List.length in_names <> arity then
           parse_error line "%s %s: %d fanins, but %s has arity %d" cell_name
             out_name (List.length in_names) cell_name arity;
+        let configs = Cell.Gate.config_count cell in
+        if config < 0 || config >= configs then
+          parse_error line "%s %s: configuration %d out of range (%s has %d)"
+            cell_name out_name config cell_name configs;
         pending := { line; cell; out_name; in_names; config } :: !pending
     | _ -> parse_error line "expected: gate <cell> <out> = <in...> [k]"
   in
@@ -83,49 +131,14 @@ let of_string text =
       match words with
       | "circuit" :: [ n ] -> name := n
       | "circuit" :: _ -> parse_error line "expected: circuit <name>"
-      | "input" :: names when names <> [] ->
-          List.iter (fun n -> inputs := (line, n) :: !inputs) names
-      | "output" :: names when names <> [] ->
-          List.iter (fun n -> outputs := n :: !outputs) names
+      | "input" :: names when names <> [] -> add_names line names inputs
+      | "output" :: names when names <> [] -> add_names line names outputs
       | "gate" :: rest -> parse_gate line rest
       | keyword :: _ -> parse_error line "unknown directive %S" keyword
       | [] -> ())
     (significant_lines text);
-  (* Assign net ids: primary inputs first, then gate outputs in file
-     order; fanins may reference either. *)
-  let ids = Hashtbl.create 64 in
-  let names = ref [] in
-  let next = ref 0 in
-  let declare line what n =
-    if Hashtbl.mem ids n then parse_error line "net %S declared twice (%s)" n what;
-    Hashtbl.add ids n !next;
-    names := n :: !names;
-    incr next
-  in
-  List.iter (fun (line, n) -> declare line "input" n) (List.rev !inputs);
-  let pending = List.rev !pending in
-  List.iter (fun pg -> declare pg.line "gate output" pg.out_name) pending;
-  let resolve line n =
-    match Hashtbl.find_opt ids n with
-    | Some id -> id
-    | None -> parse_error line "undeclared net %S" n
-  in
-  let gates =
-    List.map
-      (fun pg ->
-        {
-          Circuit.cell = pg.cell;
-          config = pg.config;
-          fanins = Array.of_list (List.map (resolve pg.line) pg.in_names);
-          output = resolve pg.line pg.out_name;
-        })
-      pending
-  in
-  Circuit.create ~name:!name
-    ~net_names:(Array.of_list (List.rev !names))
-    ~primary_inputs:(List.map (fun (line, n) -> resolve line n) (List.rev !inputs))
-    ~primary_outputs:(List.map (resolve 0) (List.rev !outputs))
-    ~gates
+  assemble ~name:!name ~inputs:(List.rev !inputs) ~outputs:(List.rev !outputs)
+    (List.rev !pending)
 
 (* --- BLIF subset --- *)
 
@@ -171,8 +184,8 @@ let of_blif text =
         match words with
         | ".model" :: [ n ] -> name := n
         | ".model" :: _ -> parse_error line "expected: .model <name>"
-        | ".inputs" :: names -> inputs := !inputs @ names
-        | ".outputs" :: names -> outputs := !outputs @ names
+        | ".inputs" :: names -> add_names line names inputs
+        | ".outputs" :: names -> add_names line names outputs
         | ".end" :: _ -> seen_end := true
         | ".names" :: _ ->
             parse_error line ".names is not supported: map the circuit onto the gate library first"
@@ -219,18 +232,8 @@ let of_blif text =
             parse_error line "unsupported BLIF directive %S" w
         | _ -> parse_error line "unexpected tokens outside a directive")
     (significant_lines text);
-  (* Reuse the native assembler by rendering to the native format. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("circuit " ^ !name ^ "\n");
-  List.iter (fun n -> Buffer.add_string buf ("input " ^ n ^ "\n")) !inputs;
-  List.iter
-    (fun pg ->
-      Buffer.add_string buf
-        (Printf.sprintf "gate %s %s = %s\n" (Cell.Gate.name pg.cell) pg.out_name
-           (String.concat " " pg.in_names)))
-    (List.rev !pending);
-  List.iter (fun n -> Buffer.add_string buf ("output " ^ n ^ "\n")) !outputs;
-  of_string (Buffer.contents buf)
+  assemble ~name:!name ~inputs:(List.rev !inputs) ~outputs:(List.rev !outputs)
+    (List.rev !pending)
 
 let save c path =
   let oc = open_out path in

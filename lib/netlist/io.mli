@@ -23,13 +23,15 @@ exception Parse_error of { line : int; message : string }
 
 val to_string : Circuit.t -> string
 val of_string : string -> Circuit.t
-(** Hazards caught at parse time — duplicate net declarations (an
-    [input] or gate output reusing a name) and fanin lists that do not
-    match the cell's arity — raise {!Parse_error} carrying the 1-based
-    source line.
+(** Every error a line shows raises {!Parse_error} with that 1-based
+    source line: an unknown cell or directive, a malformed line, a
+    fanin list that does not match the cell's arity, a configuration
+    index out of the cell's range, a net declared twice (an [input] or
+    gate output reusing a name), or a reference to a net nothing
+    declares.
     @raise Parse_error on malformed input;
-    @raise Circuit.Invalid on structural violations the parser cannot
-    see (cycles, config index out of range, ...). *)
+    @raise Circuit.Invalid on the one structural violation no single
+    line shows, a combinational cycle. *)
 
 val of_blif : string -> Circuit.t
 (** @raise Parse_error / @raise Circuit.Invalid as {!of_string}. *)

@@ -3,9 +3,6 @@
    like-for-like series, and run a deterministic changepoint detector.
    See history.mli for the model. *)
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.17g" x else "0"
-let esc = Trace.Json.escape
-
 let read_file path =
   try
     let ic = open_in_bin path in
@@ -607,30 +604,31 @@ let render ?(top = 10) report =
 let json_of_trend t =
   Printf.sprintf
     "{\"n\":%d,\"first\":%s,\"last\":%s,\"min\":%s,\"max\":%s,\"mean\":%s,\"rate\":%s,\"ewma\":%s}"
-    t.t_n (json_float t.t_first) (json_float t.t_last)
-    (json_float t.t_min) (json_float t.t_max) (json_float t.t_mean)
-    (json_float t.t_rate) (json_float t.t_ewma)
+    t.t_n (Obs.json_float t.t_first) (Obs.json_float t.t_last)
+    (Obs.json_float t.t_min) (Obs.json_float t.t_max) (Obs.json_float t.t_mean)
+    (Obs.json_float t.t_rate) (Obs.json_float t.t_ewma)
 
 let json_of_argv argv =
-  "[" ^ String.concat "," (List.map esc argv) ^ "]"
+  "[" ^ String.concat "," (List.map Obs.json_string argv) ^ "]"
 
 let json_of_point p =
   Printf.sprintf "{\"run\":%s,\"t\":%s,\"v\":%s,\"source\":%s,\"argv\":%s}"
-    (esc p.p_run) (json_float p.p_time) (json_float p.p_value)
-    (esc p.p_source) (json_of_argv p.p_argv)
+    (Obs.json_string p.p_run) (Obs.json_float p.p_time)
+    (Obs.json_float p.p_value) (Obs.json_string p.p_source)
+    (json_of_argv p.p_argv)
 
 let json_of_shift points sh =
   let run = points.(sh.sh_index).p_run in
   Printf.sprintf
     "{\"index\":%d,\"run\":%s,\"before\":%s,\"after\":%s,\"score\":%s,\"direction\":%s}"
-    sh.sh_index (esc run) (json_float sh.sh_before)
-    (json_float sh.sh_after) (json_float sh.sh_score)
-    (esc (direction_name sh.sh_direction))
+    sh.sh_index (Obs.json_string run) (Obs.json_float sh.sh_before)
+    (Obs.json_float sh.sh_after) (Obs.json_float sh.sh_score)
+    (Obs.json_string (direction_name sh.sh_direction))
 
 let json_of_series s =
   Printf.sprintf
     "{\"metric\":%s,\"trend\":%s,\"points\":[%s],\"shifts\":[%s]}"
-    (esc s.se_metric)
+    (Obs.json_string s.se_metric)
     (json_of_trend s.se_trend)
     (String.concat ","
        (Array.to_list (Array.map json_of_point s.se_points)))
@@ -644,16 +642,16 @@ let json_of_group g =
   in
   Printf.sprintf
     "{\"label\":%s,\"fingerprint\":%s,\"circuit\":%s,\"runs\":%d,\"series\":[%s]}"
-    (esc g.g_label) (esc g.g_fingerprint)
-    (match g.g_circuit with Some c -> esc c | None -> "null")
+    (Obs.json_string g.g_label) (Obs.json_string g.g_fingerprint)
+    (match g.g_circuit with Some c -> Obs.json_string c | None -> "null")
     runs
     (String.concat "," (List.map json_of_series g.g_series))
 
 let to_json report =
   Printf.sprintf
     "{\"history_version\":1,\"threshold\":%s,\"metrics\":[%s],\"groups\":[%s]}"
-    (json_float report.threshold)
-    (String.concat "," (List.map esc report.requested))
+    (Obs.json_float report.threshold)
+    (String.concat "," (List.map Obs.json_string report.requested))
     (String.concat "," (List.map json_of_group report.groups))
 
 let to_ndjson report =
@@ -667,9 +665,11 @@ let to_ndjson report =
               Buffer.add_string b
                 (Printf.sprintf
                    "{\"kind\":\"point\",\"group\":%s,\"fingerprint\":%s,\"metric\":%s,\"run\":%s,\"t\":%s,\"v\":%s}\n"
-                   (esc g.g_label) (esc g.g_fingerprint) (esc s.se_metric)
-                   (esc p.p_run) (json_float p.p_time)
-                   (json_float p.p_value)))
+                   (Obs.json_string g.g_label)
+                   (Obs.json_string g.g_fingerprint)
+                   (Obs.json_string s.se_metric)
+                   (Obs.json_string p.p_run) (Obs.json_float p.p_time)
+                   (Obs.json_float p.p_value)))
             s.se_points;
           List.iter
             (fun sh ->
@@ -677,10 +677,13 @@ let to_ndjson report =
               Buffer.add_string b
                 (Printf.sprintf
                    "{\"kind\":\"shift\",\"group\":%s,\"fingerprint\":%s,\"metric\":%s,\"index\":%d,\"run\":%s,\"before\":%s,\"after\":%s,\"score\":%s,\"direction\":%s}\n"
-                   (esc g.g_label) (esc g.g_fingerprint) (esc s.se_metric)
-                   sh.sh_index (esc run) (json_float sh.sh_before)
-                   (json_float sh.sh_after) (json_float sh.sh_score)
-                   (esc (direction_name sh.sh_direction))))
+                   (Obs.json_string g.g_label)
+                   (Obs.json_string g.g_fingerprint)
+                   (Obs.json_string s.se_metric)
+                   sh.sh_index (Obs.json_string run)
+                   (Obs.json_float sh.sh_before)
+                   (Obs.json_float sh.sh_after) (Obs.json_float sh.sh_score)
+                   (Obs.json_string (direction_name sh.sh_direction))))
             s.se_shifts)
         g.g_series)
     report.groups;

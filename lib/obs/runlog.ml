@@ -103,11 +103,6 @@ let read_file path =
 
 let sha256_file path = Result.map sha256_hex (read_file path)
 
-(* --- JSON writing helpers --- *)
-
-let json_float x = if Float.is_finite x then Printf.sprintf "%.17g" x else "0"
-let esc = Trace.Json.escape
-
 (* --- pending records --- *)
 
 type pending = {
@@ -174,34 +169,36 @@ let manifest_json p ~finished =
   Buffer.add_string b
     (Printf.sprintf
        "{\"runlog_version\":1,\"tool\":\"treorder\",\"tool_version\":%s,\"subcommand\":%s"
-       (esc p.p_tool_version) (esc p.p_subcommand));
+       (Obs.json_string p.p_tool_version) (Obs.json_string p.p_subcommand));
   Buffer.add_string b ",\"argv\":[";
   List.iteri
     (fun i a ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (esc a))
+      Buffer.add_string b (Obs.json_string a))
     p.p_argv;
   Buffer.add_string b "],\"inputs\":[";
   List.iteri
     (fun i (path, sha) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"path\":%s,\"sha256\":%s}" (esc path) (esc sha)))
+        (Printf.sprintf "{\"path\":%s,\"sha256\":%s}" (Obs.json_string path)
+           (Obs.json_string sha)))
     (List.rev p.p_inputs);
   Buffer.add_string b "],\"params\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%s:%s" (esc k) (esc v)))
+      Buffer.add_string b
+        (Printf.sprintf "%s:%s" (Obs.json_string k) (Obs.json_string v)))
     (List.sort compare p.p_params);
   Buffer.add_string b
     (Printf.sprintf "},\"started\":%s,\"finished\":%s"
-       (json_float p.p_started) (json_float finished));
+       (Obs.json_float p.p_started) (Obs.json_float finished));
   Buffer.add_string b ",\"attachments\":[";
   List.iteri
     (fun i name ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (esc name))
+      Buffer.add_string b (Obs.json_string name))
     (List.sort compare (List.map fst p.p_attachments));
   Buffer.add_string b "]}";
   Buffer.contents b

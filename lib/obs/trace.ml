@@ -164,24 +164,6 @@ module Json = struct
 
   let to_float = function Num x -> Some x | _ -> None
   let to_string = function Str s -> Some s | _ -> None
-
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
 end
 
 (* --- events --- *)
@@ -415,14 +397,14 @@ let to_chrome events =
       match ev with
       | Span_begin { name; t; dom; _ } ->
           emit "{\"name\":%s,\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-            (Json.escape name) (us t) (dom + 1)
+            (Obs.json_string name) (us t) (dom + 1)
       | Span_end { name; t; dom; _ } ->
           emit "{\"name\":%s,\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-            (Json.escape name) (us t) (dom + 1)
+            (Obs.json_string name) (us t) (dom + 1)
       | Counter { name; t; value; dom } ->
           emit
             "{\"name\":%s,\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"value\":%d}}"
-            (Json.escape name) (us t) (dom + 1) value
+            (Obs.json_string name) (us t) (dom + 1) value
       | Heartbeat { t; percent; dom; _ } ->
           emit
             "{\"name\":\"progress.percent\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"value\":%.3f}}"

@@ -32,9 +32,6 @@ module Json : sig
 
   val to_float : t -> float option
   val to_string : t -> string option
-
-  val escape : string -> string
-  (** [escape s] is the JSON string literal for [s], quotes included. *)
 end
 
 (** {1 Events} *)

@@ -9,26 +9,13 @@ type breakdown = {
 
 let d_gate_power = Obs.distribution "power.gate_power_uw"
 
-let default_external_load = 20e-15
-
-let output_load table ?(external_load = default_external_load) circuit g =
-  let gate = C.gate_at circuit g in
-  let fanout_pins = C.readers circuit gate.C.output in
-  let pins =
-    List.fold_left
-      (fun acc (reader, pin) ->
-        let cell = (C.gate_at circuit reader).C.cell in
-        acc +. Model.input_pin_capacitance table cell pin)
-      0. fanout_pins
-  in
-  if C.is_primary_output circuit gate.C.output then pins +. external_load
-  else pins
-
 let gate table ?external_load circuit analysis g ~config =
   let gate = C.gate_at circuit g in
   let input_stats = Analysis.gate_input_stats analysis circuit g in
   let groups = Model.groups_of_nets gate.C.fanins in
-  let load = output_load table ?external_load circuit g in
+  let load =
+    Netlist.Load.output (Model.process table) ?external_load circuit g
+  in
   Model.gate_power table gate.C.cell ~config ~input_stats ~groups ~load ()
 
 let circuit table ?external_load circuit_ analysis =

@@ -2,7 +2,9 @@
 
     The power of the circuit is the sum of the powers of its gates
     (§4.2), each evaluated with its currently selected configuration and
-    the fan-out load actually present on its output net. *)
+    the load actually present on its output net, {!Netlist.Load.output}
+    with [external_load] (default {!Netlist.Load.default_external}) on
+    primary outputs. *)
 
 type breakdown = {
   per_gate : float array;  (** W, indexed by gate *)
@@ -10,12 +12,6 @@ type breakdown = {
   output : float;  (** W on output nodes, whole circuit *)
   total : float;
 }
-
-val output_load :
-  Model.table -> ?external_load:float -> Netlist.Circuit.t -> int -> float
-(** Capacitive load on gate [g]'s output net beyond its own diffusion:
-    the gate-input capacitance of every fan-out pin, plus
-    [external_load] (default 20 fF) if the net is a primary output. *)
 
 val circuit : Model.table -> ?external_load:float -> Netlist.Circuit.t -> Analysis.t -> breakdown
 (** Power of the whole circuit with its current per-gate configurations. *)

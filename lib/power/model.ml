@@ -44,20 +44,18 @@ type gate_power = {
   total : float;
 }
 
-(* Per cell: its input-pin capacitances and, per configuration, the
-   programs compiled so far, one per pin-groups pattern. *)
-type cell_entry = { pin_caps : float array; programs : program list array }
-
 (* A configuration's H and G path functions before any pin tying: the
    Fig. 2(b) path search, done once per table. *)
 type raw = { shape : shape; h : Bdd.t array; g : Bdd.t array }
 
-(* [cells] is replaced, never mutated, so readers on any domain need no
-   lock. [lock] serializes every writer of [cells] and guards [bdd] and
-   [raw]: BDDs never leave the table that built them. *)
+(* Per cell, per configuration: the programs compiled so far, one per
+   pin-groups pattern. [cells] is replaced, never mutated, so readers on
+   any domain need no lock. [lock] serializes every writer of [cells]
+   and guards [bdd] and [raw]: BDDs never leave the table that built
+   them. *)
 type table = {
   proc : Cell.Process.t;
-  cells : cell_entry Smap.t Atomic.t;
+  cells : program list array Smap.t Atomic.t;
   lock : Mutex.t;
   bdd : Bdd.manager;
   raw : (string, raw Lazy.t array) Hashtbl.t;  (* per cell, per config *)
@@ -166,25 +164,6 @@ let compile t cell config groups =
     shape = raw.shape;
   }
 
-let new_entry t cell =
-  let network = Cell.Config.network (Cell.Config.reference cell) in
-  {
-    pin_caps =
-      Array.init (Cell.Gate.arity cell)
-        (Cell.Process.input_pin_capacitance t.proc network);
-    programs = Array.make (Cell.Gate.config_count cell) [];
-  }
-
-let entry_locked t cell =
-  let name = Cell.Gate.name cell in
-  let cells = Atomic.get t.cells in
-  match Smap.find name cells with
-  | e -> e
-  | exception Not_found ->
-      let e = new_entry t cell in
-      Atomic.set t.cells (Smap.add name e cells);
-      e
-
 (* --- Lookup (lock-free, allocation-free) --- *)
 
 let rec same_groups (a : int array) b i =
@@ -196,12 +175,7 @@ let rec find_groups groups = function
 
 let find t cell config groups =
   find_groups groups
-    (Smap.find (Cell.Gate.name cell) (Atomic.get t.cells)).programs.(config)
-
-let entry t cell =
-  match Smap.find (Cell.Gate.name cell) (Atomic.get t.cells) with
-  | e -> e
-  | exception Not_found -> Mutex.protect t.lock (fun () -> entry_locked t cell)
+    (Smap.find (Cell.Gate.name cell) (Atomic.get t.cells)).(config)
 
 (* Every lookup counts once: a hit when a program is found, before or
    after taking the lock, a build otherwise. So the counts depend on
@@ -215,11 +189,14 @@ let build t cell config groups =
   | exception Not_found ->
       Obs.incr c_model_build;
       let p = compile t cell config groups in
-      let e = entry_locked t cell in
-      let programs = Array.copy e.programs in
+      let name = Cell.Gate.name cell and cells = Atomic.get t.cells in
+      let programs =
+        match Smap.find_opt name cells with
+        | Some programs -> Array.copy programs
+        | None -> Array.make (Cell.Gate.config_count cell) []
+      in
       programs.(config) <- p :: programs.(config);
-      Atomic.set t.cells
-        (Smap.add (Cell.Gate.name cell) { e with programs } (Atomic.get t.cells));
+      Atomic.set t.cells (Smap.add name programs cells);
       p
 
 let program t cell config groups =
@@ -377,9 +354,3 @@ let output_stats t cell ~input_stats ?groups () =
 let output_density_contributions t cell ~input_stats ?groups () =
   let p, slots = output_slots t cell ~input_stats groups in
   Array.mapi (fun i s -> s.Stats.density *. slots.(root p (1 + i))) input_stats
-
-let input_pin_capacitance t cell pin =
-  let caps = (entry t cell).pin_caps in
-  if pin < 0 || pin >= Array.length caps then
-    invalid_arg "Power.Model.input_pin_capacitance: pin out of range";
-  caps.(pin)

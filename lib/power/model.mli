@@ -23,7 +23,9 @@
     cheap (§4.1). *)
 
 type table
-(** Compiled models for one process, shared by every domain.
+(** Compiled models for one process, shared by every domain. The table
+    holds programs only: a gate's output load is circuit data, which
+    {!Netlist.Load.output} defines for every consumer.
 
     Lookups take no lock and allocate nothing: programs sit in an
     immutable map behind an [Atomic.t]. A missing key is compiled under
@@ -76,7 +78,8 @@ val gate_power :
   unit ->
   gate_power
 (** [load] is the capacitance hanging on the output net beyond the
-    gate's own diffusion and wire (fan-out pins, external load).
+    gate's own diffusion and wire: in a circuit, {!Netlist.Load.output}.
+    The output node is charged [own +. load].
     [groups] (default: all pins distinct) identifies pins tied to one
     net, per {!groups_of_nets}; tied pins must carry identical
     [input_stats].
@@ -119,7 +122,3 @@ val output_density_contributions :
     the output activity (used by the ripple-carry analysis, E5). Tied
     pins report their joint contribution on the representative pin and 0
     on the others. *)
-
-val input_pin_capacitance : table -> Cell.Gate.t -> int -> float
-(** Load presented by pin [i] of the gate (independent of
-    configuration). *)

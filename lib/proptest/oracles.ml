@@ -208,7 +208,7 @@ let reference_configs objective c ~inputs =
   List.iter
     (fun g ->
       let gate = C.gate_at c g in
-      let load = Power.Estimate.output_load (power ()) c g in
+      let load = Netlist.Load.output proc c g in
       let cost config =
         match objective with
         | Reorder.Optimizer.Min_delay ->
@@ -893,7 +893,6 @@ let check_history_consistency ~seed c =
   (* bit-exactness fodder: non-terminating binary expansions *)
   let value i = (float_of_int (i + 1) /. 3.) +. (float_of_int seed /. 7.) in
   let step i = if i >= split then 7500. else 5000. in
-  let esc = Trace.Json.escape in
   let write_text path text =
     let oc = open_out_bin path in
     Fun.protect
@@ -906,13 +905,14 @@ let check_history_consistency ~seed c =
     write_text
       (Filename.concat run_dir "snapshot.json")
       (Printf.sprintf
-         "{\"counters\":{\"oracle.step\":%.17g,\"oracle.value\":%.17g},\"distributions\":{},\"spans\":{},\"gc\":{}}"
-         (step i) (value i));
+         "{\"counters\":{\"oracle.step\":%s,\"oracle.value\":%s},\"distributions\":{},\"spans\":{},\"gc\":{}}"
+         (Obs.json_float (step i))
+         (Obs.json_float (value i)));
     write_text
       (Filename.concat run_dir "manifest.json")
       (Printf.sprintf
          "{\"runlog_version\":1,\"tool\":\"treorder\",\"tool_version\":\"oracle\",\"subcommand\":\"optimize\",\"argv\":[\"optimize\",%s],\"inputs\":[],\"params\":{\"circuit\":%s,\"seed\":\"42\"},\"started\":%d,\"finished\":%d.25,\"attachments\":[]}"
-         (esc name) (esc name)
+         (Obs.json_string name) (Obs.json_string name)
          (1700000000 + i)
          (1700000000 + i))
   in
@@ -1107,43 +1107,41 @@ let check_incremental_equivalence ~seed c =
         fail "%s: gate %d: session chose config %d, cold %d" label !g
           rep.O.configs.(!g) cold.O.configs.(!g)
     in
-    match I.ledger sess with
-    | None -> fail "%s: session lost its ledger" label
-    | Some l ->
-        let lc =
-          Attrib.of_report (power ()) ~external_load:el ~before:edited ~inputs
-            cold
-        in
-        let* () =
-          if
-            l.Attrib.total_before = lc.Attrib.total_before
-            && l.Attrib.total_after = lc.Attrib.total_after
-          then Pass
-          else
-            fail "%s: ledger totals: session %.17g/%.17g W, cold %.17g/%.17g W"
-              label l.Attrib.total_before l.Attrib.total_after
-              lc.Attrib.total_before lc.Attrib.total_after
-        in
-        let rec per_gate i =
-          if i >= Array.length l.Attrib.gates then Pass
-          else
-            let a = l.Attrib.gates.(i) and b = lc.Attrib.gates.(i) in
-            if
-              a.Attrib.config_before = b.Attrib.config_before
-              && a.Attrib.config_after = b.Attrib.config_after
-              && a.Attrib.before_total = b.Attrib.before_total
-              && a.Attrib.after_total = b.Attrib.after_total
-            then per_gate (i + 1)
-            else
-              fail
-                "%s: ledger gate %d: session %d->%d %.17g/%.17g W, cold \
-                 %d->%d %.17g/%.17g W"
-                label i a.Attrib.config_before a.Attrib.config_after
-                a.Attrib.before_total a.Attrib.after_total
-                b.Attrib.config_before b.Attrib.config_after
-                b.Attrib.before_total b.Attrib.after_total
-        in
-        per_gate 0
+    let l = I.ledger sess in
+    let lc =
+      Attrib.of_report (power ()) ~external_load:el ~before:edited ~inputs
+        cold
+    in
+    let* () =
+      if
+        l.Attrib.total_before = lc.Attrib.total_before
+        && l.Attrib.total_after = lc.Attrib.total_after
+      then Pass
+      else
+        fail "%s: ledger totals: session %.17g/%.17g W, cold %.17g/%.17g W"
+          label l.Attrib.total_before l.Attrib.total_after
+          lc.Attrib.total_before lc.Attrib.total_after
+    in
+    let rec per_gate i =
+      if i >= Array.length l.Attrib.gates then Pass
+      else
+        let a = l.Attrib.gates.(i) and b = lc.Attrib.gates.(i) in
+        if
+          a.Attrib.config_before = b.Attrib.config_before
+          && a.Attrib.config_after = b.Attrib.config_after
+          && a.Attrib.before_total = b.Attrib.before_total
+          && a.Attrib.after_total = b.Attrib.after_total
+        then per_gate (i + 1)
+        else
+          fail
+            "%s: ledger gate %d: session %d->%d %.17g/%.17g W, cold \
+             %d->%d %.17g/%.17g W"
+            label i a.Attrib.config_before a.Attrib.config_after
+            a.Attrib.before_total a.Attrib.after_total
+            b.Attrib.config_before b.Attrib.config_after
+            b.Attrib.before_total b.Attrib.after_total
+    in
+    per_gate 0
   in
   let pool = Lazy.force det_pool in
   let make ?memoize ?pool () =

@@ -59,15 +59,8 @@ let local_of_node = function
   | Sp.Network.Output -> out_node
   | Sp.Network.Internal i -> 3 + i
 
-let default_external_load = 20e-15
-
-let build proc ?(external_load = default_external_load) circ =
-  let pin_cap cell pin =
-    let network = Cell.Config.network (Cell.Config.reference cell) in
-    Cell.Process.input_pin_capacitance proc network pin
-  in
+let build proc ?external_load circ =
   let build_gate g (gate : C.gate) =
-    ignore g;
     let configs = Cell.Config.all gate.C.cell in
     let config = List.nth configs gate.C.config in
     let network = Cell.Config.network config in
@@ -90,18 +83,8 @@ let build proc ?(external_load = default_external_load) circ =
         caps.(local_of_node node) <-
           Cell.Process.node_capacitance proc network node)
       (Sp.Network.power_nodes network);
-    (* Fan-out load on the output node, mirroring the estimator. *)
-    let fanout_load =
-      List.fold_left
-        (fun acc (reader, pin) ->
-          acc +. pin_cap (C.gate_at circ reader).C.cell pin)
-        0.
-        (C.readers circ gate.C.output)
-    in
-    let external_part =
-      if C.is_primary_output circ gate.C.output then external_load else 0.
-    in
-    caps.(out_node) <- caps.(out_node) +. fanout_load +. external_part;
+    caps.(out_node) <-
+      caps.(out_node) +. Netlist.Load.output proc ?external_load circ g;
     let adjacency = Array.make n_nodes [] in
     Array.iteri
       (fun i d ->

@@ -20,9 +20,12 @@ type t
 
 val build :
   Cell.Process.t -> ?external_load:float -> Netlist.Circuit.t -> t
-(** Node capacitances follow the same model as the power estimator:
-    junction + wire per node, fan-out pins + [external_load] (default
-    20 fF) on output nets. *)
+(** Node capacitances are the power model's: junction + wire per node
+    ({!Cell.Process.node_capacitance}), and on each gate's output node
+    that [own] capacitance plus its load, [own +.]
+    {!Netlist.Load.output} with [external_load] (default
+    {!Netlist.Load.default_external}) on primary outputs — the same
+    floats [Power.Model] charges. *)
 
 val circuit : t -> Netlist.Circuit.t
 

@@ -186,10 +186,34 @@ let test_node_capacitance () =
 
 let test_input_pin_capacitance () =
   let p = Cell.Process.default in
-  let g = C.network (C.reference (G.of_name "nand2")) in
   (* Each input drives one NMOS and one PMOS. *)
   Alcotest.(check (float 1e-20)) "pin cap" (2. *. 10e-15)
-    (Cell.Process.input_pin_capacitance p g 0)
+    (Cell.Process.input_pin_capacitance p (G.of_name "nand2") 0);
+  (* The precomputed count is the devices the pin drives in every
+     configuration's transistor graph, and the capacitance is the float
+     counting them gives. *)
+  List.iter
+    (fun g ->
+      for pin = 0 to G.arity g - 1 do
+        let name = Printf.sprintf "%s pin %d" (G.name g) pin in
+        List.iter
+          (fun config ->
+            let driven =
+              List.length
+                (List.filter
+                   (fun (d : Sp.Network.device) -> d.input = pin)
+                   (Sp.Network.devices (C.network config)))
+            in
+            Alcotest.(check int) name driven (G.pin_devices g pin))
+          (C.all g);
+        Alcotest.(check (float 0.)) name
+          (float_of_int (G.pin_devices g pin) *. p.Cell.Process.c_gate)
+          (Cell.Process.input_pin_capacitance p g pin)
+      done;
+      Alcotest.check_raises "pin out of range"
+        (Invalid_argument "Gate.pin_devices: no such pin") (fun () ->
+          ignore (Cell.Process.input_pin_capacitance p g (G.arity g))))
+    G.library
 
 let test_capacitance_invariant_total () =
   (* Reordering moves diffusion between internal nodes and the supply

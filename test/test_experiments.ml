@@ -197,6 +197,35 @@ let test_glitch_rows () =
         (mult.Experiments.Glitch.timed_reduction_percent > 0.)
   | _ -> Alcotest.fail "expected two rows"
 
+(* --- reproduction pins --- *)
+
+(* The model-side headline numbers EXPERIMENTS.md records, over the full
+   suite, exactly at the precision the reports print. Table 3 runs with
+   a 1 ns simulation window: its S column is not pinned here, and its M
+   column does not depend on the simulator. *)
+let test_reproduction_pins () =
+  let pin what expected v =
+    Alcotest.(check string) what expected (Report.Table.cell_percent v)
+  and signed what expected v =
+    Alcotest.(check string) what expected (Report.Table.cell_signed_percent v)
+  in
+  let mean f rows = Report.Stats.mean (List.map f rows) in
+  let table3 s = Experiments.Table3.run ctx ~sim_horizon:1e-9 s in
+  pin "E4 avg M, scenario A" "10.6"
+    (table3 Power.Scenario.A).Experiments.Table3.avg_model;
+  pin "E4 avg M, scenario B" "5.3"
+    (table3 Power.Scenario.B).Experiments.Table3.avg_model;
+  let bounded = Experiments.Ablations.delay_bounded ctx Power.Scenario.A in
+  pin "E6 bounded reduction" "10.4"
+    (mean (fun r -> r.Experiments.Ablations.bounded_percent) bounded);
+  signed "E6 bounded delay" "-0.8"
+    (mean (fun r -> r.Experiments.Ablations.bounded_delay_percent) bounded);
+  let input = Experiments.Ablations.input_reordering ctx Power.Scenario.A in
+  pin "E7 full reordering" "5.3"
+    (mean (fun r -> r.Experiments.Ablations.full_percent) input);
+  pin "E7 input reordering only" "4.9"
+    (mean (fun r -> r.Experiments.Ablations.input_only_percent) input)
+
 (* --- rendering smoke --- *)
 
 let test_all_renders_nonempty () =
@@ -243,6 +272,8 @@ let () =
           Alcotest.test_case "model accuracy" `Slow test_model_accuracy;
           Alcotest.test_case "glitch" `Slow test_glitch_rows;
         ] );
+      ( "E4-E7",
+        [ Alcotest.test_case "model-side pins" `Quick test_reproduction_pins ] );
       ( "rendering",
         [ Alcotest.test_case "all render" `Quick test_all_renders_nonempty ] );
     ]

@@ -53,35 +53,33 @@ let check_equivalent name (sess : I.t) cold_circuit tbl =
   check_float (name ^ ": power_before") cold.O.power_before rep.O.power_before;
   check_float (name ^ ": power_after") cold.O.power_after rep.O.power_after;
   Alcotest.(check (array int)) (name ^ ": configs") cold.O.configs rep.O.configs;
-  (match I.ledger sess with
-  | None -> ()
-  | Some patched ->
-      let cold_ledger =
-        Attrib.of_report pt ~external_load:(I.external_load sess)
-          ~before:cold_circuit ~inputs:(inputs_of tbl) cold
-      in
+  let patched = I.ledger sess in
+  let cold_ledger =
+    Attrib.of_report pt ~external_load:(I.external_load sess)
+      ~before:cold_circuit ~inputs:(inputs_of tbl) cold
+  in
+  check_float
+    (name ^ ": ledger total_before")
+    cold_ledger.Attrib.total_before patched.Attrib.total_before;
+  check_float
+    (name ^ ": ledger total_after")
+    cold_ledger.Attrib.total_after patched.Attrib.total_after;
+  Array.iteri
+    (fun g (e : Attrib.gate_entry) ->
+      let p = patched.Attrib.gates.(g) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: gate %d config_after" name g)
+        e.Attrib.config_after p.Attrib.config_after;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: gate %d config_before" name g)
+        e.Attrib.config_before p.Attrib.config_before;
       check_float
-        (name ^ ": ledger total_before")
-        cold_ledger.Attrib.total_before patched.Attrib.total_before;
+        (Printf.sprintf "%s: gate %d after_total" name g)
+        e.Attrib.after_total p.Attrib.after_total;
       check_float
-        (name ^ ": ledger total_after")
-        cold_ledger.Attrib.total_after patched.Attrib.total_after;
-      Array.iteri
-        (fun g (e : Attrib.gate_entry) ->
-          let p = patched.Attrib.gates.(g) in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: gate %d config_after" name g)
-            e.Attrib.config_after p.Attrib.config_after;
-          Alcotest.(check int)
-            (Printf.sprintf "%s: gate %d config_before" name g)
-            e.Attrib.config_before p.Attrib.config_before;
-          check_float
-            (Printf.sprintf "%s: gate %d after_total" name g)
-            e.Attrib.after_total p.Attrib.after_total;
-          check_float
-            (Printf.sprintf "%s: gate %d before_total" name g)
-            e.Attrib.before_total p.Attrib.before_total)
-        cold_ledger.Attrib.gates)
+        (Printf.sprintf "%s: gate %d before_total" name g)
+        e.Attrib.before_total p.Attrib.before_total)
+    cold_ledger.Attrib.gates
 
 let test_stats_edit_equivalence () =
   let pt = power_table () and dt = delay_table () in
@@ -300,7 +298,7 @@ let observed sess =
     Printf.sprintf "%h %h %d %d" rep.O.power_before rep.O.power_after
       rep.O.gates_changed rep.O.configurations_explored,
     Netlist.Io.to_string (I.circuit sess),
-    Option.map Attrib.to_json (I.ledger sess) )
+    Attrib.to_json (I.ledger sess) )
 
 let check_observed name expected actual =
   let configs, report, circuit, ledger = expected
@@ -308,7 +306,7 @@ let check_observed name expected actual =
   Alcotest.(check (array int)) (name ^ ": configs") configs configs';
   Alcotest.(check string) (name ^ ": report") report report';
   Alcotest.(check string) (name ^ ": circuit") circuit circuit';
-  Alcotest.(check (option string)) (name ^ ": ledger") ledger ledger'
+  Alcotest.(check string) (name ^ ": ledger") ledger ledger'
 
 let test_edit_validation () =
   let pt = power_table () and dt = delay_table () in
@@ -380,17 +378,17 @@ let test_snapshots_survive_applies () =
   let tbl = stats_table circuit ~seed:19 in
   let sess = I.create pt ~delay:dt circuit ~inputs:(inputs_of tbl) in
   let rep = I.report sess and settled = I.circuit sess in
-  let ledger = Option.get (I.ledger sess) in
+  let ledger = I.ledger sess in
   Alcotest.(check bool) "a second read shares the report" true
     (I.report sess == rep);
   Alcotest.(check bool) "and the ledger" true
-    (Option.get (I.ledger sess) == ledger);
+    (I.ledger sess == ledger);
   let held () =
     ( Array.copy rep.O.configs,
       Printf.sprintf "%h %h %d %d" rep.O.power_before rep.O.power_after
         rep.O.gates_changed rep.O.configurations_explored,
       Netlist.Io.to_string settled,
-      Some (Attrib.to_json ledger) )
+      Attrib.to_json ledger )
   in
   let expected = held () in
   Alcotest.(check bool) "held values are the session's" true

@@ -231,6 +231,36 @@ let test_result_accounting () =
   Alcotest.(check bool) "measured_stats is well-formed" true
     (S.prob s >= 0. && S.prob s <= 1. && S.density s >= 0.)
 
+(* A primary output that is also read inside the circuit books its
+   rises at the capacitance the power model charges: own + load, not
+   (own + fan-out) + external, which rounds differently here. *)
+let test_output_capacitance () =
+  let b = Netlist.Builder.create ~name:"po_fanout" in
+  let x = Netlist.Builder.input b "x" in
+  let y = Netlist.Builder.inv b ~name:"y" x in
+  let z = Netlist.Builder.inv b ~name:"z" y in
+  Netlist.Builder.output b y;
+  Netlist.Builder.output b z;
+  let circuit = Netlist.Builder.finish b in
+  let g =
+    match C.driver circuit y with C.Driven_by g -> g | C.Primary_input -> -1
+  in
+  let model =
+    Power.Model.gate_power (Lazy.force table) (C.gate_at circuit g).C.cell
+      ~config:0
+      ~input_stats:[| S.make ~prob:0.5 ~density:1. |]
+      ~load:(Netlist.Load.output proc circuit g) ()
+  in
+  let cap = (List.hd model.Power.Model.nodes).Power.Model.capacitance in
+  let r = estimate ~samples:16384 ~seed:4 circuit in
+  let vdd = proc.Cell.Process.vdd in
+  Alcotest.(check bool) "y rises" true (r.Mc.net_rises.(y) > 0);
+  Alcotest.(check (float 0.)) "rises x C Vdd^2 at the model's C"
+    (float_of_int r.Mc.net_rises.(y)
+    /. float_of_int r.Mc.trajectories
+    *. cap *. (vdd *. vdd))
+    r.Mc.per_net_energy.(y)
+
 let () =
   Alcotest.run "mc"
     [
@@ -262,5 +292,7 @@ let () =
           Alcotest.test_case "constant inputs" `Quick test_constant_inputs;
           Alcotest.test_case "latched inputs" `Quick test_latched_inputs;
           Alcotest.test_case "result accounting" `Quick test_result_accounting;
+          Alcotest.test_case "output node at the model's C" `Quick
+            test_output_capacitance;
         ] );
     ]

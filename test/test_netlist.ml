@@ -427,6 +427,27 @@ let test_io_parse_hazards () =
   expect_line "circuit c\ninput a\ngate nand2 y = a\noutput y\n" 3 "arity";
   expect_line "circuit c\ninput a b c\ngate inv y = a b c\noutput y\n" 3 "arity"
 
+(* The committed malformed netlists (copies of c17, and one cycle): each
+   is refused with its message, located at the offending line where a
+   line shows the fault. The CLI prints exactly these, one line each. *)
+let test_io_malformed_fixtures () =
+  let located file line message =
+    match Io.load (Filename.concat "malformed" file) with
+    | _ -> Alcotest.failf "%s parsed" file
+    | exception Io.Parse_error e ->
+        Alcotest.(check (pair int string))
+          file (line, message) (e.line, e.message)
+  in
+  located "unknown_cell.net" 9 {|unknown cell "nand9"|};
+  located "undeclared_net.net" 10 {|undeclared net "g8"|};
+  located "bad_config.net" 11
+    "nand2 g22: configuration 7 out of range (nand2 has 2)";
+  located "truncated.net" 12 "nand2 g23: 1 fanins, but nand2 has arity 2";
+  match Io.load "malformed/cycle.net" with
+  | _ -> Alcotest.fail "cycle.net parsed"
+  | exception C.Invalid message ->
+      Alcotest.(check string) "cycle.net" "combinational cycle detected" message
+
 (* --- Io BLIF subset --- *)
 
 let test_blif_basic () =
@@ -619,6 +640,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "parse hazards with line numbers" `Quick
             test_io_parse_hazards;
+          Alcotest.test_case "malformed fixtures" `Quick
+            test_io_malformed_fixtures;
           Alcotest.test_case "blif basic" `Quick test_blif_basic;
           Alcotest.test_case "blif continuation" `Quick test_blif_continuation;
           Alcotest.test_case "blif rejects .names" `Quick test_blif_rejects_names;

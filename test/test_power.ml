@@ -337,15 +337,16 @@ let test_analysis_total_density () =
 (* --- Estimate --- *)
 
 let test_output_load_fanout () =
-  let t = table () in
+  let proc = Cell.Process.default in
+  let load = Netlist.Load.output proc in
   let c = nand_inv () in
   (* Gate 0 (nand2) output feeds one inv pin; not a primary output. *)
-  let expected = M.input_pin_capacitance t (gate "inv") 0 in
-  Alcotest.(check (float 1e-20)) "one inv pin" expected (E.output_load t c 0);
+  let expected = Cell.Process.input_pin_capacitance proc (gate "inv") 0 in
+  Alcotest.(check (float 1e-20)) "one inv pin" expected (load c 0);
   (* Gate 1 (inv) drives the primary output: external load only. *)
-  Alcotest.(check (float 1e-20)) "external load" 20e-15 (E.output_load t c 1);
+  Alcotest.(check (float 1e-20)) "external load" 20e-15 (load c 1);
   Alcotest.(check (float 1e-20)) "custom external load" 5e-15
-    (E.output_load t ~external_load:5e-15 c 1)
+    (load ~external_load:5e-15 c 1)
 
 let test_estimate_breakdown_consistency () =
   let t = table () in

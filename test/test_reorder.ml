@@ -165,7 +165,7 @@ let test_min_delay_objective () =
   Array.iteri
     (fun g config ->
       let cell = (C.gate_at circuit g).C.cell in
-      let load = Power.Estimate.output_load pt circuit g in
+      let load = Netlist.Load.output (Power.Model.process pt) circuit g in
       let chosen = Delay.Elmore.worst_delay dt cell ~config ~load in
       List.iter
         (fun other ->

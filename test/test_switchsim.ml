@@ -235,6 +235,50 @@ let test_warmup_reduces_window () =
   let c_out = (2. *. 6e-15) +. 15e-15 +. 20e-15 in
   Alcotest.(check (float 1e-27)) "one charge" (c_out *. 25.) r.Sim.energy
 
+(* A primary output that is also read inside the circuit: the case
+   where summing the fan-out pins and the external load in another order
+   rounds differently (27 + 20 + 20 fF here). *)
+let po_with_fanout () =
+  let b = B.create ~name:"po_fanout" in
+  let x = B.input b "x" in
+  let y = B.inv b ~name:"y" x in
+  let z = B.inv b ~name:"z" y in
+  B.output b y;
+  B.output b z;
+  B.finish b
+
+let test_output_node_is_model_capacitance () =
+  let c = po_with_fanout () in
+  let y = Option.get (C.net_of_name c "y") in
+  let g = match C.driver c y with C.Driven_by g -> g | C.Primary_input -> -1 in
+  let model =
+    Power.Model.gate_power (Power.Model.table proc) (C.gate_at c g).C.cell
+      ~config:0
+      ~input_stats:[| S.make ~prob:0.5 ~density:1. |]
+      ~load:(Netlist.Load.output proc c g) ()
+  in
+  let cap = (List.hd model.Power.Model.nodes).Power.Model.capacitance in
+  let deposits = ref [] in
+  let observer =
+    {
+      Sim.on_net = (fun ~time:_ ~net:_ ~before:_ ~after:_ ~in_window:_ -> ());
+      on_internal = None;
+      on_energy =
+        Some
+          (fun ~time:_ ~gate ~node ~energy ->
+            if gate = g && node = 0 then deposits := energy :: !deposits);
+    }
+  in
+  (* x falls at t = 1 and t = 3: y rises twice from a known 0. *)
+  let w = W.of_bits ~bits:[| true; false; true; false |] ~period:1.0 in
+  ignore (Sim.run (Sim.build proc c) ~observer ~inputs:(fun _ -> w) ());
+  let vdd = proc.Cell.Process.vdd in
+  Alcotest.(check int) "two rises" 2 (List.length !deposits);
+  List.iter
+    (Alcotest.(check (float 0.)) "C Vdd^2 at the model's C"
+       (1. *. cap *. vdd *. vdd))
+    !deposits
+
 let test_per_net_energy_conservation () =
   let circuit = Circuits.Suite.find "par4" in
   let sim = Sim.build proc circuit in
@@ -444,6 +488,8 @@ let () =
           Alcotest.test_case "per-net conservation" `Quick
             test_per_net_energy_conservation;
           Alcotest.test_case "warmup window" `Quick test_warmup_reduces_window;
+          Alcotest.test_case "output node at the model's C" `Quick
+            test_output_node_is_model_capacitance;
         ] );
       ( "probes",
         [

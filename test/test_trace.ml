@@ -36,13 +36,15 @@ let test_json_parse () =
   | Ok _ -> Alcotest.fail "trailing garbage accepted"
 
 let test_json_escape_roundtrip () =
-  let strings = [ "plain"; "with \"quotes\""; "tab\there\nand newline"; "" ] in
+  let strings =
+    [ "plain"; "with \"quotes\""; "tab\there\nand newline"; "ctrl \001"; "" ]
+  in
   List.iter
     (fun s ->
       Alcotest.(check (option string))
         ("escape round-trips " ^ String.escaped s)
         (Some s)
-        (J.to_string (ok (J.parse (J.escape s)))))
+        (J.to_string (ok (J.parse (Obs.json_string s)))))
     strings
 
 (* --- NDJSON round-trip: what Obs writes, Trace reads --- *)
