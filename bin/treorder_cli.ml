@@ -959,10 +959,16 @@ let map_cmd =
         ("jobs", string_of_int jobs);
       ];
     let eqn =
-      try Logic.Eqn.load file
-      with Logic.Eqn.Parse_error { line; message } ->
-        Printf.eprintf "%s:%d: %s\n" file line message;
-        exit 1
+      match Logic.Eqn.load file with
+      | eqn -> eqn
+      | exception Logic.Eqn.Parse_error { line; message } ->
+          if line > 0 then
+            Printf.eprintf "error: %s: line %d: %s\n" file line message
+          else Printf.eprintf "error: %s: %s\n" file message;
+          exit 1
+      | exception Sys_error message ->
+          Printf.eprintf "error: %s\n" message;
+          exit 1
     in
     let circuit =
       try Logic.Mapper.map eqn

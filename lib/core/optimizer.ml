@@ -164,6 +164,37 @@ let mark s g =
     s.swept <- g :: s.swept
   end
 
+(* One gate to decide, resolved on the calling domain: its candidates
+   and, under a power-costed objective, the compiled program of every
+   configuration [decide] may cost, by configuration. *)
+type work = {
+  w_gate : int;
+  w_candidates : int list;
+  w_programs : Power.Model.program array;
+}
+
+(* The programs of the incumbent and each candidate, looked up in the
+   order an exhaustive [decide] costs them: the incumbent, then the
+   candidates left to right. So such a settle builds the keys its sweep
+   costs, in the same order, with one lookup per evaluation. The bound
+   and the memo may leave some unevaluated. A configuration that is
+   neither keeps the incumbent's program, which [decide] never reads.
+   Delay costs read no program. *)
+let resolve s g candidates =
+  match s.objective with
+  | Min_delay -> [||]
+  | Min_power | Max_power | Min_power_delay_bounded ->
+      let gate = C.gate_at s.circuit g in
+      let groups = Power.Model.groups_of_nets gate.C.fanins in
+      let program config =
+        Power.Model.program s.table gate.C.cell ~config ~groups
+      in
+      let programs =
+        Array.make (Cell.Gate.config_count gate.C.cell) (program s.configs.(g))
+      in
+      List.iter (fun c -> programs.(c) <- program c) candidates;
+      programs
+
 (* A gate's verdict; [settle] applies these in level-major order, so
    counters, distributions and [configs] evolve the same whether the
    level was decided inline or across the pool. *)
@@ -178,13 +209,14 @@ type decision = {
    pool worker. Returns the chosen configuration and, for the
    power-minimizing objectives, its per-gate reduction over the
    incumbent. Reads the gate's own entry of [configs] only, which no
-   decision of its level writes. *)
-let decide s timing (g, candidates) =
+   decision of its level writes, and evaluates the programs [resolve]
+   looked up: it never reads the power table. *)
+let decide s timing w =
   Obs.span "optimize.gate" @@ fun () ->
+  let g = w.w_gate and candidates = w.w_candidates in
   let gate = C.gate_at s.circuit g in
   let cell = gate.C.cell and incumbent = s.configs.(g) in
   let input_stats = input_stats_of s gate in
-  let groups = Power.Model.groups_of_nets gate.C.fanins in
   let load = s.loads.(g) in
   let maximize = s.objective = Max_power in
   (* The objective's cost of one configuration: power, negated to
@@ -193,9 +225,7 @@ let decide s timing (g, candidates) =
     match s.objective with
     | Min_delay -> Delay.Elmore.worst_delay s.delay cell ~config ~load
     | Min_power | Max_power | Min_power_delay_bounded ->
-        let p =
-          Power.Model.gate_total s.table cell ~config ~input_stats ~groups ~load
-        in
+        let p = Power.Model.total w.w_programs.(config) ~input_stats ~load in
         if maximize then -.p else p
   in
   (* The delay bound: a candidate is admissible if the circuit, with it
@@ -229,7 +259,8 @@ let decide s timing (g, candidates) =
            the incumbent: the verdict is a pure function of the key, so
            racing workers store the same value. *)
         let key =
-          Memo.key ~cell ~maximize ~input_only:s.input_only ~groups
+          Memo.key ~cell ~maximize ~input_only:s.input_only
+            ~groups:(Power.Model.groups_of_nets gate.C.fanins)
             ~input_stats ~load
         in
         let chosen =
@@ -275,11 +306,12 @@ let decide s timing (g, candidates) =
     d_reduction = reduction;
   }
 
-(* Decide the dirty gates ([s.swept]) and record their powers. The
-   gates are decided level by level, each level in topological order,
-   and each level's decisions applied in that order. A level of several
-   gates maps across the pool when it has [jobs > 1] and the objective
-   is a power objective; everything else runs inline, because
+(* Decide the dirty gates ([s.swept]) and record their powers. Every
+   dirty gate's programs are resolved first, on the calling domain; the
+   gates are then decided level by level, each level in topological
+   order, and each level's decisions applied in that order. A level of
+   several gates maps across the pool when it has [jobs > 1] and the
+   objective is a power objective; everything else runs inline, because
    [Min_delay] and the bounded check share the Elmore cache, an
    unsynchronized [Hashtbl]. *)
 let settle ?pool s ~phase =
@@ -301,6 +333,7 @@ let settle ?pool s ~phase =
   in
   let total = ref 0 in
   let work =
+    Obs.span "optimize.resolve" @@ fun () ->
     Array.map
       (fun g ->
         s.loads.(g) <-
@@ -311,7 +344,11 @@ let settle ?pool s ~phase =
           candidates_of ~input_only:s.input_only (C.gate_at circuit g)
         in
         total := !total + List.length candidates;
-        (g, candidates))
+        {
+          w_gate = g;
+          w_candidates = candidates;
+          w_programs = resolve s g candidates;
+        })
       gates
   in
   let timing =
@@ -356,9 +393,9 @@ let settle ?pool s ~phase =
   in
   let rec sweep i =
     if i < Array.length work then begin
-      let level = s.levels.(fst work.(i)) in
+      let level = s.levels.(work.(i).w_gate) in
       let j = ref i in
-      while !j < Array.length work && s.levels.(fst work.(!j)) = level do
+      while !j < Array.length work && s.levels.(work.(!j).w_gate) = level do
         incr j
       done;
       let batch = Array.sub work i (!j - i) in

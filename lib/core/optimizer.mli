@@ -12,9 +12,14 @@
     strictly lower cost, seeded with the incumbent), one per-gate
     decision serves all four objectives, and one driver buckets the
     gates to decide by level and applies each level's decisions in
-    topological order. A cold {!optimize} is an incremental settle with
-    every gate dirty: {!Power.Analysis.run}, the sweep, then one fold of
-    the per-gate powers in {!Power.Estimate.circuit}'s summation order.
+    topological order. Before any level is decided, the calling domain
+    looks up the compiled power program of every configuration the
+    decisions will cost ([optimize.resolve] span), so one domain builds
+    programs, in one order, and any domain may run them: a decision only
+    evaluates them. A cold {!optimize} is an
+    incremental settle with every gate dirty: {!Power.Analysis.run}, the
+    sweep, then one fold of the per-gate powers in
+    {!Power.Estimate.circuit}'s summation order.
     No path runs through two gates of one level, so the level-major
     order gives the paper's configurations — under the delay bound too,
     whose admissibility test depends only on paths through the gate
@@ -157,9 +162,10 @@ val optimize :
     subset, used as an ablation baseline.
 
     [pool] (default none) maps each level of several gates across the
-    pool's domains, every worker reading the one shared power table,
-    when the pool has [jobs > 1] and the objective is [Min_power] or
-    [Max_power]. Everything else runs inline on the calling domain:
+    pool's domains, every worker evaluating programs the calling domain
+    looked up in the power table, when the pool has [jobs > 1] and the
+    objective is [Min_power] or [Max_power]. Everything else runs
+    inline on the calling domain:
     [jobs = 1], single-gate levels, [Min_delay] and
     [Min_power_delay_bounded] (both read the Elmore table, whose cache
     is an unsynchronized [Hashtbl]).

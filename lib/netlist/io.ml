@@ -23,10 +23,13 @@ let to_string c =
     (Circuit.primary_outputs c);
   Buffer.contents buf
 
+(* Each physical line with its 1-based number. *)
+let numbered_lines text =
+  List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text)
+
 (* Tokenized line with its 1-based source position. *)
-let significant_lines text =
-  String.split_on_char '\n' text
-  |> List.mapi (fun i l -> (i + 1, l))
+let significant_lines lines =
+  lines
   |> List.filter_map (fun (i, l) ->
          let l = match String.index_opt l '#' with
            | Some j -> String.sub l 0 j
@@ -136,7 +139,7 @@ let of_string text =
       | "gate" :: rest -> parse_gate line rest
       | keyword :: _ -> parse_error line "unknown directive %S" keyword
       | [] -> ())
-    (significant_lines text);
+    (significant_lines (numbered_lines text));
   assemble ~name:!name ~inputs:(List.rev !inputs) ~outputs:(List.rev !outputs)
     (List.rev !pending)
 
@@ -155,26 +158,18 @@ let pin_index line formal =
   | "O" | "Y" | "Z" -> `Out
   | _ -> parse_error line "unknown formal pin %S" formal
 
-(* Join "\<newline>" continuation lines. *)
-let join_continuations text =
-  let buf = Buffer.create (String.length text) in
-  let n = String.length text in
-  let rec go i =
-    if i < n then
-      if i + 1 < n && text.[i] = '\\' && text.[i + 1] = '\n' then begin
-        Buffer.add_char buf ' ';
-        go (i + 2)
-      end
-      else begin
-        Buffer.add_char buf text.[i];
-        go (i + 1)
-      end
+(* Join "\<newline>" continuation lines; a joined line keeps the number
+   of the physical line it starts on. *)
+let join_continuations lines =
+  let rec go acc = function
+    | (i, l) :: (_, next) :: rest when String.ends_with ~suffix:"\\" l ->
+        go acc ((i, String.sub l 0 (String.length l - 1) ^ " " ^ next) :: rest)
+    | line :: rest -> go (line :: acc) rest
+    | [] -> List.rev acc
   in
-  go 0;
-  Buffer.contents buf
+  go [] lines
 
 let of_blif text =
-  let text = join_continuations text in
   let name = ref "blif" in
   let inputs = ref [] and outputs = ref [] and pending = ref [] in
   let seen_end = ref false in
@@ -231,7 +226,7 @@ let of_blif text =
         | w :: _ when String.length w > 0 && w.[0] = '.' ->
             parse_error line "unsupported BLIF directive %S" w
         | _ -> parse_error line "unexpected tokens outside a directive")
-    (significant_lines text);
+    (significant_lines (join_continuations (numbered_lines text)));
   assemble ~name:!name ~inputs:(List.rev !inputs) ~outputs:(List.rev !outputs)
     (List.rev !pending)
 

@@ -78,8 +78,8 @@ let distribution name =
       Hashtbl.add distributions name d;
       d
 
-(* Caller holds [d.d_lock]. *)
-let observe_locked d x =
+let observe d x =
+  with_lock d.d_lock @@ fun () ->
   if d.d_count = 0 then begin
     d.d_min <- x;
     d.d_max <- x
@@ -98,32 +98,6 @@ let observe_locked d x =
   end;
   d.d_samples.(d.d_len) <- x;
   d.d_len <- d.d_len + 1
-
-let observe d x = with_lock d.d_lock (fun () -> observe_locked d x)
-
-(* --- per-domain sample buffers --- *)
-
-type buffer = { mutable b_samples : float array; mutable b_len : int }
-
-let buffer () = { b_samples = [||]; b_len = 0 }
-
-let record b x =
-  let cap = Array.length b.b_samples in
-  if b.b_len = cap then begin
-    let grown = Array.make (if cap = 0 then 16 else 2 * cap) 0. in
-    Array.blit b.b_samples 0 grown 0 cap;
-    b.b_samples <- grown
-  end;
-  b.b_samples.(b.b_len) <- x;
-  b.b_len <- b.b_len + 1
-
-let buffer_length b = b.b_len
-
-let merge d b =
-  with_lock d.d_lock @@ fun () ->
-  for i = 0 to b.b_len - 1 do
-    observe_locked d b.b_samples.(i)
-  done
 
 (* Nearest-rank quantile over the recorded samples: the smallest value
    such that at least [q·count] samples are <= it. *)
@@ -361,10 +335,6 @@ type snapshot = {
   spans : (string * span_stats) list;
   gc : gc_stats;
 }
-
-let read_counters () =
-  Array.of_list
-    (List.map (fun (name, c) -> (name, Atomic.get c.c_value)) (registered counters))
 
 let snapshot () =
   let minor_now, major_now = gc_words () in

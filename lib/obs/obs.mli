@@ -30,10 +30,7 @@
     a parallel run equal the sequential totals exactly (increments
     commute); distributions and span aggregates are mutex-guarded; the
     span nesting depth is per-domain; trace-sink writes are serialized
-    so concurrent events land as whole lines. For deterministic
-    distribution contents under parallelism, record into a per-domain
-    {!buffer} and {!merge} the buffers at the join point in submission
-    order. *)
+    so concurrent events land as whole lines. *)
 
 (** {1 Counters} *)
 
@@ -62,29 +59,6 @@ val distribution : string -> distribution
     (e.g. per-gate) granularity, not in per-transistor hot loops. *)
 
 val observe : distribution -> float -> unit
-
-(** {2 Per-domain sample buffers}
-
-    A {!buffer} is an unsynchronized local accumulator: a worker domain
-    records into its own buffer without taking any lock, and the
-    coordinator merges the buffers at the join point. Merging buffers
-    in submission order makes the distribution's contents (including
-    the float [sum], which is order-sensitive) independent of worker
-    scheduling. *)
-
-type buffer
-
-val buffer : unit -> buffer
-(** A fresh empty buffer. Not thread-safe: one owner at a time. *)
-
-val record : buffer -> float -> unit
-
-val buffer_length : buffer -> int
-
-val merge : distribution -> buffer -> unit
-(** Append every buffered value to the distribution, in recording
-    order, under a single lock acquisition. The buffer is not
-    cleared. *)
 
 (** {1 Spans} *)
 
@@ -135,11 +109,6 @@ val snapshot : unit -> snapshot
     single registry-lock acquisition, so the snapshot's view of which
     instruments exist is coherent even while worker domains register
     new ones. *)
-
-val read_counters : unit -> (string * int) array
-(** Just the counters, name-sorted, under one registry-lock
-    acquisition — the cheap read path the telemetry sampler hits every
-    tick (no distribution sorting, no span locks, no GC probe). *)
 
 val reset : unit -> unit
 (** Zero every registered instrument (handles stay valid), reset the

@@ -36,8 +36,3 @@ let all_stats t = Array.copy t.per_net
 
 let gate_input_stats t circuit g =
   gate_input_stats_of t.per_net (C.gate_at circuit g)
-
-let total_density t =
-  Array.fold_left
-    (fun acc s -> acc +. Stoch.Signal_stats.density s)
-    0. t.per_net

@@ -23,6 +23,3 @@ val all_stats : t -> Stoch.Signal_stats.t array
 val gate_input_stats : t -> Netlist.Circuit.t -> int -> Stoch.Signal_stats.t array
 (** Statistics of one gate's fanin pins, in pin order (the
     OBTAIN_PROB_AND_DENS step). *)
-
-val total_density : t -> float
-(** Sum of all net densities — a crude global activity figure. *)

@@ -1,5 +1,4 @@
 module Stats = Stoch.Signal_stats
-module Smap = Map.Make (String)
 
 let c_model_hit = Obs.counter "power.model_hit"
 let c_model_build = Obs.counter "power.model_build"
@@ -20,12 +19,14 @@ type shape = { nodes : Sp.Network.node array; caps : float array }
    ∂H/∂xᵢ per pin, then G, then ∂G/∂xᵢ per pin. The output function f is
    H of the output node (node 0), so roots [0 .. a] double as f and
    ∂f/∂xᵢ. Differences with respect to a non-representative tied pin are
-   the zero constant, so downstream sums never double-count a tied net. *)
+   the zero constant, so downstream sums never double-count a tied net.
+   [vdd] is the table's supply, so a program evaluates on its own. *)
 type program = {
   groups : int array;
   code : int array;
   roots : string;
   shape : shape;
+  vdd : float;
 }
 
 type node_power = {
@@ -48,15 +49,11 @@ type gate_power = {
    Fig. 2(b) path search, done once per table. *)
 type raw = { shape : shape; h : Bdd.t array; g : Bdd.t array }
 
-(* Per cell, per configuration: the programs compiled so far, one per
-   pin-groups pattern. [cells] is replaced, never mutated, so readers on
-   any domain need no lock. [lock] serializes every writer of [cells]
-   and guards [bdd] and [raw]: BDDs never leave the table that built
-   them. *)
+(* The programs compiled so far, by (cell name, configuration, pin
+   groups). BDDs never leave the table that built them. *)
 type table = {
   proc : Cell.Process.t;
-  cells : program list array Smap.t Atomic.t;
-  lock : Mutex.t;
+  programs : (string * int * int array, program) Hashtbl.t;
   bdd : Bdd.manager;
   raw : (string, raw Lazy.t array) Hashtbl.t;  (* per cell, per config *)
 }
@@ -64,8 +61,7 @@ type table = {
 let table proc =
   {
     proc;
-    cells = Atomic.make Smap.empty;
-    lock = Mutex.create ();
+    programs = Hashtbl.create 256;
     bdd = Bdd.manager ();
     raw = Hashtbl.create 32;
   }
@@ -93,7 +89,7 @@ let validate_groups ~arity groups =
         invalid_arg "Power.Model: group representative must map to itself")
     groups
 
-(* --- Compilation (under [lock]) --- *)
+(* --- Compilation --- *)
 
 let slot_bits = 16
 let slot_mask = (1 lsl slot_bits) - 1
@@ -162,51 +158,27 @@ let compile t cell config groups =
     code = Array.map pack code;
     roots = Bytes.unsafe_to_string roots;
     shape = raw.shape;
+    vdd = t.proc.Cell.Process.vdd;
   }
 
-(* --- Lookup (lock-free, allocation-free) --- *)
+(* --- Lookup --- *)
 
-let rec same_groups (a : int array) b i =
-  i = Array.length a || (a.(i) = b.(i) && same_groups a b (i + 1))
-
-let rec find_groups groups = function
-  | [] -> raise Not_found
-  | p :: rest -> if same_groups p.groups groups 0 then p else find_groups groups rest
-
-let find t cell config groups =
-  find_groups groups
-    (Smap.find (Cell.Gate.name cell) (Atomic.get t.cells)).(config)
-
-(* Every lookup counts once: a hit when a program is found, before or
-   after taking the lock, a build otherwise. So the counts depend on
-   the keys looked up, not on how domains interleave. *)
-let build t cell config groups =
-  Mutex.protect t.lock @@ fun () ->
-  match find t cell config groups with
-  | p ->
-      Obs.incr c_model_hit;
-      p
-  | exception Not_found ->
-      Obs.incr c_model_build;
-      let p = compile t cell config groups in
-      let name = Cell.Gate.name cell and cells = Atomic.get t.cells in
-      let programs =
-        match Smap.find_opt name cells with
-        | Some programs -> Array.copy programs
-        | None -> Array.make (Cell.Gate.config_count cell) []
-      in
-      programs.(config) <- p :: programs.(config);
-      Atomic.set t.cells (Smap.add name programs cells);
-      p
-
-let program t cell config groups =
+(* Every lookup counts once: a build when the key is new, a hit
+   otherwise. *)
+let program t cell ~config ~groups =
   if config < 0 || config >= Cell.Gate.config_count cell then
     invalid_arg "Power.Model: configuration index out of range";
-  match find t cell config groups with
-  | p ->
+  validate_groups ~arity:(Cell.Gate.arity cell) groups;
+  let name = Cell.Gate.name cell in
+  match Hashtbl.find_opt t.programs (name, config, groups) with
+  | Some p ->
       Obs.incr c_model_hit;
       p
-  | exception Not_found -> build t cell config groups
+  | None ->
+      Obs.incr c_model_build;
+      let p = compile t cell config groups in
+      Hashtbl.add t.programs (name, config, p.groups) p;
+      p
 
 (* --- Evaluation --- *)
 
@@ -268,28 +240,26 @@ let node_capacitance (p : program) j ~load =
   p.shape.caps.(j)
   +. match p.shape.nodes.(j) with Sp.Network.Output -> load | _ -> 0.
 
-let check_stats cell input_stats =
-  if Array.length input_stats <> Cell.Gate.arity cell then
+let check_stats ~arity input_stats =
+  if Array.length input_stats <> arity then
     invalid_arg "Power.Model: input_stats length differs from gate arity"
+
+let check_eval ~arity input_stats ~load =
+  Obs.incr c_gate_powers;
+  check_stats ~arity input_stats;
+  if load < 0. then invalid_arg "Power.Model.gate_power: negative load"
 
 let resolve_groups cell = function
   | None -> identity_groups (Cell.Gate.arity cell)
-  | Some groups ->
-      validate_groups ~arity:(Cell.Gate.arity cell) groups;
-      groups
-
-let check_eval cell input_stats ~load =
-  Obs.incr c_gate_powers;
-  check_stats cell input_stats;
-  if load < 0. then invalid_arg "Power.Model.gate_power: negative load"
+  | Some groups -> groups
 
 let gate_power t cell ~config ~input_stats ?groups ~load () =
-  check_eval cell input_stats ~load;
-  let p = program t cell config (resolve_groups cell groups) in
+  check_eval ~arity:(Cell.Gate.arity cell) input_stats ~load;
+  let p = program t cell ~config ~groups:(resolve_groups cell groups) in
   Obs.add c_node_evals (Array.length p.shape.nodes);
   let slots = run p input_stats in
   let arity = Array.length input_stats in
-  let vdd = t.proc.Cell.Process.vdd in
+  let vdd = p.vdd in
   let node_power j node =
     let p_node = node_probability p slots ~arity j in
     let by_input = Array.make arity 0. in
@@ -315,14 +285,12 @@ let gate_power t cell ~config ~input_stats ?groups ~load () =
 
 (* [gate_power]'s total, node for node the same floats, without the
    records. *)
-let gate_total t cell ~config ~input_stats ~groups ~load =
-  check_eval cell input_stats ~load;
-  validate_groups ~arity:(Cell.Gate.arity cell) groups;
-  let p = program t cell config groups in
+let total p ~input_stats ~load =
+  check_eval ~arity:(Array.length p.groups) input_stats ~load;
   Obs.add c_node_evals (Array.length p.shape.nodes);
   let slots = run p input_stats in
   let arity = Array.length input_stats in
-  let vdd = t.proc.Cell.Process.vdd in
+  let vdd = p.vdd in
   let internal = ref 0. and output = ref 0. in
   for j = 0 to Array.length p.shape.nodes - 1 do
     let p_node = node_probability p slots ~arity j in
@@ -335,22 +303,18 @@ let gate_total t cell ~config ~input_stats ~groups ~load =
   done;
   !internal +. !output
 
+let gate_total t cell ~config ~input_stats ~groups ~load =
+  total (program t cell ~config ~groups) ~input_stats ~load
+
 (* f and ∂f/∂xᵢ are the same for every configuration; configuration 0's
    program serves them as roots [0 .. arity]. *)
-let output_slots t cell ~input_stats groups =
-  check_stats cell input_stats;
-  let p = program t cell 0 (resolve_groups cell groups) in
-  (p, run p input_stats)
-
 let output_stats t cell ~input_stats ?groups () =
-  let p, slots = output_slots t cell ~input_stats groups in
+  check_stats ~arity:(Cell.Gate.arity cell) input_stats;
+  let p = program t cell ~config:0 ~groups:(resolve_groups cell groups) in
+  let slots = run p input_stats in
   let density = ref 0. in
   for i = 0 to Array.length input_stats - 1 do
     density :=
       !density +. (input_stats.(i).Stats.density *. slots.(root p (1 + i)))
   done;
   Stats.make ~prob:slots.(root p 0) ~density:!density
-
-let output_density_contributions t cell ~input_stats ?groups () =
-  let p, slots = output_slots t cell ~input_stats groups in
-  Array.mapi (fun i s -> s.Stats.density *. slots.(root p (1 + i))) input_stats

@@ -23,19 +23,19 @@
     cheap (§4.1). *)
 
 type table
-(** Compiled models for one process, shared by every domain. The table
-    holds programs only: a gate's output load is circuit data, which
-    {!Netlist.Load.output} defines for every consumer.
+(** Compiled models for one process. The table holds programs only: a
+    gate's output load is circuit data, which {!Netlist.Load.output}
+    defines for every consumer.
 
-    Lookups take no lock and allocate nothing: programs sit in an
-    immutable map behind an [Atomic.t]. A missing key is compiled under
-    the table's one mutex, after looking again, so each distinct key is
-    built once however many domains ask for it. [power.model_build]
-    counts builds and [power.model_hit] every other lookup, so both
-    depend on the keys looked up, not on the domain count. Each (cell,
-    configuration)'s raw H/G path functions are computed once per table
-    and kept with it; a tied-pin key only remaps and differentiates
-    them. Nothing is compiled until a key is first asked for. *)
+    The table is a cache for one domain: {!program}, {!gate_power},
+    {!gate_total} and {!output_stats} look programs up and build the
+    missing ones, so call them from one domain at a time. A program,
+    once looked up, is immutable, and {!total} evaluates it on any
+    domain. [power.model_build] counts builds and [power.model_hit]
+    every other lookup. Each (cell, configuration)'s raw H/G path
+    functions are computed once per table and kept with it; a tied-pin
+    key only remaps and differentiates them. Nothing is compiled until
+    a key is first looked up. *)
 
 val table : Cell.Process.t -> table
 val process : table -> Cell.Process.t
@@ -68,6 +68,25 @@ val groups_of_nets : int array -> int array
     Tied pins toggle {e together}; treating them as independent biases
     probabilities and densities. *)
 
+type program
+(** The compiled model of one (cell, configuration, pin-groups) key. *)
+
+val program : table -> Cell.Gate.t -> config:int -> groups:int array -> program
+(** The key's program, compiled on its first lookup. [groups] is of the
+    {!groups_of_nets} form.
+    @raise Invalid_argument if [config] is out of range or [groups] is
+    not of that form, or its length differs from the arity. *)
+
+val total :
+  program -> input_stats:Stoch.Signal_stats.t array -> load:float -> float
+(** The gate's total power under the program's configuration,
+    [(gate_power ...).total] to the bit, without building the node
+    records: the sweep's candidate cost. Reads nothing but the program
+    and its arguments, so it runs on any domain. Counted in
+    [power.gate_powers] and [power.node_evals] like {!gate_power}.
+    @raise Invalid_argument if [input_stats] length differs from the
+    arity or [load] is negative. *)
+
 val gate_power :
   table ->
   Cell.Gate.t ->
@@ -95,9 +114,8 @@ val gate_total :
   groups:int array ->
   load:float ->
   float
-(** [(gate_power ...).total], the same float, without building the node
-    records: the sweep's and the ledger's candidate cost. Counted in
-    [power.gate_powers] and [power.node_evals] like {!gate_power}.
+(** [total (program table cell ~config ~groups) ~input_stats ~load]:
+    the ledger's candidate cost.
     @raise Invalid_argument as {!gate_power} does. *)
 
 val output_stats :
@@ -110,15 +128,3 @@ val output_stats :
 (** Output probability (Parker-McCluskey) and transition density (Najm).
     Identical for every configuration of the gate — the monotonicity
     property the greedy optimizer relies on (§4.2). *)
-
-val output_density_contributions :
-  table ->
-  Cell.Gate.t ->
-  input_stats:Stoch.Signal_stats.t array ->
-  ?groups:int array ->
-  unit ->
-  float array
-(** Per-input pin [P(∂f/∂xᵢ)·D(xᵢ)]: how much each input contributes to
-    the output activity (used by the ripple-carry analysis, E5). Tied
-    pins report their joint contribution on the representative pin and 0
-    on the others. *)

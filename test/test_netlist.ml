@@ -468,6 +468,18 @@ let test_blif_continuation () =
   Alcotest.(check int) "3 inputs across continuation" 3
     (List.length (C.primary_inputs c))
 
+(* Errors after a continuation name their physical line: the unknown
+   cell is on line 6, after an [.inputs] that continues onto line 3. *)
+let test_blif_continuation_line_numbers () =
+  let text =
+    ".model t\n.inputs a b \\\nc\n.outputs y\n.gate nand3 A=a B=b C=c O=x\n.gate nand9 A=x O=y\n.end\n"
+  in
+  match Io.of_blif text with
+  | _ -> Alcotest.fail "expected rejection"
+  | exception Io.Parse_error { line; message } ->
+      Alcotest.(check string) "message" "unknown cell \"nand9\"" message;
+      Alcotest.(check int) "physical line" 6 line
+
 let test_blif_rejects_names () =
   try
     ignore (Io.of_blif ".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n");
@@ -644,6 +656,8 @@ let () =
             test_io_malformed_fixtures;
           Alcotest.test_case "blif basic" `Quick test_blif_basic;
           Alcotest.test_case "blif continuation" `Quick test_blif_continuation;
+          Alcotest.test_case "blif continuation line numbers" `Quick
+            test_blif_continuation_line_numbers;
           Alcotest.test_case "blif rejects .names" `Quick test_blif_rejects_names;
           Alcotest.test_case "blif rejects bad pin" `Quick
             test_blif_rejects_bad_pin;

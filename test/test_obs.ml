@@ -350,44 +350,6 @@ let test_counter_concurrent_increments () =
   Alcotest.(check int) "no lost increments" (domains * per_domain)
     (Obs.value c)
 
-let test_distribution_buffer_merge () =
-  Obs.reset ();
-  let d = Obs.distribution "test.buffered" in
-  Obs.observe d 1.;
-  let b = Obs.buffer () in
-  Alcotest.(check int) "fresh buffer empty" 0 (Obs.buffer_length b);
-  Obs.record b 2.;
-  Obs.record b 3.;
-  Alcotest.(check int) "records accumulate" 2 (Obs.buffer_length b);
-  (* Not yet visible: buffered samples only land on merge. *)
-  let stats () = List.assoc "test.buffered" (Obs.snapshot ()).Obs.distributions in
-  Alcotest.(check int) "buffer invisible before merge" 1 (stats ()).Obs.count;
-  Obs.merge d b;
-  let s = stats () in
-  Alcotest.(check int) "merged count" 3 s.Obs.count;
-  Alcotest.(check (float 1e-9)) "merged sum" 6. s.Obs.sum;
-  Alcotest.(check (float 1e-9)) "merged max" 3. s.Obs.max
-
-let test_distribution_concurrent_buffers () =
-  Obs.reset ();
-  let d = Obs.distribution "test.par_dist" in
-  let domains = 4 and per_domain = 1_000 in
-  let worker k () =
-    let b = Obs.buffer () in
-    for i = 1 to per_domain do
-      Obs.record b (float_of_int ((k * per_domain) + i))
-    done;
-    Obs.merge d b
-  in
-  let spawned = List.init domains (fun k -> Domain.spawn (worker k)) in
-  List.iter Domain.join spawned;
-  let s = List.assoc "test.par_dist" (Obs.snapshot ()).Obs.distributions in
-  let n = domains * per_domain in
-  Alcotest.(check int) "every sample merged" n s.Obs.count;
-  Alcotest.(check (float 1e-6)) "sum exact"
-    (float_of_int (n * (n + 1)) /. 2.)
-    s.Obs.sum
-
 let test_domain_tagging () =
   Obs.reset ();
   Alcotest.(check int) "main domain is lane 0" 0 (Obs.domain_lane ());
@@ -492,10 +454,6 @@ let () =
         [
           Alcotest.test_case "concurrent counter increments exact" `Quick
             test_counter_concurrent_increments;
-          Alcotest.test_case "buffer record/merge" `Quick
-            test_distribution_buffer_merge;
-          Alcotest.test_case "concurrent buffer merges exact" `Quick
-            test_distribution_concurrent_buffers;
           Alcotest.test_case "events tagged with domain lanes" `Quick
             test_domain_tagging;
         ] );

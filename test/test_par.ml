@@ -2,8 +2,8 @@
    across jobs/chunk settings, pool reuse, map_reduce submission-order
    combining, deterministic exception propagation, nested-use and
    use-after-shutdown rejection, the per-domain scheduling telemetry
-   flushed at shutdown, TREORDER_JOBS parsing, and one power-model
-   table shared by the pool's domains. *)
+   flushed at shutdown, TREORDER_JOBS parsing, and the optimizer's
+   pooled sweep against its inline one. *)
 
 module P = Par.Pool
 
@@ -165,60 +165,61 @@ let test_default_jobs_env () =
   with_env "nope" (fun () ->
       Alcotest.(check bool) "garbage ignored" true (P.default_jobs () >= 1))
 
-(* Every (cell, configuration, pin-groups) key of a random circuit,
-   evaluated from a 4-domain pool on one fresh table, equals a
-   sequential pass on another, bit for bit. Builds are counted once per
-   distinct key and hits once per other lookup, whatever the domains. *)
-let test_shared_power_table () =
+(* The optimizer's pooled sweep against its inline one, each on a fresh
+   table, on a circuit that ties one net to two pins of some gates: the
+   same report, and the same power-model and BDD counters, because every
+   program is resolved on the calling domain in sweep order and the
+   workers only evaluate them. *)
+let test_pooled_optimize () =
   let module C = Netlist.Circuit in
+  let module O = Reorder.Optimizer in
   let proc = Cell.Process.default in
   let circuit = Circuits.Generators.random_logic ~seed:5 ~inputs:24 ~gates:300 in
+  Alcotest.(check bool) "some gate ties one net to two pins" true
+    (Array.exists
+       (fun (gate : C.gate) ->
+         Array.exists2 ( <> ) (Power.Model.groups_of_nets gate.C.fanins)
+           (Array.init (Array.length gate.C.fanins) Fun.id))
+       (C.gates circuit));
   let inputs =
     Power.Scenario.input_stats ~rng:(Stoch.Rng.create 9) Power.Scenario.A circuit
   in
-  let stats =
-    Power.Analysis.all_stats
-      (Power.Analysis.run (Power.Model.table proc) circuit ~inputs)
-  in
-  let keys = Hashtbl.create 1024 in
-  let tasks =
-    Array.concat
-      (List.init (C.gate_count circuit) (fun g ->
-           let gate = C.gate_at circuit g in
-           let groups = Power.Model.groups_of_nets gate.C.fanins in
-           Array.init (Cell.Gate.config_count gate.C.cell) (fun k ->
-               Hashtbl.replace keys (Cell.Gate.name gate.C.cell, k, groups) ();
-               (g, k))))
+  let model_counters () =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"power." name
+        || String.starts_with ~prefix:"bdd." name)
+      (Obs.snapshot ()).Obs.counters
   in
   let bits = Int64.bits_of_float in
-  let eval table (g, config) =
-    let gate = C.gate_at circuit g in
-    let cell = gate.C.cell in
-    let input_stats = Array.map (fun net -> stats.(net)) gate.C.fanins in
-    let groups = Power.Model.groups_of_nets gate.C.fanins in
-    let load = float_of_int (g mod 7) *. 3e-15 in
-    let gp = Power.Model.gate_power table cell ~config ~input_stats ~groups ~load () in
-    let out = Power.Model.output_stats table cell ~input_stats ~groups () in
-    ( bits (Power.Model.gate_total table cell ~config ~input_stats ~groups ~load),
-      List.map
-        (fun (np : Power.Model.node_power) ->
-          (bits np.Power.Model.power, Array.map bits np.Power.Model.by_input))
-        gp.Power.Model.nodes,
-      (bits (Stoch.Signal_stats.prob out), bits (Stoch.Signal_stats.density out)) )
+  let run ?pool ~objective ~input_only () =
+    Obs.reset ();
+    let r =
+      O.optimize (Power.Model.table proc) ~delay:(Delay.Elmore.table proc)
+        ~objective ~input_reordering_only:input_only ?pool circuit ~inputs
+    in
+    ( ( r.O.configs,
+        bits r.O.power_before,
+        bits r.O.power_after,
+        r.O.gates_changed,
+        r.O.configurations_explored ),
+      model_counters (),
+      Obs.value (Obs.counter "optimizer.parallel_levels") )
   in
-  let counter name = Obs.value (Obs.counter name) in
-  let run jobs =
-    let table = Power.Model.table proc in
-    let builds = counter "power.model_build" and hits = counter "power.model_hit" in
-    let results = P.with_pool ~jobs (fun p -> P.map ~chunk:1 p (eval table) tasks) in
-    (results, counter "power.model_build" - builds, counter "power.model_hit" - hits)
-  in
-  let seq, seq_builds, seq_hits = run 1 in
-  let par, par_builds, par_hits = run 4 in
-  Alcotest.(check bool) "pooled results bit-identical" true (seq = par);
-  Alcotest.(check int) "sequential builds = distinct keys" (Hashtbl.length keys) seq_builds;
-  Alcotest.(check int) "pooled builds = distinct keys" (Hashtbl.length keys) par_builds;
-  Alcotest.(check int) "hits independent of the domain count" seq_hits par_hits
+  P.with_pool ~jobs:4 @@ fun pool ->
+  List.iter
+    (fun (what, objective, input_only) ->
+      let inline, inline_counters, _ = run ~objective ~input_only () in
+      let pooled, pooled_counters, levels = run ~pool ~objective ~input_only () in
+      Alcotest.(check bool) (what ^ ": levels ran on the pool") true (levels > 0);
+      Alcotest.(check bool) (what ^ ": identical reports") true (inline = pooled);
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": power and BDD counters") inline_counters pooled_counters)
+    [
+      ("min power", O.Min_power, false);
+      ("max power", O.Max_power, false);
+      ("input-only", O.Min_power, true);
+    ]
 
 let () =
   Alcotest.run "par"
@@ -252,7 +253,7 @@ let () =
         ] );
       ( "power",
         [
-          Alcotest.test_case "one table shared by every domain" `Quick
-            test_shared_power_table;
+          Alcotest.test_case "pooled optimize resolves like inline" `Quick
+            test_pooled_optimize;
         ] );
     ]

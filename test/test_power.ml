@@ -195,17 +195,6 @@ let test_tied_pins_density () =
     (0.5 *. (da +. db +. dc))
     (S.density out)
 
-let test_tied_pins_contributions () =
-  let t = table () in
-  let input_stats = Array.make 6 (stats 0.5 8.) in
-  let contributions =
-    M.output_density_contributions t (gate "aoi222") ~input_stats
-      ~groups:majority_groups ()
-  in
-  (* Representatives 0,1,3 carry 0.5*8 each; tied pins 2,4,5 report 0. *)
-  Alcotest.(check (array (float 1e-9))) "per-pin contributions"
-    [| 4.; 4.; 0.; 4.; 0.; 0. |] contributions
-
 let test_groups_validation () =
   let t = table () in
   let input_stats = Array.make 2 (stats 0.5 1.) in
@@ -327,12 +316,6 @@ let test_analysis_gate_input_stats () =
   Alcotest.(check (float 1e-12)) "pin stats = net stats"
     (S.density (A.stats a y))
     (S.density pins.(0))
-
-let test_analysis_total_density () =
-  let t = table () in
-  let c = nand_inv () in
-  let a = A.run t c ~inputs:(fun _ -> S.constant true) in
-  Alcotest.(check (float 1e-12)) "all quiet" 0. (A.total_density a)
 
 (* --- Estimate --- *)
 
@@ -588,14 +571,14 @@ let test_compiled_bit_identical () =
               same (where ^ " gate_total")
                 (M.gate_total t cell ~config ~input_stats ~groups ~load)
                 want.M.total;
+              same (where ^ " resolved program")
+                (M.total (M.program t cell ~config ~groups) ~input_stats ~load)
+                want.M.total;
               if config = 0 then begin
                 let out = M.output_stats t cell ~input_stats ~groups () in
                 let ref_out = Walk.output_stats w input_stats in
                 same (where ^ " output prob") (S.prob out) (S.prob ref_out);
-                same (where ^ " output density") (S.density out) (S.density ref_out);
-                same_array (where ^ " contributions")
-                  (M.output_density_contributions t cell ~input_stats ~groups ())
-                  (Walk.contributions w input_stats)
+                same (where ^ " output density") (S.density out) (S.density ref_out)
               end
             done
           done)
@@ -636,8 +619,6 @@ let () =
           Alcotest.test_case "tied pins: exact probability" `Quick
             test_tied_pins_exact_probability;
           Alcotest.test_case "tied pins: density" `Quick test_tied_pins_density;
-          Alcotest.test_case "tied pins: contributions" `Quick
-            test_tied_pins_contributions;
           Alcotest.test_case "groups validation" `Quick test_groups_validation;
           Alcotest.test_case "analysis uses groups" `Quick
             test_analysis_uses_groups;
@@ -651,7 +632,6 @@ let () =
           Alcotest.test_case "propagation" `Quick test_analysis_propagation;
           Alcotest.test_case "gate input stats" `Quick
             test_analysis_gate_input_stats;
-          Alcotest.test_case "total density" `Quick test_analysis_total_density;
         ] );
       ( "estimate",
         [
