@@ -605,8 +605,7 @@ let perf_eco () =
   let cold_s = Unix.gettimeofday () -. t0 in
   let sess =
     Incremental.create ctx.Experiments.Common.power
-      ~delay:ctx.Experiments.Common.delay ~ledger_candidates:false circuit
-      ~inputs
+      ~delay:ctx.Experiments.Common.delay circuit ~inputs
   in
   let settled = Incremental.circuit sess in
   if (Incremental.report sess).O.power_after <> cold_rep.O.power_after then begin

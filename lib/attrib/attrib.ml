@@ -1,5 +1,6 @@
 module C = Netlist.Circuit
 module M = Power.Model
+module O = Reorder.Optimizer
 
 let c_ledgers = Obs.counter "attrib.ledgers_built"
 
@@ -35,10 +36,13 @@ type t = {
 }
 
 (* Per-input power of one node: the node's ½·C·Vdd² scale applied to
-   each pin's transition contribution. The pin shares sum to the node
-   power only up to reassociation; conservation of the *node* totals
-   against the gate total is exact by construction in Power.Model. *)
-let node_share_of circuit (gate : C.gate) ~vdd (np : M.node_power) =
+   each fanin net's transition contribution. Pins tied to one net share
+   its entry, the group representative's: the model puts the group's
+   joint contribution there and exactly 0 on the other pins, so no sum
+   moves. The shares sum to the node power only up to reassociation;
+   conservation of the *node* totals against the gate total is exact by
+   construction in Power.Model. *)
+let node_share_of circuit (gate : C.gate) ~groups ~vdd (np : M.node_power) =
   let scale = 0.5 *. np.M.capacitance *. vdd *. vdd in
   {
     node = np.M.node;
@@ -47,82 +51,85 @@ let node_share_of circuit (gate : C.gate) ~vdd (np : M.node_power) =
     transitions = np.M.transitions;
     power = np.M.power;
     per_input =
-      Array.mapi
-        (fun pin t_i -> (C.net_name circuit gate.C.fanins.(pin), scale *. t_i))
-        np.M.by_input;
+      Array.to_seqi np.M.by_input
+      |> Seq.filter_map (fun (pin, t_i) ->
+             if groups.(pin) <> pin then None
+             else Some (C.net_name circuit gate.C.fanins.(pin), scale *. t_i))
+      |> Array.of_seq;
   }
 
-let gate_entry table ?(candidates = true) circuit g ~config_before
-    ~config_after ~input_stats ~load =
+(* One gate's entry, from the configuration its decision started from
+   and the one it chose, its pins' statistics and its output load. *)
+let gate_entry table circuit g (st : O.gate_state) =
   let gate = C.gate_at circuit g in
   let vdd = (Power.Model.process table).Cell.Process.vdd in
   let groups = M.groups_of_nets gate.C.fanins in
+  let input_stats = st.O.input_stats and load = st.O.load in
   let power_of config =
     M.gate_power table gate.C.cell ~config ~input_stats ~groups ~load ()
   in
-  let gp_before = power_of config_before in
+  let gp_before = power_of st.O.incumbent in
   let gp_after =
-    if config_after = config_before then gp_before else power_of config_after
+    if st.O.chosen = st.O.incumbent then gp_before else power_of st.O.chosen
   in
   {
     index = g;
     cell = Cell.Gate.name gate.C.cell;
     out_net = C.net_name circuit gate.C.output;
-    config_before;
-    config_after;
+    config_before = st.O.incumbent;
+    config_after = st.O.chosen;
     before_total = gp_before.M.total;
     before_internal = gp_before.M.internal;
     after_total = gp_after.M.total;
     after_internal = gp_after.M.internal;
-    nodes = List.map (node_share_of circuit gate ~vdd) gp_after.M.nodes;
+    nodes = List.map (node_share_of circuit gate ~groups ~vdd) gp_after.M.nodes;
     candidates =
-      (if not candidates then [||]
-       else
-         Array.init
-           (Cell.Gate.config_count gate.C.cell)
-           (fun k ->
-             ( k,
-               M.gate_total table gate.C.cell ~config:k ~input_stats ~groups
-                 ~load )));
+      Array.init
+        (Cell.Gate.config_count gate.C.cell)
+        (fun k ->
+          ( k,
+            M.gate_total table gate.C.cell ~config:k ~input_stats ~groups
+              ~load ));
   }
 
-let of_entries ~circuit ~external_load gates =
+(* The one builder: every gate's entry in index order, then the totals
+   summed in that order. [states] runs inside the span and gives each
+   gate's state. *)
+let build table circuit ~external_load states =
+  Obs.span "attrib.build" @@ fun () ->
+  Obs.incr c_ledgers;
+  let state = states () in
+  let gates =
+    Array.init (C.gate_count circuit) (fun g ->
+        gate_entry table circuit g (state g))
+  in
   let sum f = Array.fold_left (fun acc e -> acc +. f e) 0. gates in
   {
-    circuit;
+    circuit = C.name circuit;
     external_load;
     total_before = sum (fun e -> e.before_total);
     total_after = sum (fun e -> e.after_total);
     gates;
   }
 
-let settle e =
-  {
-    e with
-    config_before = e.config_after;
-    before_total = e.after_total;
-    before_internal = e.after_internal;
-  }
-
-let of_report table ?(external_load = Netlist.Load.default_external)
-    ?(candidates = true) ~before ~inputs (report : Reorder.Optimizer.report) =
-  Obs.span "attrib.build" @@ fun () ->
-  Obs.incr c_ledgers;
-  let n = C.gate_count before in
-  if Array.length report.Reorder.Optimizer.configs <> n then
+let of_report table ?(external_load = Netlist.Load.default_external) ~before
+    ~inputs (report : O.report) =
+  if Array.length report.O.configs <> C.gate_count before then
     invalid_arg "Attrib.of_report: report does not match the circuit";
+  build table before ~external_load @@ fun () ->
   let analysis = Power.Analysis.run table before ~inputs in
-  let gates =
-    Array.init n (fun g ->
-        gate_entry table ~candidates before g
-          ~config_before:(C.gate_at before g).C.config
-          ~config_after:report.Reorder.Optimizer.configs.(g)
-          ~input_stats:(Power.Analysis.gate_input_stats analysis before g)
-          ~load:
-            (Netlist.Load.output (Power.Model.process table) ~external_load
-               before g))
-  in
-  of_entries ~circuit:(C.name before) ~external_load gates
+  fun g ->
+    {
+      O.incumbent = (C.gate_at before g).C.config;
+      chosen = report.O.configs.(g);
+      input_stats = Power.Analysis.gate_input_stats analysis before g;
+      load =
+        Netlist.Load.output (Power.Model.process table) ~external_load before g;
+    }
+
+let of_session s =
+  build (O.session_table s) (O.session_circuit s)
+    ~external_load:(O.session_external_load s) (fun () -> O.session_gate s)
 
 (* --- queries --- *)
 

@@ -24,8 +24,9 @@ type node_share = {
   transitions : float;  (** Σᵢ T(node|xᵢ) *)
   power : float;  (** W *)
   per_input : (string * float) array;
-      (** per input pin: fanin {e net name} and the watts attributed to
-          that pin's toggles (0 on pins tied to an earlier pin) *)
+      (** per fanin net, in order of first pin: the {e net name} and the
+          watts attributed to its toggles. Pins tied to one net are one
+          entry, since they toggle together. *)
 }
 
 type gate_entry = {
@@ -41,8 +42,7 @@ type gate_entry = {
   nodes : node_share list;  (** breakdown of [config_after], output first *)
   candidates : (int * float) array;
       (** total W of every configuration of the cell under the gate's
-          input statistics and load (ascending config index);
-          [[||]] when candidate enumeration was disabled *)
+          input statistics and load (ascending config index) *)
 }
 
 type t = {
@@ -56,7 +56,6 @@ type t = {
 val of_report :
   Power.Model.table ->
   ?external_load:float ->
-  ?candidates:bool ->
   before:Netlist.Circuit.t ->
   inputs:(Netlist.Circuit.net -> Stoch.Signal_stats.t) ->
   Reorder.Optimizer.report ->
@@ -65,44 +64,19 @@ val of_report :
     the report was produced from (the one passed to
     {!Reorder.Optimizer.optimize}); statistics are recomputed once —
     they are configuration-independent (§4.2) so the same analysis
-    serves both sides. [candidates] (default [true]) re-evaluates every
-    configuration of each gate for the "margin" column; disable it when
-    only the conservation data is needed (e.g. the proptest oracle).
+    serves both sides.
     @raise Invalid_argument when the report's config vector does not
     match [before]. *)
 
-(** {1 Incremental rebuilding}
-
-    The incremental engine ({!Incremental}) keeps a ledger's entries and
-    recomputes only the re-swept gates' with {!gate_entry}. Every other
-    gate kept its incumbent, the previous winner (the optimizer's fixed
-    point), so its entry is {!settle}d; {!of_entries} re-sums the totals
-    in the same index order as {!of_report}, so the ledger is
-    bit-identical to one built cold from the edited circuit. *)
-
-val gate_entry :
-  Power.Model.table ->
-  ?candidates:bool ->
-  Netlist.Circuit.t ->
-  int ->
-  config_before:int ->
-  config_after:int ->
-  input_stats:Stoch.Signal_stats.t array ->
-  load:float ->
-  gate_entry
-(** One gate's entry, computed exactly as {!of_report} does, from its
-    configurations, its pins' statistics and its output load. The
-    circuit supplies the gate's cell, pins and net names; its
-    configuration field is not read. *)
-
-val of_entries :
-  circuit:string -> external_load:float -> gate_entry array -> t
-(** Assemble a ledger from per-gate entries (indexed by gate), summing
-    the totals in index order. *)
-
-val settle : gate_entry -> gate_entry
-(** The entry of the same, untouched gate in a follow-up run: the
-    previous [after] state becomes the [before] state too. *)
+val of_session : Reorder.Optimizer.session -> t
+(** The ledger of a session's last settle, read from the session: each
+    gate's {!Reorder.Optimizer.session_gate} (the configuration the
+    settle started from, its winner, its pins' statistics and its load),
+    the session's circuit and external load. A gate the settle did not
+    sweep has [config_before = config_after]. Bit-identical to
+    {!of_report} of a cold run on the circuit that entered the settle,
+    under the session's input statistics, external load and objective
+    (the [incremental-equivalence] proptest oracle). *)
 
 (** {1 Queries} *)
 

@@ -3,8 +3,6 @@ module O = Reorder.Optimizer
 module Stats = Stoch.Signal_stats
 
 let c_edits = Obs.counter "incremental.edits"
-let c_ledger_patched = Obs.counter "incremental.ledger_entries_patched"
-let c_ledger_settled = Obs.counter "incremental.ledger_entries_settled"
 
 type edit =
   | Set_input_stats of C.net * Stats.t
@@ -17,23 +15,15 @@ exception Edit_error of string
 let edit_error fmt = Format.kasprintf (fun s -> raise (Edit_error s)) fmt
 
 type t = {
-  table : Power.Model.table;
   session : O.session;
-  ledger_candidates : bool;
-  entries : Attrib.gate_entry array;
-      (* per gate, as its last sweep computed it *)
-  pi_stats : Stats.t array;  (* per net; PI entries are live *)
-  mutable structure : C.t;  (* connectivity; the session has the configs *)
-  mutable external_load : float;
-  mutable objective : O.objective;
   mutable ledger : Attrib.t option;  (* built on first read after an apply *)
 }
 
 let report t = O.session_report t.session
 let circuit t = (report t).O.circuit
 let session t = t.session
-let objective t = t.objective
-let external_load t = t.external_load
+let objective t = O.session_objective t.session
+let external_load t = O.session_external_load t.session
 
 let check_input circuit net =
   match C.driver circuit net with
@@ -48,80 +38,29 @@ let check_load l =
     edit_error "set_external_load: %g F is not a load" l
 
 let input_stats t net =
-  match C.driver t.structure net with
-  | C.Primary_input -> t.pi_stats.(net)
+  let structure = O.session_circuit t.session in
+  match C.driver structure net with
+  | C.Primary_input -> O.session_stats t.session net
   | C.Driven_by g ->
       edit_error "net %S is driven by gate %d, not a primary input"
-        (C.net_name t.structure net) g
-
-(* A swept gate's entry, from what its sweep decided. *)
-let entry table ~candidates structure session g =
-  let st = O.session_gate session g in
-  Attrib.gate_entry table ~candidates structure g
-    ~config_before:st.O.incumbent ~config_after:st.O.chosen
-    ~input_stats:st.O.input_stats ~load:st.O.load
-
-(* Recompute the entries of the gates the last settle swept, in place.
-   Every other gate kept its statistics, load, incumbent (the previous
-   winner) and candidate sweep, so its entry only settles, which the
-   snapshot does. *)
-let patch_ledger t =
-  (Obs.span "incremental.ledger" @@ fun () ->
-   let swept = O.session_swept t.session in
-   List.iter
-     (fun g ->
-       t.entries.(g) <-
-         entry t.table ~candidates:t.ledger_candidates t.structure t.session g)
-     swept;
-   let patched = List.length swept in
-   Obs.add c_ledger_patched patched;
-   Obs.add c_ledger_settled (Array.length t.entries - patched));
-  t.ledger <- None
+        (C.net_name structure net) g
 
 let ledger t =
   match t.ledger with
   | Some l -> l
   | None ->
-      let gates = Array.map Attrib.settle t.entries in
-      List.iter
-        (fun g -> gates.(g) <- t.entries.(g))
-        (O.session_swept t.session);
-      let l =
-        Attrib.of_entries ~circuit:(C.name t.structure)
-          ~external_load:t.external_load gates
-      in
+      let l = Attrib.of_session t.session in
       t.ledger <- Some l;
       l
 
-let create table ~delay ?(external_load = Netlist.Load.default_external)
-    ?(objective = O.Min_power) ?(input_reordering_only = false)
-    ?(memoize = false) ?(ledger_candidates = true) ?pool circuit ~inputs =
-  let pi_stats =
-    Array.make (C.net_count circuit) (Stats.constant false)
-  in
-  List.iter (fun net -> pi_stats.(net) <- inputs net) (C.primary_inputs circuit);
-  let session =
-    O.start table ~delay ~external_load ~objective ~input_reordering_only
-      ?pool
-      ?memo:(if memoize then Some (Reorder.Memo.create ()) else None)
-      circuit
-      ~inputs:(fun net -> pi_stats.(net))
-  in
-  let entries =
-    Obs.span "incremental.ledger" @@ fun () ->
-    let n = C.gate_count circuit in
-    Obs.add c_ledger_patched n;
-    Array.init n (entry table ~candidates:ledger_candidates circuit session)
-  in
+let create table ~delay ?external_load ?objective ?input_reordering_only
+    ?(memoize = false) ?pool circuit ~inputs =
   {
-    table;
-    session;
-    ledger_candidates;
-    entries;
-    pi_stats;
-    structure = circuit;
-    external_load;
-    objective;
+    session =
+      O.start table ~delay ?external_load ?objective ?input_reordering_only
+        ?pool
+        ?memo:(if memoize then Some (Reorder.Memo.create ()) else None)
+        circuit ~inputs;
     ledger = None;
   }
 
@@ -138,21 +77,22 @@ let latest edits =
    configuration-only replacements need no new circuit and move no
    statistics (§4.2). *)
 let apply ?pool t edits =
+  let structure = O.session_circuit t.session in
   let inputs = ref [] and replacements = ref [] in
-  let ext_load = ref t.external_load and obj = ref t.objective in
+  let ext_load = ref (external_load t) and obj = ref (objective t) in
   List.iter
     (fun edit ->
       Obs.incr c_edits;
       match edit with
       | Set_input_stats (net, s) ->
-          if net < 0 || net >= C.net_count t.structure then
+          if net < 0 || net >= C.net_count structure then
             edit_error "set_input_stats: unknown net %d" net;
-          check_input t.structure net;
+          check_input structure net;
           inputs := (net, s) :: !inputs
       | Replace_gate (g, gate) ->
-          if g < 0 || g >= C.gate_count t.structure then
+          if g < 0 || g >= C.gate_count structure then
             edit_error "replace_gate: no gate %d (circuit has %d)" g
-              (C.gate_count t.structure);
+              (C.gate_count structure);
           if gate.C.config < 0
              || gate.C.config >= Cell.Gate.config_count gate.C.cell
           then
@@ -166,7 +106,7 @@ let apply ?pool t edits =
       | Set_objective o -> obj := o)
     edits;
   let rewires (g, (gate : C.gate)) =
-    let old = C.gate_at t.structure g in
+    let old = C.gate_at structure g in
     gate.C.output <> old.C.output
     || gate.C.fanins <> old.C.fanins
     || Cell.Gate.name gate.C.cell <> Cell.Gate.name old.C.cell
@@ -176,34 +116,29 @@ let apply ?pool t edits =
     match rewired with
     | [] -> None
     | rewired -> (
-        let gates = C.gates t.structure in
+        let gates = C.gates structure in
         List.iter (fun (g, gate) -> gates.(g) <- gate) rewired;
         match
-          C.create ~name:(C.name t.structure)
+          C.create ~name:(C.name structure)
             ~net_names:
-              (Array.init (C.net_count t.structure) (C.net_name t.structure))
-            ~primary_inputs:(C.primary_inputs t.structure)
-            ~primary_outputs:(C.primary_outputs t.structure)
+              (Array.init (C.net_count structure) (C.net_name structure))
+            ~primary_inputs:(C.primary_inputs structure)
+            ~primary_outputs:(C.primary_outputs structure)
             ~gates:(Array.to_list gates)
         with
         | circuit -> Some (circuit, List.map fst rewired)
         | exception C.Invalid msg -> edit_error "replace_gate: %s" msg)
   in
-  let inputs = latest !inputs in
-  List.iter (fun (net, s) -> t.pi_stats.(net) <- s) inputs;
-  t.external_load <- !ext_load;
-  t.objective <- !obj;
-  Option.iter (fun (circuit, _) -> t.structure <- circuit) rewired;
   O.resettle ?pool t.session
     {
-      O.inputs;
+      O.inputs = latest !inputs;
       configs =
         List.map (fun (g, (gate : C.gate)) -> (g, gate.C.config)) configs;
       rewired;
       external_load = !ext_load;
       objective = !obj;
     };
-  patch_ledger t
+  t.ledger <- None
 
 (* --- NDJSON edit scripts -------------------------------------------- *)
 

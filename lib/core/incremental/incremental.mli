@@ -1,26 +1,23 @@
 (** ECO-style incremental re-optimization sessions.
 
-    A session wraps a {!Reorder.Optimizer.session} together with the
-    run's input-statistics model and the {!Attrib} power-attribution
-    ledger's entries, and exposes a typed edit language over it. [apply]
-    stages and validates a batch of edits and hands it on classified:
-    only the fan-out cones of the edited nets are re-propagated, only
-    the dirty gates re-swept, and only their ledger entries recomputed,
-    each in place. The per-edit cost is proportional to the edit's cone,
-    not the circuit: a configuration edit re-sweeps one gate and
-    allocates nothing of the circuit's size, and only a rewiring
-    rebuilds the circuit. The report, circuit and
-    ledger are snapshots built on first read, each bit-identical to a
-    cold full optimization of the edited circuit (the
-    [incremental-equivalence] proptest oracle).
+    A session is a typed edit language over a
+    {!Reorder.Optimizer.session}, which holds all of its state: the
+    circuit, the input statistics, the external load, the objective and
+    every gate's decision. [apply] stages and validates a batch of edits
+    and hands it on classified: only the fan-out cones of the edited
+    nets are re-propagated and only the dirty gates re-swept, in place.
+    The per-edit cost is proportional to the edit's cone, not the
+    circuit: a configuration edit re-sweeps one gate and allocates
+    nothing of the circuit's size, and only a rewiring rebuilds the
+    circuit. The report, circuit and ledger are snapshots built on first
+    read, each bit-identical to a cold full optimization of the edited
+    circuit (the [incremental-equivalence] proptest oracle).
 
-    Observability: [incremental.edits],
-    [incremental.ledger_entries_patched] /
-    [incremental.ledger_entries_settled] counters and the
-    [incremental.ledger] span here, plus the optimizer's
-    [incremental.applies] / [incremental.dirty_nets] /
+    Observability: the [incremental.edits] counter here, plus the
+    optimizer's [incremental.applies] / [incremental.dirty_nets] /
     [incremental.dirty_gates] / [incremental.cutoffs] counters and
-    [incremental.apply] span. *)
+    [incremental.apply] span; a ledger read opens {!Attrib}'s
+    [attrib.build] span and counts one [attrib.ledgers_built]. *)
 
 type edit =
   | Set_input_stats of Netlist.Circuit.net * Stoch.Signal_stats.t
@@ -52,29 +49,30 @@ val create :
   ?objective:Reorder.Optimizer.objective ->
   ?input_reordering_only:bool ->
   ?memoize:bool ->
-  ?ledger_candidates:bool ->
   ?pool:Par.Pool.t ->
   Netlist.Circuit.t ->
   inputs:(Netlist.Circuit.net -> Stoch.Signal_stats.t) ->
   t
-(** Run the initial (cold) optimization and retain everything.
-    [memoize] (default false) keeps one warm {!Reorder.Memo} for the
-    session's whole lifetime. The attribution ledger is maintained
-    across applies; [ledger_candidates] (default true) keeps the
-    per-configuration candidate sweeps in it. *)
+(** Run the initial (cold) optimization, {!Reorder.Optimizer.start},
+    and keep its session. [inputs] is read once per primary input, by
+    that run. [memoize] (default false) keeps one warm {!Reorder.Memo}
+    for the session's whole lifetime. No ledger is built. *)
 
 val apply : ?pool:Par.Pool.t -> t -> edit list -> unit
-(** Validate and apply one batch of edits: re-optimize incrementally and
-    recompute the re-swept gates' ledger entries. The next {!report} is
-    bit-identical to a cold {!Reorder.Optimizer.optimize} of the edited
-    circuit (except [configurations_explored], which counts only
-    re-examined candidates). @raise Edit_error without mutating. *)
+(** Validate and apply one batch of edits: re-optimize incrementally.
+    The next {!report} is bit-identical to a cold
+    {!Reorder.Optimizer.optimize} of the edited circuit (except
+    [configurations_explored], which counts only re-examined
+    candidates). @raise Edit_error without mutating. *)
 
 (** {1 Accessors}
 
     {!report}, {!circuit} and {!ledger} are snapshots: built on the
     first read after an apply, then shared by every read until the next
-    apply, and never changed by later applies. *)
+    apply, and never changed by later applies. The ledger is
+    {!Attrib.of_session} of the session: a session nobody asks for a
+    ledger never builds one. The other accessors read the session's
+    current state. *)
 
 val report : t -> Reorder.Optimizer.report
 

@@ -525,6 +525,11 @@ let session_report s =
 let session_memo s = s.memo
 let session_dirty s = Some (Array.copy s.dirty)
 let session_swept s = s.swept
+let session_table s = s.table
+let session_circuit s = s.circuit
+let session_stats s net = s.stats.(net)
+let session_external_load s = s.external_load
+let session_objective s = s.objective
 
 type gate_state = {
   incumbent : int;
@@ -535,7 +540,7 @@ type gate_state = {
 
 let session_gate s g =
   {
-    incumbent = s.incumbents.(g);
+    incumbent = (if s.dirty.(g) then s.incumbents.(g) else s.configs.(g));
     chosen = s.configs.(g);
     input_stats = input_stats_of s (C.gate_at s.circuit g);
     load = s.loads.(g);

@@ -135,16 +135,32 @@ val session_dirty : session -> bool array option
 val session_swept : session -> int list
 (** The same gates, ascending. *)
 
+(** The session's current state, read in place. *)
+
+val session_table : session -> Power.Model.table
+
+val session_circuit : session -> Netlist.Circuit.t
+(** The connectivity: cells, pins and nets. Its configuration fields
+    are not the session's; {!session_report} has those. *)
+
+val session_stats : session -> Netlist.Circuit.net -> Stoch.Signal_stats.t
+(** A net's statistics: a primary input's as last edited, any other
+    net's as propagated. *)
+
+val session_external_load : session -> float
+val session_objective : session -> objective
+
 type gate_state = {
-  incumbent : int;  (** the configuration its last sweep started from *)
+  incumbent : int;  (** the configuration the last settle started from *)
   chosen : int;  (** the winner *)
   input_stats : Stoch.Signal_stats.t array;  (** per pin *)
   load : float;  (** output load, F *)
 }
 
 val session_gate : session -> int -> gate_state
-(** What the last sweep of a gate decided from, for the attribution
-    ledger. *)
+(** What the last settle decided a gate from, for the attribution
+    ledger. A gate it did not sweep started from its winner, so its
+    [incumbent] is its [chosen]. *)
 
 val optimize :
   Power.Model.table ->

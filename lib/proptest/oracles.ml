@@ -414,9 +414,7 @@ let check_sp_orderings ~seed:_ t =
 let check_attribution ~seed c =
   let inputs = Gen.input_stats ~seed c in
   let report = Reorder.Optimizer.optimize (power ()) ~delay:(delay ()) c ~inputs in
-  let ledger =
-    Attrib.of_report (power ()) ~candidates:false ~before:c ~inputs report
-  in
+  let ledger = Attrib.of_report (power ()) ~before:c ~inputs report in
   let rec gates = function
     | [] ->
         let* () =
@@ -513,9 +511,7 @@ let check_parallel_determinism ~seed c =
       fail "configurations_explored: parallel %d, sequential %d"
         par.O.configurations_explored seq.O.configurations_explored
   in
-  let ledger r =
-    Attrib.of_report (power ()) ~candidates:false ~before:c ~inputs r
-  in
+  let ledger r = Attrib.of_report (power ()) ~before:c ~inputs r in
   let ls = ledger seq and lp = ledger par in
   let* () =
     if
@@ -552,9 +548,7 @@ let check_archive_roundtrip ~seed c =
   let report =
     Reorder.Optimizer.optimize (power ()) ~delay:(delay ()) c ~inputs
   in
-  let ledger =
-    Attrib.of_report (power ()) ~candidates:false ~before:c ~inputs report
-  in
+  let ledger = Attrib.of_report (power ()) ~before:c ~inputs report in
   let dir = Filename.temp_dir "treorder_oracle" "" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let p =

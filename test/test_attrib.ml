@@ -10,13 +10,13 @@ let contains haystack needle =
   let rec at i = i + nn <= hn && (String.sub haystack i nn = needle || at (i + 1)) in
   at 0
 
-let ledger_of ?(candidates = true) name =
+let ledger_of name =
   let circuit = Circuits.Suite.find name in
   let inputs _net = Stoch.Signal_stats.make ~prob:0.5 ~density:1e5 in
   let report =
     Reorder.Optimizer.optimize power_table ~delay:delay_table circuit ~inputs
   in
-  (circuit, report, Attrib.of_report power_table ~candidates ~before:circuit ~inputs report)
+  (circuit, report, Attrib.of_report power_table ~before:circuit ~inputs report)
 
 let test_conservation () =
   let _, report, ledger = ledger_of "rca4" in
@@ -101,15 +101,67 @@ let test_top_consumers () =
         (e.Attrib.after_total <= worst +. 1e-30))
     ledger.Attrib.gates
 
-let test_no_candidates () =
-  let _, _, ledger = ledger_of ~candidates:false "c17" in
+(* A gate that ties one net to several pins lists that net once in each
+   node's shares, in order of first pin, and the shares sum exactly to
+   the model's pin-by-pin terms (the other tied pins carry 0). The
+   JSON's per-input objects then have unique keys. *)
+let test_tied_pins () =
+  let module C = Netlist.Circuit in
+  let module M = Power.Model in
+  let circuit, _, ledger = ledger_of "rnd_a" in
+  let inputs _net = Stoch.Signal_stats.make ~prob:0.5 ~density:1e5 in
+  let analysis = Power.Analysis.run power_table circuit ~inputs in
+  let vdd = Cell.Process.default.Cell.Process.vdd in
+  let tied = ref 0 in
   Array.iter
     (fun (e : Attrib.gate_entry) ->
-      Alcotest.(check int) "candidates disabled" 0
-        (Array.length e.Attrib.candidates))
+      let g = e.Attrib.index in
+      let gate = C.gate_at circuit g in
+      let nets =
+        Array.to_list gate.C.fanins
+        |> List.filteri (fun pin net ->
+               Array.find_index (( = ) net) gate.C.fanins = Some pin)
+        |> List.map (C.net_name circuit)
+      in
+      if List.length nets < Array.length gate.C.fanins then incr tied;
+      let gp =
+        M.gate_power power_table gate.C.cell ~config:e.Attrib.config_after
+          ~input_stats:(Power.Analysis.gate_input_stats analysis circuit g)
+          ~groups:(M.groups_of_nets gate.C.fanins)
+          ~load:(Netlist.Load.output Cell.Process.default circuit g)
+          ()
+      in
+      List.iter2
+        (fun (ns : Attrib.node_share) (np : M.node_power) ->
+          let what = Printf.sprintf "gate %d %s" g e.Attrib.out_net in
+          Alcotest.(check (list string))
+            (what ^ ": one share per fanin net")
+            nets
+            (List.map fst (Array.to_list ns.Attrib.per_input));
+          let scale = 0.5 *. np.M.capacitance *. vdd *. vdd in
+          let model =
+            Array.fold_left (fun acc t -> acc +. (scale *. t)) 0. np.M.by_input
+          in
+          let shares =
+            Array.fold_left (fun acc (_, w) -> acc +. w) 0. ns.Attrib.per_input
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: shares sum %h = %h" what shares model)
+            true (Float.equal shares model))
+        e.Attrib.nodes gp.M.nodes)
     ledger.Attrib.gates;
-  Alcotest.(check bool) "conservation still holds" true
-    (Attrib.conservation_error ledger < 1e-12)
+  Alcotest.(check bool) "the circuit ties pins" true (!tied > 0);
+  let rec unique_keys = function
+    | Trace.Json.Obj fields ->
+        let keys = List.map fst fields in
+        List.length (List.sort_uniq compare keys) = List.length keys
+        && List.for_all (fun (_, v) -> unique_keys v) fields
+    | Trace.Json.Arr items -> List.for_all unique_keys items
+    | _ -> true
+  in
+  match Trace.Json.parse (Attrib.to_json ledger) with
+  | Error msg -> Alcotest.failf "ledger JSON does not parse: %s" msg
+  | Ok doc -> Alcotest.(check bool) "JSON keys unique" true (unique_keys doc)
 
 let test_render_explain () =
   let _, _, ledger = ledger_of "rca4" in
@@ -165,8 +217,7 @@ let () =
         [
           Alcotest.test_case "nodes sum to gates, inputs to nodes" `Quick
             test_conservation;
-          Alcotest.test_case "holds without candidates" `Quick
-            test_no_candidates;
+          Alcotest.test_case "tied pins share one entry" `Quick test_tied_pins;
         ] );
       ( "structure",
         [

@@ -226,6 +226,30 @@ let test_reproduction_pins () =
   pin "E7 input reordering only" "4.9"
     (mean (fun r -> r.Experiments.Ablations.input_only_percent) input)
 
+(* The simulator side on a fixed subset, until the full-suite Table 3
+   is fast enough for @check: the 15 circuits of the bench's E6/E9
+   ablation subset, at the default simulation window, exactly at the
+   precision the reports print. *)
+let test_simulator_pins () =
+  let circuits () =
+    small_circuits
+      [
+        "c17"; "rca4"; "par9"; "mux8"; "dec3"; "alu1"; "maj5"; "prio8";
+        "cmpeq4"; "cmpgt4"; "inc6"; "tree16"; "rnd_a"; "rca8"; "mux16";
+      ]
+  in
+  let t3 =
+    Experiments.Table3.run ctx ~circuits:(circuits ()) Power.Scenario.A
+  in
+  Alcotest.(check string) "E4 avg S, scenario A" "8.0"
+    (Report.Table.cell_percent t3.Experiments.Table3.avg_sim);
+  let e8 =
+    Experiments.Ablations.model_accuracy ctx ~circuits:(circuits ())
+      Power.Scenario.A
+  in
+  Alcotest.(check string) "E8 mean model/sim ratio" "1.09"
+    (Printf.sprintf "%.2f" e8.Experiments.Ablations.mean_ratio)
+
 (* --- rendering smoke --- *)
 
 let test_all_renders_nonempty () =
@@ -274,6 +298,11 @@ let () =
         ] );
       ( "E4-E7",
         [ Alcotest.test_case "model-side pins" `Quick test_reproduction_pins ] );
+      ( "E4, E8",
+        [
+          Alcotest.test_case "simulator-side pins on a subset" `Quick
+            test_simulator_pins;
+        ] );
       ( "rendering",
         [ Alcotest.test_case "all render" `Quick test_all_renders_nonempty ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the incremental (ECO-style) re-optimization engine: the
    session's bit-identity contract against cold full runs, dirty-cone
-   narrowness, the §4.2 cut-off, warm-memo reuse across applies,
-   ledger patching and the NDJSON edit-script language. *)
+   narrowness, the §4.2 cut-off, warm-memo reuse across applies, the
+   ledger built when read and the NDJSON edit-script language. *)
 
 module C = Netlist.Circuit
 module B = Netlist.Builder
@@ -417,9 +417,75 @@ let test_snapshots_survive_applies () =
     :: List.tl flips
     :: [ [ I.Set_external_load 40e-15 ]; [ I.Set_objective O.Max_power ]; [] ])
 
+(* The ledger is built when it is read, not kept up to date by applies:
+   a session costs exactly the power evaluations of the optimizer
+   session it wraps, and its first ledger read builds one ledger, the
+   one a cold run on the settled circuit attributes. Each side gets a
+   fresh power table, so both build the same models. *)
+let test_ledger_built_when_read () =
+  let dt = delay_table () in
+  let circuit = Circuits.Suite.find "rca8" in
+  let inputs = scenario_inputs 37 Power.Scenario.A circuit in
+  let pi = List.nth (C.primary_inputs circuit) 4 in
+  let stats = S.make ~prob:0.7 ~density:3e7 in
+  let counters =
+    List.map Obs.counter
+      [
+        "attrib.ledgers_built"; "power.gate_powers"; "power.model_hit";
+        "power.node_evals";
+      ]
+  in
+  let counted f =
+    let before = List.map Obs.value counters in
+    let r = f () in
+    (r, List.map2 (fun c v -> Obs.value c - v) counters before)
+  in
+  let g = 9 in
+  let (sess, flipped), session_counts =
+    counted (fun () ->
+        let sess = I.create (power_table ()) ~delay:dt circuit ~inputs in
+        I.apply sess [ I.Set_input_stats (pi, stats) ];
+        let gate = C.gate_at (I.circuit sess) g in
+        let k = Cell.Gate.config_count gate.C.cell in
+        let flipped = { gate with C.config = (gate.C.config + 1) mod k } in
+        I.apply sess [ I.Replace_gate (g, flipped) ];
+        I.apply sess [];
+        (sess, flipped))
+  in
+  let (), bare_counts =
+    counted (fun () ->
+        let s = O.start (power_table ()) ~delay:dt circuit ~inputs in
+        let edits ?(inputs = []) ?(configs = []) () =
+          {
+            O.inputs;
+            configs;
+            rewired = None;
+            external_load = I.external_load sess;
+            objective = O.Min_power;
+          }
+        in
+        O.resettle s (edits ~inputs:[ (pi, stats) ] ());
+        O.resettle s (edits ~configs:[ (g, flipped.C.config) ] ());
+        O.resettle s (edits ()))
+  in
+  Alcotest.(check (list int))
+    "create and applies: no ledger, the bare session's evaluations"
+    bare_counts session_counts;
+  let ledger, read_counts = counted (fun () -> I.ledger sess) in
+  Alcotest.(check int) "the first read builds one ledger" 1
+    (List.hd read_counts);
+  let pt = power_table () and settled = I.circuit sess in
+  let cold = O.optimize pt ~delay:dt settled ~inputs:(I.input_stats sess) in
+  Alcotest.(check string) "and it is the cold run's"
+    (Attrib.to_json
+       (Attrib.of_report pt ~before:settled ~inputs:(I.input_stats sess) cold))
+    (Attrib.to_json ledger)
+
 (* A configuration edit costs the same whatever the circuit's size:
    words allocated per apply (minor + major, mean over the same script of
-   flips) on an 8k-gate circuit stay within 2x of a 1k-gate one. *)
+   flips) on an 8k-gate circuit stay within 2x of a 1k-gate one. The
+   minor words come from [Gc.minor_words]: [Gc.quick_stat]'s count only
+   moves at a minor collection, which 100 applies need not reach. *)
 let test_apply_allocation_is_flat () =
   let pt = power_table () and dt = delay_table () in
   let words_per_apply gates =
@@ -437,10 +503,7 @@ let test_apply_allocation_is_flat () =
           let k = Cell.Gate.config_count gate.C.cell in
           [ I.Replace_gate (g, { gate with C.config = Stoch.Rng.int rng k }) ])
     in
-    let words () =
-      let s = Gc.quick_stat () in
-      s.Gc.minor_words +. s.Gc.major_words
-    in
+    let words () = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
     let w0 = words () in
     List.iter (I.apply sess) batches;
     (words () -. w0) /. float_of_int (List.length batches)
@@ -607,6 +670,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_edit_validation;
           Alcotest.test_case "snapshots survive applies" `Quick
             test_snapshots_survive_applies;
+          Alcotest.test_case "ledger built when read" `Quick
+            test_ledger_built_when_read;
           Alcotest.test_case "apply allocation is flat in circuit size" `Quick
             test_apply_allocation_is_flat;
           Alcotest.test_case "script parsing" `Quick test_script_parsing;
