@@ -24,8 +24,8 @@ let section title = Printf.printf "==== %s ====\n%!" title
    after the target ran), serialized to BENCH_obs.json at exit — and
    appended, one NDJSON record per target, to BENCH_history.ndjson so
    the trajectory survives the snapshot's overwrite. Tuple:
-   (target, start epoch seconds, wall seconds, snapshot json). *)
-let metrics : (string * float * float * string) list ref = ref []
+   (target, start epoch seconds, wall seconds, snapshot). *)
+let metrics : (string * float * float * Json.t) list ref = ref []
 
 (* With --archive DIR, every target additionally becomes a run record
    DIR/<target>/ (deterministic id, overwritten on re-run) so archived
@@ -51,11 +51,13 @@ let timed name f =
   let r = f () in
   let seconds = Unix.gettimeofday () -. t0 in
   Printf.printf "[%s: %.1f s]\n\n%!" name seconds;
-  let snapshot_json = Obs.snapshot_to_json (Obs.snapshot ()) in
-  metrics := (name, t0, seconds, snapshot_json) :: !metrics;
+  let snapshot = Obs.json_of_snapshot (Obs.snapshot ()) in
+  metrics := (name, t0, seconds, snapshot) :: !metrics;
   (match (pending, !archive_dir) with
   | Some p, Some dir -> (
-      match Runlog.write ~id:name ~dir ~snapshot_json p with
+      match
+        Runlog.write ~id:name ~dir ~snapshot_json:(Json.print snapshot) p
+      with
       | Ok run_dir -> Printf.printf "[archived %s]\n%!" run_dir
       | Error msg ->
           Printf.eprintf "cannot write run archive: %s\n" msg;
@@ -65,12 +67,17 @@ let timed name f =
 
 let write_metrics path =
   let oc = open_out path in
-  let target (name, _time, seconds, json) =
-    Printf.sprintf "{\"name\":%S,\"seconds\":%.6f,\"metrics\":%s}" name seconds
-      json
+  let target (name, _time, seconds, snapshot) =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("seconds", Json.Num seconds);
+        ("metrics", snapshot);
+      ]
   in
-  Printf.fprintf oc "{\"targets\":[%s]}\n"
-    (String.concat "," (List.rev_map target !metrics));
+  output_string oc
+    (Json.ndjson
+       [ Json.Obj [ ("targets", Json.Arr (List.rev_map target !metrics)) ] ]);
   close_out oc
 
 (* The snapshot file above is overwritten per invocation; the history
@@ -81,18 +88,21 @@ let write_metrics path =
    truncated tail (killed mid-write) is skipped by the tolerant
    reader. *)
 let append_history path =
-  let argv_json =
-    "["
-    ^ String.concat ","
-        (List.map Obs.json_string (List.tl (Array.to_list Sys.argv)))
-    ^ "]"
+  let argv =
+    Json.Arr (List.map (fun a -> Json.Str a) (List.tl (Array.to_list Sys.argv)))
   in
-  let line (name, time, seconds, json) =
-    Printf.sprintf
-      "{\"v\":1,\"time\":%.6f,\"target\":%s,\"argv\":%s,\"seconds\":%.6f,\"metrics\":%s}\n"
-      time (Obs.json_string name) argv_json seconds json
+  let record (name, time, seconds, snapshot) =
+    Json.Obj
+      [
+        ("v", Json.int 1);
+        ("time", Json.Num time);
+        ("target", Json.Str name);
+        ("argv", argv);
+        ("seconds", Json.Num seconds);
+        ("metrics", snapshot);
+      ]
   in
-  let payload = String.concat "" (List.rev_map line !metrics) in
+  let payload = Json.ndjson (List.rev_map record !metrics) in
   match
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   with

@@ -284,8 +284,8 @@ let with_obs ~cmd (stats, trace, archive, metrics, telemetry, interval) f =
       if stats then print_obs_summary ();
       (match (pending, archive) with
       | Some p, Some dir -> (
-          let snapshot_json = Obs.snapshot_to_json (Obs.snapshot ()) in
-          match Runlog.write ~dir ~snapshot_json p with
+          let snapshot = Obs.json_of_snapshot (Obs.snapshot ()) in
+          match Runlog.write ~dir ~snapshot_json:(Json.print snapshot) p with
           | Ok run_dir ->
               Printf.printf "archived %s\n" run_dir;
               if sampler_on then
@@ -553,11 +553,12 @@ let optimize_cmd =
     in
     Par.Pool.with_pool ~jobs @@ fun pool ->
     let memo = if memo then Some (Reorder.Memo.create ()) else None in
-    let r =
-      Reorder.Optimizer.optimize ctx.Experiments.Common.power
+    let session =
+      Reorder.Optimizer.start ctx.Experiments.Common.power
         ~delay:ctx.Experiments.Common.delay ~objective
         ~input_reordering_only:input_only ~pool ?memo circuit ~inputs
     in
+    let r = Reorder.Optimizer.session_report session in
     Printf.printf "%s\n" (Format.asprintf "%a" Reorder.Optimizer.pp_report r);
     let sta c =
       Delay.Sta.critical_delay (Delay.Sta.run ctx.Experiments.Common.delay c)
@@ -566,9 +567,7 @@ let optimize_cmd =
       (Report.Table.cell_time (sta circuit))
       (Report.Table.cell_time (sta r.Reorder.Optimizer.circuit));
     if explain || explain_json <> None || pending <> None then begin
-      let ledger =
-        Attrib.of_report ctx.Experiments.Common.power ~before:circuit ~inputs r
-      in
+      let ledger = Attrib.of_session session in
       if explain then begin
         print_newline ();
         print_string (Attrib.render_explain ~top ledger)
@@ -1361,7 +1360,13 @@ let trace_chrome_cmd =
   in
   let run path out =
     let events = load_trace path in
-    let json = Trace.to_chrome events in
+    let json =
+      (* A timestamp that overflows in microseconds has no JSON number. *)
+      try Trace.to_chrome events
+      with Invalid_argument msg ->
+        Printf.eprintf "error: %s: %s\n" path msg;
+        exit 1
+    in
     match out with
     | None -> print_endline json
     | Some target ->
@@ -1826,7 +1831,7 @@ let runs_show_cmd =
     | Ok snap ->
         let take n xs = List.filteri (fun i _ -> i < n) xs in
         let counters =
-          Runlog.counters_of_snapshot snap
+          Regress.counters_of_snapshot snap
           |> List.filter (fun (_, v) -> v > 0.)
           |> List.sort (fun (_, a) (_, b) -> compare b a)
           |> take top
@@ -1845,7 +1850,7 @@ let runs_show_cmd =
           Report.Table.print table
         end;
         let spans =
-          Runlog.spans_of_snapshot snap
+          Regress.spans_of_snapshot snap
           |> List.filter (fun (_, v) -> v > 0.)
           |> List.sort (fun (_, a) (_, b) -> compare b a)
           |> take top
@@ -2021,16 +2026,7 @@ let details_of_archive ~top root =
               in
               let audit =
                 match Runlog.read_attachment r "audit" with
-                | Ok json -> (
-                    match Trace.Json.member "summary" json with
-                    | Some (Trace.Json.Obj fields) ->
-                        List.filter_map
-                          (fun (k, v) ->
-                            Option.map
-                              (fun x -> (k, x))
-                              (Trace.Json.to_float v))
-                          fields
-                    | _ -> [])
+                | Ok json -> Json.members "summary" Json.to_float json
                 | Error _ -> []
               in
               if ledger = [] && audit = [] then None
@@ -2230,14 +2226,11 @@ let report_check_cmd =
   in
   let run file =
     let text =
-      try
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
+      match Json.read_file file with
+      | Ok text -> text
+      | Error msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit 1
     in
     match Html.parse_report text with
     | Ok p ->

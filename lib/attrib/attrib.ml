@@ -357,91 +357,52 @@ let render_explain ?(top = 5) t =
 (* --- JSON --- *)
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  let field ?(first = false) name =
-    if not first then Buffer.add_char b ',';
-    Buffer.add_string b (Obs.json_string name);
-    Buffer.add_char b ':'
+  let node_json ns =
+    Json.Obj
+      [
+        ("node", Json.Str (node_label ns.node));
+        ("probability", Json.Num ns.probability);
+        ("capacitance", Json.Num ns.capacitance);
+        ("transitions", Json.Num ns.transitions);
+        ("power", Json.Num ns.power);
+        ( "per_input",
+          Json.Obj
+            (Array.to_list
+               (Array.map (fun (name, w) -> (name, Json.Num w)) ns.per_input))
+        );
+      ]
   in
-  Buffer.add_char b '{';
-  field ~first:true "circuit";
-  Buffer.add_string b (Obs.json_string t.circuit);
-  field "external_load";
-  Buffer.add_string b (Obs.json_float t.external_load);
-  field "total_before";
-  Buffer.add_string b (Obs.json_float t.total_before);
-  field "total_after";
-  Buffer.add_string b (Obs.json_float t.total_after);
-  field "reduction_percent";
-  Buffer.add_string b
-    (Obs.json_float
-       (Reorder.Optimizer.reduction_percent ~best:t.total_after
-          ~worst:t.total_before));
-  field "gates";
-  Buffer.add_char b '[';
-  Array.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '{';
-      field ~first:true "index";
-      Buffer.add_string b (string_of_int e.index);
-      field "cell";
-      Buffer.add_string b (Obs.json_string e.cell);
-      field "output";
-      Buffer.add_string b (Obs.json_string e.out_net);
-      field "config_before";
-      Buffer.add_string b (string_of_int e.config_before);
-      field "config_after";
-      Buffer.add_string b (string_of_int e.config_after);
-      field "power_before";
-      Buffer.add_string b (Obs.json_float e.before_total);
-      field "power_after";
-      Buffer.add_string b (Obs.json_float e.after_total);
-      field "internal_before";
-      Buffer.add_string b (Obs.json_float e.before_internal);
-      field "internal_after";
-      Buffer.add_string b (Obs.json_float e.after_internal);
-      field "nodes";
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j ns ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '{';
-          field ~first:true "node";
-          Buffer.add_string b (Obs.json_string (node_label ns.node));
-          field "probability";
-          Buffer.add_string b (Obs.json_float ns.probability);
-          field "capacitance";
-          Buffer.add_string b (Obs.json_float ns.capacitance);
-          field "transitions";
-          Buffer.add_string b (Obs.json_float ns.transitions);
-          field "power";
-          Buffer.add_string b (Obs.json_float ns.power);
-          field "per_input";
-          Buffer.add_char b '{';
-          Array.iteri
-            (fun k (name, w) ->
-              if k > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (Obs.json_string name);
-              Buffer.add_char b ':';
-              Buffer.add_string b (Obs.json_float w))
-            ns.per_input;
-          Buffer.add_char b '}';
-          Buffer.add_char b '}')
-        e.nodes;
-      Buffer.add_char b ']';
-      field "candidates";
-      Buffer.add_char b '{';
-      Array.iteri
-        (fun k (config, w) ->
-          if k > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Obs.json_string (string_of_int config));
-          Buffer.add_char b ':';
-          Buffer.add_string b (Obs.json_float w))
-        e.candidates;
-      Buffer.add_char b '}';
-      Buffer.add_char b '}')
-    t.gates;
-  Buffer.add_char b ']';
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let gate_json e =
+    Json.Obj
+      [
+        ("index", Json.int e.index);
+        ("cell", Json.Str e.cell);
+        ("output", Json.Str e.out_net);
+        ("config_before", Json.int e.config_before);
+        ("config_after", Json.int e.config_after);
+        ("power_before", Json.Num e.before_total);
+        ("power_after", Json.Num e.after_total);
+        ("internal_before", Json.Num e.before_internal);
+        ("internal_after", Json.Num e.after_internal);
+        ("nodes", Json.Arr (List.map node_json e.nodes));
+        ( "candidates",
+          Json.Obj
+            (Array.to_list
+               (Array.map
+                  (fun (config, w) -> (string_of_int config, Json.Num w))
+                  e.candidates)) );
+      ]
+  in
+  Json.print_streaming
+    [
+      ("circuit", Json.Str t.circuit);
+      ("external_load", Json.Num t.external_load);
+      ("total_before", Json.Num t.total_before);
+      ("total_after", Json.Num t.total_after);
+      ( "reduction_percent",
+        Json.Num
+          (Reorder.Optimizer.reduction_percent ~best:t.total_after
+             ~worst:t.total_before) );
+    ]
+    "gates"
+    (Seq.map gate_json (Array.to_seq t.gates))

@@ -357,53 +357,68 @@ let render ?(top = 10) t =
 
 (* --- JSON --- *)
 
-let net_row_json n =
-  Printf.sprintf
-    "{\"net\":%d,\"name\":%s,\"driver\":%s,\"driver_gate\":%s,\"fanout\":%d,\"depth\":%d,\"pred_prob\":%s,\"meas_prob\":%s,\"prob_err\":%s,\"pred_density\":%s,\"meas_density\":%s,\"meas_density_se\":%s,\"density_err_pct\":%s,\"toggles\":%d,\"sim_energy\":%s}"
-    n.net (Obs.json_string n.name) (Obs.json_string n.driver)
-    (match n.driver_gate with None -> "null" | Some g -> string_of_int g)
-    n.fanout n.depth (Obs.json_float n.pred_prob) (Obs.json_float n.meas_prob)
-    (Obs.json_float n.prob_err) (Obs.json_float n.pred_density)
-    (Obs.json_float n.meas_density)
-    (Obs.json_float n.meas_density_se)
-    (Obs.json_float n.density_err_pct) n.toggles
-    (Obs.json_float n.sim_energy)
+let net_row_fields n =
+  [
+    ("net", Json.int n.net);
+    ("name", Json.Str n.name);
+    ("driver", Json.Str n.driver);
+    ( "driver_gate",
+      match n.driver_gate with None -> Json.Null | Some g -> Json.int g );
+    ("fanout", Json.int n.fanout);
+    ("depth", Json.int n.depth);
+    ("pred_prob", Json.Num n.pred_prob);
+    ("meas_prob", Json.Num n.meas_prob);
+    ("prob_err", Json.Num n.prob_err);
+    ("pred_density", Json.Num n.pred_density);
+    ("meas_density", Json.Num n.meas_density);
+    ("meas_density_se", Json.Num n.meas_density_se);
+    ("density_err_pct", Json.Num n.density_err_pct);
+    ("toggles", Json.int n.toggles);
+    ("sim_energy", Json.Num n.sim_energy);
+  ]
 
-let gate_row_json g =
-  Printf.sprintf
-    "{\"gate\":%d,\"cell\":%s,\"output\":%s,\"model_power\":%s,\"sim_power\":%s,\"power_err_pct\":%s}"
-    g.gate (Obs.json_string g.cell)
-    (Obs.json_string g.output_name)
-    (Obs.json_float g.model_power)
-    (Obs.json_float g.sim_power)
-    (Obs.json_float g.power_err_pct)
+let gate_row_fields g =
+  [
+    ("gate", Json.int g.gate);
+    ("cell", Json.Str g.cell);
+    ("output", Json.Str g.output_name);
+    ("model_power", Json.Num g.model_power);
+    ("sim_power", Json.Num g.sim_power);
+    ("power_err_pct", Json.Num g.power_err_pct);
+  ]
 
-let summary_json t =
+let summary_fields t =
   let s = t.summary in
-  Printf.sprintf
-    "{\"circuit\":%s,\"backend\":%s,\"window\":%s,\"nets\":%d,\"active_nets\":%d,\"mean_density_err_pct\":%s,\"max_density_err_pct\":%s,\"mean_prob_err\":%s,\"max_prob_err\":%s,\"model_total\":%s,\"sim_total\":%s,\"total_err_pct\":%s}"
-    (Obs.json_string t.circuit)
-    (Obs.json_string (Power.Backend.name t.backend))
-    (Obs.json_float t.window) s.nets s.active_nets
-    (Obs.json_float s.mean_density_err_pct)
-    (Obs.json_float s.max_density_err_pct)
-    (Obs.json_float s.mean_prob_err) (Obs.json_float s.max_prob_err)
-    (Obs.json_float s.model_total) (Obs.json_float s.sim_total)
-    (Obs.json_float s.total_err_pct)
+  [
+    ("circuit", Json.Str t.circuit);
+    ("backend", Json.Str (Power.Backend.name t.backend));
+    ("window", Json.Num t.window);
+    ("nets", Json.int s.nets);
+    ("active_nets", Json.int s.active_nets);
+    ("mean_density_err_pct", Json.Num s.mean_density_err_pct);
+    ("max_density_err_pct", Json.Num s.max_density_err_pct);
+    ("mean_prob_err", Json.Num s.mean_prob_err);
+    ("max_prob_err", Json.Num s.max_prob_err);
+    ("model_total", Json.Num s.model_total);
+    ("sim_total", Json.Num s.sim_total);
+    ("total_err_pct", Json.Num s.total_err_pct);
+  ]
+
+let rows fields arr = Array.to_list (Array.map fields arr)
 
 let to_json t =
-  let join f arr = Array.to_list arr |> List.map f |> String.concat "," in
-  Printf.sprintf "{\"summary\":%s,\"nets\":[%s],\"gates\":[%s]}" (summary_json t)
-    (join net_row_json t.net_rows)
-    (join gate_row_json t.gate_rows)
+  let objects fields arr = Json.Arr (rows (fun r -> Json.Obj (fields r)) arr) in
+  Json.print
+    (Json.Obj
+       [
+         ("summary", Json.Obj (summary_fields t));
+         ("nets", objects net_row_fields t.net_rows);
+         ("gates", objects gate_row_fields t.gate_rows);
+       ])
 
 let to_ndjson t =
-  let b = Buffer.create 4096 in
-  let tag kind json =
-    Buffer.add_string b (Printf.sprintf "{\"kind\":\"%s\",%s\n" kind json)
-  in
-  let body json = String.sub json 1 (String.length json - 1) in
-  Array.iter (fun n -> tag "net" (body (net_row_json n))) t.net_rows;
-  Array.iter (fun g -> tag "gate" (body (gate_row_json g))) t.gate_rows;
-  tag "summary" (body (summary_json t));
-  Buffer.contents b
+  let tag kind fields = Json.Obj (("kind", Json.Str kind) :: fields) in
+  Json.ndjson
+    (rows (fun n -> tag "net" (net_row_fields n)) t.net_rows
+    @ rows (fun g -> tag "gate" (gate_row_fields g)) t.gate_rows
+    @ [ tag "summary" (summary_fields t) ])

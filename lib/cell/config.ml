@@ -29,6 +29,20 @@ let all gate =
   (* Put the reference configuration first. *)
   start :: List.filter (fun c -> not (equal c start)) combos
 
+let lookup () =
+  let cells = Hashtbl.create 16 in
+  fun gate k ->
+    let name = Gate.name gate in
+    let configs =
+      match Hashtbl.find_opt cells name with
+      | Some configs -> configs
+      | None ->
+          let configs = Array.of_list (all gate) in
+          Hashtbl.add cells name configs;
+          configs
+    in
+    configs.(k)
+
 let internal_node_count c =
   T.internal_node_count c.pull_down + T.internal_node_count c.pull_up
 

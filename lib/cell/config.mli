@@ -15,6 +15,13 @@ val all : Gate.t -> t list
     two networks' orderings, reference first). Its length equals
     {!Gate.config_count}. *)
 
+val lookup : unit -> Gate.t -> int -> t
+(** [lookup ()] is a fresh [fun cell k -> List.nth (all cell) k] that
+    enumerates each cell's configurations once, on its first call for
+    that cell, and indexes them after. Make one per pass over a
+    circuit; its table is not shared between domains.
+    @raise Invalid_argument when [k] is out of range. *)
+
 val pivot_all : ?trace:(int -> t -> unit) -> t -> t list
 (** The paper's Fig. 4 algorithm on the whole gate: internal-node
     indices cover first the pull-down gaps, then the pull-up gaps.

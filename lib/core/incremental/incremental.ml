@@ -3,6 +3,7 @@ module O = Reorder.Optimizer
 module Stats = Stoch.Signal_stats
 
 let c_edits = Obs.counter "incremental.edits"
+let c_cold_runs = Obs.counter "incremental.cold_runs"
 
 type edit =
   | Set_input_stats of C.net * Stats.t
@@ -55,6 +56,7 @@ let ledger t =
 
 let create table ~delay ?external_load ?objective ?input_reordering_only
     ?(memoize = false) ?pool circuit ~inputs =
+  Obs.incr c_cold_runs;
   {
     session =
       O.start table ~delay ?external_load ?objective ?input_reordering_only

@@ -54,9 +54,10 @@ val create :
   inputs:(Netlist.Circuit.net -> Stoch.Signal_stats.t) ->
   t
 (** Run the initial (cold) optimization, {!Reorder.Optimizer.start},
-    and keep its session. [inputs] is read once per primary input, by
-    that run. [memoize] (default false) keeps one warm {!Reorder.Memo}
-    for the session's whole lifetime. No ledger is built. *)
+    and keep its session; counts one [incremental.cold_runs]. [inputs]
+    is read once per primary input, by that run. [memoize] (default
+    false) keeps one warm {!Reorder.Memo} for the session's whole
+    lifetime. No ledger is built. *)
 
 val apply : ?pool:Par.Pool.t -> t -> edit list -> unit
 (** Validate and apply one batch of edits: re-optimize incrementally.

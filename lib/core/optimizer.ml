@@ -441,7 +441,7 @@ let settle ?pool s ~phase =
   s.changed <- !changed;
   s.report <- None
 
-let cold table ~delay ?(external_load = Netlist.Load.default_external)
+let start table ~delay ?(external_load = Netlist.Load.default_external)
     ?(objective = Min_power) ?(input_reordering_only = false) ?pool ?memo
     circuit ~inputs =
   Obs.span "optimize.run" @@ fun () ->
@@ -481,12 +481,6 @@ let cold table ~delay ?(external_load = Netlist.Load.default_external)
   in
   settle ?pool s ~phase:"optimize.sweep";
   s
-
-let start table ~delay ?external_load ?objective ?input_reordering_only ?pool
-    ?memo circuit ~inputs =
-  Obs.incr c_inc_cold_runs;
-  cold table ~delay ?external_load ?objective ?input_reordering_only ?pool
-    ?memo circuit ~inputs
 
 let session_report s =
   match s.report with
@@ -676,7 +670,7 @@ let resettle ?pool s (e : edits) =
 let optimize power_table ~delay ?external_load ?objective
     ?input_reordering_only ?pool ?memo circuit ~inputs =
   session_report
-    (cold power_table ~delay ?external_load ?objective ?input_reordering_only
+    (start power_table ~delay ?external_load ?objective ?input_reordering_only
        ?pool ?memo circuit ~inputs)
 
 let best_and_worst power_table ~delay ?external_load ?pool ?memo circuit

@@ -79,8 +79,8 @@ val pp_report : Format.formatter -> report -> unit
     Under [Min_power] / [Max_power] only the dirty gates re-sweep. An
     objective flip re-decides every gate, and so does every settle under
     [Min_delay] or [Min_power_delay_bounded]: [incremental.cold_runs]
-    counts those settles and each {!start}, [incremental.applies] the
-    other settles.
+    counts those settles (and each [Incremental.create]),
+    [incremental.applies] the other settles.
     Observability: [incremental.applies], [incremental.dirty_nets],
     [incremental.dirty_gates], [incremental.cutoffs] counters and the
     [incremental.apply] span. *)

@@ -3,21 +3,6 @@
    like-for-like series, and run a deterministic changepoint detector.
    See history.mli for the model. *)
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error msg -> Error msg
-
-(* Mirrors the (non-exported) list the Runlog diff engine watches. *)
-let audit_metrics =
-  [
-    "mean_density_err_pct"; "max_density_err_pct"; "mean_prob_err";
-    "max_prob_err"; "model_total"; "sim_total"; "total_err_pct";
-  ]
-
 (* --- records --- *)
 
 type record = {
@@ -56,7 +41,7 @@ let series_fingerprint (m : Runlog.manifest) =
 let metrics_of_snapshot json =
   let acc = ref [] in
   let put name v = acc := (name, v) :: !acc in
-  let counters = Runlog.counters_of_snapshot json in
+  let counters = Regress.counters_of_snapshot json in
   List.iter (fun (name, v) -> put name v) counters;
   (match Trace.Json.member "distributions" json with
   | Some (Trace.Json.Obj dists) ->
@@ -83,7 +68,7 @@ let metrics_of_snapshot json =
   | _ -> ());
   List.iter
     (fun (name, total_s) -> put ("span." ^ name) total_s)
-    (Runlog.spans_of_snapshot json);
+    (Regress.spans_of_snapshot json);
   (match
      ( List.assoc_opt "optimizer.memo_hits" counters,
        List.assoc_opt "optimizer.memo_misses" counters )
@@ -116,20 +101,14 @@ let record_of_run (run : Runlog.run) =
      | Error _ -> ());
   (if List.mem "audit" m.attachments then
      match Runlog.read_attachment run "audit" with
-     | Ok json -> (
-         match Trace.Json.member "summary" json with
-         | Some summary ->
-             List.iter
-               (fun metric ->
-                 match
-                   Option.bind
-                     (Trace.Json.member metric summary)
-                     Trace.Json.to_float
-                 with
-                 | Some v -> put ("audit." ^ metric) v
-                 | None -> ())
-               audit_metrics
-         | None -> ())
+     | Ok json ->
+         let summary = Json.members "summary" Json.to_float json in
+         List.iter
+           (fun metric ->
+             Option.iter
+               (put ("audit." ^ metric))
+               (List.assoc_opt metric summary))
+           Runlog.audit_metrics
      | Error _ -> ());
   {
     r_id = run.run_id;
@@ -178,7 +157,7 @@ let bench_record ~source json =
   | _ -> None
 
 let load_bench_history path =
-  match read_file path with
+  match Json.read_file path with
   | Error msg -> Error msg
   | Ok text ->
       let skipped = ref 0 in
@@ -602,37 +581,58 @@ let render ?(top = 10) report =
 (* --- JSON / NDJSON --- *)
 
 let json_of_trend t =
-  Printf.sprintf
-    "{\"n\":%d,\"first\":%s,\"last\":%s,\"min\":%s,\"max\":%s,\"mean\":%s,\"rate\":%s,\"ewma\":%s}"
-    t.t_n (Obs.json_float t.t_first) (Obs.json_float t.t_last)
-    (Obs.json_float t.t_min) (Obs.json_float t.t_max) (Obs.json_float t.t_mean)
-    (Obs.json_float t.t_rate) (Obs.json_float t.t_ewma)
+  Json.Obj
+    [
+      ("n", Json.int t.t_n);
+      ("first", Json.Num t.t_first);
+      ("last", Json.Num t.t_last);
+      ("min", Json.Num t.t_min);
+      ("max", Json.Num t.t_max);
+      ("mean", Json.Num t.t_mean);
+      ("rate", Json.Num t.t_rate);
+      ("ewma", Json.Num t.t_ewma);
+    ]
 
-let json_of_argv argv =
-  "[" ^ String.concat "," (List.map Obs.json_string argv) ^ "]"
+let strings l = Json.Arr (List.map (fun s -> Json.Str s) l)
+
+(* A point's fields, shared by the report and the NDJSON point lines. *)
+let point_fields p =
+  [
+    ("run", Json.Str p.p_run);
+    ("t", Json.Num p.p_time);
+    ("v", Json.Num p.p_value);
+  ]
 
 let json_of_point p =
-  Printf.sprintf "{\"run\":%s,\"t\":%s,\"v\":%s,\"source\":%s,\"argv\":%s}"
-    (Obs.json_string p.p_run) (Obs.json_float p.p_time)
-    (Obs.json_float p.p_value) (Obs.json_string p.p_source)
-    (json_of_argv p.p_argv)
+  Json.Obj
+    (point_fields p
+    @ [ ("source", Json.Str p.p_source); ("argv", strings p.p_argv) ])
 
-let json_of_shift points sh =
-  let run = points.(sh.sh_index).p_run in
-  Printf.sprintf
-    "{\"index\":%d,\"run\":%s,\"before\":%s,\"after\":%s,\"score\":%s,\"direction\":%s}"
-    sh.sh_index (Obs.json_string run) (Obs.json_float sh.sh_before)
-    (Obs.json_float sh.sh_after) (Obs.json_float sh.sh_score)
-    (Obs.json_string (direction_name sh.sh_direction))
+(* A changepoint's fields after its group and metric, shared by the
+   report and the NDJSON shift lines. *)
+let shift_fields points sh =
+  [
+    ("index", Json.int sh.sh_index);
+    ("run", Json.Str points.(sh.sh_index).p_run);
+    ("before", Json.Num sh.sh_before);
+    ("after", Json.Num sh.sh_after);
+    ("score", Json.Num sh.sh_score);
+    ("direction", Json.Str (direction_name sh.sh_direction));
+  ]
 
 let json_of_series s =
-  Printf.sprintf
-    "{\"metric\":%s,\"trend\":%s,\"points\":[%s],\"shifts\":[%s]}"
-    (Obs.json_string s.se_metric)
-    (json_of_trend s.se_trend)
-    (String.concat ","
-       (Array.to_list (Array.map json_of_point s.se_points)))
-    (String.concat "," (List.map (json_of_shift s.se_points) s.se_shifts))
+  Json.Obj
+    [
+      ("metric", Json.Str s.se_metric);
+      ("trend", json_of_trend s.se_trend);
+      ( "points",
+        Json.Arr (Array.to_list (Array.map json_of_point s.se_points)) );
+      ( "shifts",
+        Json.Arr
+          (List.map
+             (fun sh -> Json.Obj (shift_fields s.se_points sh))
+             s.se_shifts) );
+    ]
 
 let json_of_group g =
   let runs =
@@ -640,51 +640,46 @@ let json_of_group g =
       (fun acc s -> max acc (Array.length s.se_points))
       0 g.g_series
   in
-  Printf.sprintf
-    "{\"label\":%s,\"fingerprint\":%s,\"circuit\":%s,\"runs\":%d,\"series\":[%s]}"
-    (Obs.json_string g.g_label) (Obs.json_string g.g_fingerprint)
-    (match g.g_circuit with Some c -> Obs.json_string c | None -> "null")
-    runs
-    (String.concat "," (List.map json_of_series g.g_series))
+  Json.Obj
+    [
+      ("label", Json.Str g.g_label);
+      ("fingerprint", Json.Str g.g_fingerprint);
+      ( "circuit",
+        match g.g_circuit with Some c -> Json.Str c | None -> Json.Null );
+      ("runs", Json.int runs);
+      ("series", Json.Arr (List.map json_of_series g.g_series));
+    ]
 
 let to_json report =
-  Printf.sprintf
-    "{\"history_version\":1,\"threshold\":%s,\"metrics\":[%s],\"groups\":[%s]}"
-    (Obs.json_float report.threshold)
-    (String.concat "," (List.map Obs.json_string report.requested))
-    (String.concat "," (List.map json_of_group report.groups))
+  Json.print
+    (Json.Obj
+       [
+         ("history_version", Json.int 1);
+         ("threshold", Json.Num report.threshold);
+         ("metrics", strings report.requested);
+         ("groups", Json.Arr (List.map json_of_group report.groups));
+       ])
 
 let to_ndjson report =
-  let b = Buffer.create 2048 in
-  List.iter
-    (fun g ->
-      List.iter
-        (fun s ->
-          Array.iter
-            (fun p ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "{\"kind\":\"point\",\"group\":%s,\"fingerprint\":%s,\"metric\":%s,\"run\":%s,\"t\":%s,\"v\":%s}\n"
-                   (Obs.json_string g.g_label)
-                   (Obs.json_string g.g_fingerprint)
-                   (Obs.json_string s.se_metric)
-                   (Obs.json_string p.p_run) (Obs.json_float p.p_time)
-                   (Obs.json_float p.p_value)))
-            s.se_points;
-          List.iter
-            (fun sh ->
-              let run = s.se_points.(sh.sh_index).p_run in
-              Buffer.add_string b
-                (Printf.sprintf
-                   "{\"kind\":\"shift\",\"group\":%s,\"fingerprint\":%s,\"metric\":%s,\"index\":%d,\"run\":%s,\"before\":%s,\"after\":%s,\"score\":%s,\"direction\":%s}\n"
-                   (Obs.json_string g.g_label)
-                   (Obs.json_string g.g_fingerprint)
-                   (Obs.json_string s.se_metric)
-                   sh.sh_index (Obs.json_string run)
-                   (Obs.json_float sh.sh_before)
-                   (Obs.json_float sh.sh_after) (Obs.json_float sh.sh_score)
-                   (Obs.json_string (direction_name sh.sh_direction))))
-            s.se_shifts)
-        g.g_series)
-    report.groups;
-  Buffer.contents b
+  Json.ndjson
+    (List.concat_map
+       (fun g ->
+         List.concat_map
+           (fun s ->
+             let line kind fields =
+               Json.Obj
+                 ([
+                    ("kind", Json.Str kind);
+                    ("group", Json.Str g.g_label);
+                    ("fingerprint", Json.Str g.g_fingerprint);
+                    ("metric", Json.Str s.se_metric);
+                  ]
+                 @ fields)
+             in
+             Array.to_list
+               (Array.map (fun p -> line "point" (point_fields p)) s.se_points)
+             @ List.map
+                 (fun sh -> line "shift" (shift_fields s.se_points sh))
+                 s.se_shifts)
+           g.g_series)
+       report.groups)

@@ -142,28 +142,23 @@ let tracing () =
   with_lock sink_lock @@ fun () ->
   match !current_sink with Null -> false | File _ -> true
 
-(* JSON string literal with the escapes NDJSON consumers require. *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let json_string s = Json.print (Json.Str s)
 
-(* Finite decimal rendering (JSON has no inf/nan). *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.17g" x else "0"
+(* One event line, [{"ev":ev,"name":n,"t":s,<fields>,"dom":k}] (no
+   "name" when [name] is absent). The caller holds [sink_lock], so lines
+   from concurrent domains never interleave. *)
+let write_event oc t0 ~ev ?name ~dom fields =
+  let named =
+    match name with Some n -> [ ("name", Json.Str n) ] | None -> []
+  in
+  output_string oc
+    (Json.ndjson
+       [
+         Json.Obj
+           ((("ev", Json.Str ev) :: named)
+           @ (("t", Json.Num (now () -. t0)) :: fields)
+           @ [ ("dom", Json.int dom) ]);
+       ])
 
 (* Trace lane per domain: lane 0 is the domain that loaded this module
    (the coordinator), workers claim the next free lane on their first
@@ -185,11 +180,7 @@ let emit_span_begin name d =
   match !current_sink with
   | Null -> ()
   | File { oc; t0 } ->
-      Printf.fprintf oc
-        "{\"ev\":\"span_begin\",\"name\":%s,\"t\":%s,\"depth\":%d,\"dom\":%d}\n"
-        (json_string name)
-        (json_float (now () -. t0))
-        d dom
+      write_event oc t0 ~ev:"span_begin" ~name ~dom [ ("depth", Json.int d) ]
 
 let emit_span_end name d dt =
   let dom = domain_lane () in
@@ -197,50 +188,28 @@ let emit_span_end name d dt =
   match !current_sink with
   | Null -> ()
   | File { oc; t0 } ->
-      Printf.fprintf oc
-        "{\"ev\":\"span_end\",\"name\":%s,\"t\":%s,\"depth\":%d,\"dt\":%s,\"dom\":%d}\n"
-        (json_string name)
-        (json_float (now () -. t0))
-        d (json_float dt) dom
+      write_event oc t0 ~ev:"span_end" ~name ~dom
+        [ ("depth", Json.int d); ("dt", Json.Num dt) ]
 
 let emit_counter_locked c =
   match !current_sink with
   | Null -> ()
   | File { oc; t0 } ->
-      Printf.fprintf oc
-        "{\"ev\":\"counter\",\"name\":%s,\"t\":%s,\"value\":%d,\"dom\":%d}\n"
-        (json_string c.c_name)
-        (json_float (now () -. t0))
-        (Atomic.get c.c_value)
-        (domain_lane ())
+      write_event oc t0 ~ev:"counter" ~name:c.c_name ~dom:(domain_lane ())
+        [ ("value", Json.int (Atomic.get c.c_value)) ]
 
 let sample c = with_lock sink_lock (fun () -> emit_counter_locked c)
 
-(* Custom event: the fields are pre-rendered JSON fragments, so the
-   caller controls nesting (objects, arrays) without this module
-   growing a JSON AST. Flushed eagerly — heartbeats are emitted a few
-   times per second and must be visible to a live [treorder top]
-   tailing the file. *)
+(* Custom event. Flushed eagerly — heartbeats are emitted a few times
+   per second and must be visible to a live [treorder top] tailing the
+   file. *)
 let emit_event ~ev fields =
   let dom = domain_lane () in
   with_lock sink_lock @@ fun () ->
   match !current_sink with
   | Null -> ()
   | File { oc; t0 } ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b "{\"ev\":";
-      Buffer.add_string b (json_string ev);
-      Buffer.add_string b ",\"t\":";
-      Buffer.add_string b (json_float (now () -. t0));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_char b ',';
-          Buffer.add_string b (json_string k);
-          Buffer.add_char b ':';
-          Buffer.add_string b v)
-        fields;
-      Buffer.add_string b (Printf.sprintf ",\"dom\":%d}\n" dom);
-      output_string oc (Buffer.contents b);
+      write_event oc t0 ~ev ~dom fields;
       flush oc
 
 let set_sink s =
@@ -401,36 +370,41 @@ let reset () =
 let counter_value snap name =
   match List.assoc_opt name snap.counters with Some v -> v | None -> 0
 
-let snapshot_to_json snap =
-  let b = Buffer.create 1024 in
-  let obj fields render =
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (json_string name);
-        Buffer.add_char b ':';
-        render v)
-      fields;
-    Buffer.add_char b '}'
+let json_of_snapshot snap =
+  let obj value fields =
+    Json.Obj (List.map (fun (name, v) -> (name, value v)) fields)
   in
-  Buffer.add_string b "{\"counters\":";
-  obj snap.counters (fun v -> Buffer.add_string b (string_of_int v));
-  Buffer.add_string b ",\"distributions\":";
-  obj snap.distributions (fun (d : dist_stats) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-           d.count (json_float d.sum) (json_float d.min) (json_float d.max)
-           (json_float d.p50) (json_float d.p90) (json_float d.p99)));
-  Buffer.add_string b ",\"spans\":";
-  obj snap.spans (fun (s : span_stats) ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"calls\":%d,\"total_s\":%s,\"slowest_s\":%s}" s.calls
-           (json_float s.total) (json_float s.slowest)));
-  Buffer.add_string b
-    (Printf.sprintf ",\"gc\":{\"minor_words\":%s,\"major_words\":%s}"
-       (json_float snap.gc.minor_words)
-       (json_float snap.gc.major_words));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+       [
+         ("counters", obj Json.int snap.counters);
+         ( "distributions",
+           obj
+             (fun (d : dist_stats) ->
+               Json.Obj
+                 [
+                   ("count", Json.int d.count);
+                   ("sum", Json.Num d.sum);
+                   ("min", Json.Num d.min);
+                   ("max", Json.Num d.max);
+                   ("p50", Json.Num d.p50);
+                   ("p90", Json.Num d.p90);
+                   ("p99", Json.Num d.p99);
+                 ])
+             snap.distributions );
+         ( "spans",
+           obj
+             (fun (s : span_stats) ->
+               Json.Obj
+                 [
+                   ("calls", Json.int s.calls);
+                   ("total_s", Json.Num s.total);
+                   ("slowest_s", Json.Num s.slowest);
+                 ])
+             snap.spans );
+         ( "gc",
+           Json.Obj
+             [
+               ("minor_words", Json.Num snap.gc.minor_words);
+               ("major_words", Json.Num snap.gc.major_words);
+             ] );
+     ]

@@ -118,7 +118,7 @@ val reset : unit -> unit
 val counter_value : snapshot -> string -> int
 (** Convenience lookup; 0 when the name is not in the snapshot. *)
 
-val snapshot_to_json : snapshot -> string
+val json_of_snapshot : snapshot -> Json.t
 (** The snapshot as one JSON object:
     [{"counters":{...},"distributions":{...},"spans":{...},"gc":{...}}].
     Distribution objects carry [count]/[sum]/[min]/[max] plus the
@@ -157,20 +157,16 @@ val sample : counter -> unit
 (** Emit a [counter] trace event with the counter's current value.
     No-op when {!tracing} is false. *)
 
-val emit_event : ev:string -> (string * string) list -> unit
+val emit_event : ev:string -> (string * Json.t) list -> unit
 (** [emit_event ~ev fields] writes one custom NDJSON event
     [{"ev":ev,"t":s,<fields>,"dom":k}] and flushes the sink (so live
-    consumers tailing the file see it immediately). Field values are
-    pre-rendered JSON fragments (use {!json_string} / {!json_float});
-    this is how the telemetry sampler emits [heartbeat] events. No-op
-    when {!tracing} is false. *)
+    consumers tailing the file see it immediately). This is how the
+    telemetry sampler emits [heartbeat] events. No-op when {!tracing}
+    is false.
+    @raise Invalid_argument on a non-finite number (see {!Json.print}). *)
 
 val json_string : string -> string
-(** A JSON string literal with NDJSON-safe escapes. *)
-
-val json_float : float -> string
-(** A finite JSON number rendering ([%.17g]; non-finite values render
-    as [0], since JSON has no inf/nan). *)
+(** The JSON string literal of a string: {!Json.print} of a [Str]. *)
 
 val close_sink : unit -> unit
 (** Emit one final [counter] sample per registered counter, then flush

@@ -1,7 +1,5 @@
 (* Baseline comparison for BENCH_obs.json documents. *)
 
-module Json = Trace.Json
-
 type target = {
   name : string;
   seconds : float;
@@ -11,31 +9,25 @@ type target = {
 
 let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l
 
+let counters_of_snapshot json =
+  sorted (Json.members "counters" Json.to_float json)
+
+let spans_of_snapshot json =
+  let total_s v = Option.bind (Json.member "total_s" v) Json.to_float in
+  sorted (Json.members "spans" total_s json)
+
 let target_of_json json =
   let str key = Option.bind (Json.member key json) Json.to_string in
   let num key = Option.bind (Json.member key json) Json.to_float in
   match (str "name", num "seconds", Json.member "metrics" json) with
   | Some name, Some seconds, Some metrics ->
-      let counters =
-        match Json.member "counters" metrics with
-        | Some (Json.Obj fields) ->
-            List.filter_map
-              (fun (k, v) -> Option.map (fun x -> (k, x)) (Json.to_float v))
-              fields
-        | _ -> []
-      in
-      let spans =
-        match Json.member "spans" metrics with
-        | Some (Json.Obj fields) ->
-            List.filter_map
-              (fun (k, v) ->
-                Option.map
-                  (fun x -> (k, x))
-                  (Option.bind (Json.member "total_s" v) Json.to_float))
-              fields
-        | _ -> []
-      in
-      Ok { name; seconds; counters = sorted counters; spans = sorted spans }
+      Ok
+        {
+          name;
+          seconds;
+          counters = counters_of_snapshot metrics;
+          spans = spans_of_snapshot metrics;
+        }
   | _ -> Error "target without name/seconds/metrics"
 
 let targets_of_json json =
@@ -52,17 +44,10 @@ let targets_of_json json =
   | _ -> Error "document has no \"targets\" array"
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match Json.parse text with
-      | Error msg -> Error msg
-      | Ok json -> targets_of_json json)
+  let ( let* ) = Result.bind in
+  let* text = Json.read_file path in
+  let* json = Json.parse text in
+  targets_of_json json
 
 type tolerance = {
   counter_rtol : float;

@@ -20,7 +20,14 @@ type target = {
   spans : (string * float) list;  (** name, total seconds; sorted *)
 }
 
-val targets_of_json : Trace.Json.t -> (target list, string) result
+val counters_of_snapshot : Json.t -> (string * float) list
+(** The counter map of an {!Obs.json_of_snapshot} document (a run's
+    [snapshot.json], a bench target's [metrics]), sorted by name. *)
+
+val spans_of_snapshot : Json.t -> (string * float) list
+(** Span name to total seconds, sorted by name. *)
+
+val targets_of_json : Json.t -> (target list, string) result
 (** Decode a [BENCH_obs.json] document ([{"targets":[...]}]). *)
 
 val load : string -> (target list, string) result

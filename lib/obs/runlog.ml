@@ -91,17 +91,7 @@ let sha256_hex msg =
   done;
   String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08lx") h))
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> Ok text
-  | exception Sys_error msg -> Error msg
-
-let sha256_file path = Result.map sha256_hex (read_file path)
+let sha256_file path = Result.map sha256_hex (Json.read_file path)
 
 (* --- pending records --- *)
 
@@ -165,43 +155,26 @@ let write_text path text =
     (fun () -> output_string oc text)
 
 let manifest_json p ~finished =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"runlog_version\":1,\"tool\":\"treorder\",\"tool_version\":%s,\"subcommand\":%s"
-       (Obs.json_string p.p_tool_version) (Obs.json_string p.p_subcommand));
-  Buffer.add_string b ",\"argv\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Obs.json_string a))
-    p.p_argv;
-  Buffer.add_string b "],\"inputs\":[";
-  List.iteri
-    (fun i (path, sha) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"path\":%s,\"sha256\":%s}" (Obs.json_string path)
-           (Obs.json_string sha)))
-    (List.rev p.p_inputs);
-  Buffer.add_string b "],\"params\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "%s:%s" (Obs.json_string k) (Obs.json_string v)))
-    (List.sort compare p.p_params);
-  Buffer.add_string b
-    (Printf.sprintf "},\"started\":%s,\"finished\":%s"
-       (Obs.json_float p.p_started) (Obs.json_float finished));
-  Buffer.add_string b ",\"attachments\":[";
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Obs.json_string name))
-    (List.sort compare (List.map fst p.p_attachments));
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let strings l = Json.Arr (List.map (fun a -> Json.Str a) l) in
+  let input (path, sha) =
+    Json.Obj [ ("path", Json.Str path); ("sha256", Json.Str sha) ]
+  in
+  let param (k, v) = (k, Json.Str v) in
+  Json.print
+    (Json.Obj
+       [
+         ("runlog_version", Json.int 1);
+         ("tool", Json.Str "treorder");
+         ("tool_version", Json.Str p.p_tool_version);
+         ("subcommand", Json.Str p.p_subcommand);
+         ("argv", strings p.p_argv);
+         ("inputs", Json.Arr (List.rev_map input p.p_inputs));
+         ("params", Json.Obj (List.map param (List.sort compare p.p_params)));
+         ("started", Json.Num p.p_started);
+         ("finished", Json.Num finished);
+         ( "attachments",
+           strings (List.sort compare (List.map fst p.p_attachments)) );
+       ])
 
 let default_id p =
   let tm = Unix.gmtime p.p_started in
@@ -272,18 +245,26 @@ type manifest = {
 
 type run = { run_dir : string; run_id : string; manifest : manifest }
 
+(* Decoding helpers: a required field of [j] ([doc] and [kind] name it
+   in the error), and [f] over a list, stopping at the first error. *)
+let field doc kind decode j key =
+  match Option.bind (Trace.Json.member key j) decode with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing %s %S" doc kind key)
+
+let str doc = field doc "string" Trace.Json.to_string
+let num doc = field doc "number" Trace.Json.to_float
+
+let map_all f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> Result.bind (f x) (fun v -> go (v :: acc) rest)
+  in
+  go [] xs
+
 let manifest_of_json json =
   let open Trace.Json in
-  let str key =
-    match Option.bind (member key json) to_string with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "manifest: missing string %S" key)
-  in
-  let num key =
-    match Option.bind (member key json) to_float with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "manifest: missing number %S" key)
-  in
+  let str = str "manifest" json and num = num "manifest" json in
   let ( let* ) = Result.bind in
   let* version = num "runlog_version" in
   let version = int_of_float version in
@@ -297,12 +278,8 @@ let manifest_of_json json =
     let str_list key =
       match member key json with
       | Some (Arr xs) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | Str s :: rest -> go (s :: acc) rest
-            | _ -> Error (Printf.sprintf "manifest: %S holds a non-string" key)
-          in
-          go [] xs
+          let non_string = Printf.sprintf "manifest: %S holds a non-string" in
+          map_all (function Str s -> Ok s | _ -> Error (non_string key)) xs
       | _ -> Error (Printf.sprintf "manifest: missing array %S" key)
     in
     let* argv = str_list "argv" in
@@ -310,29 +287,26 @@ let manifest_of_json json =
     let* inputs =
       match member "inputs" json with
       | Some (Arr xs) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | entry :: rest -> (
-                match
-                  ( Option.bind (member "path" entry) to_string,
-                    Option.bind (member "sha256" entry) to_string )
-                with
-                | Some path, Some sha -> go ((path, sha) :: acc) rest
-                | _ -> Error "manifest: malformed inputs entry")
-          in
-          go [] xs
+          map_all
+            (fun entry ->
+              match
+                ( Option.bind (member "path" entry) to_string,
+                  Option.bind (member "sha256" entry) to_string )
+              with
+              | Some path, Some sha -> Ok (path, sha)
+              | _ -> Error "manifest: malformed inputs entry")
+            xs
       | _ -> Error "manifest: missing array \"inputs\""
     in
     let* params =
       match member "params" json with
       | Some (Obj fields) ->
-          let rec go acc = function
-            | [] -> Ok (List.sort compare acc)
-            | (k, Str v) :: rest -> go ((k, v) :: acc) rest
-            | (k, _) :: _ ->
-                Error (Printf.sprintf "manifest: param %S is not a string" k)
-          in
-          go [] fields
+          map_all
+            (function
+              | k, Str v -> Ok (k, v)
+              | k, _ ->
+                  Error (Printf.sprintf "manifest: param %S is not a string" k))
+            fields
       | _ -> Error "manifest: missing object \"params\""
     in
     Ok
@@ -342,7 +316,7 @@ let manifest_of_json json =
         subcommand;
         argv;
         inputs;
-        params;
+        params = List.sort compare params;
         started;
         finished;
         attachments = List.sort compare attachments;
@@ -350,7 +324,7 @@ let manifest_of_json json =
 
 let read_manifest path =
   let ( let* ) = Result.bind in
-  let* text = read_file path in
+  let* text = Json.read_file path in
   let* json = Trace.Json.parse text in
   manifest_of_json json
 
@@ -392,29 +366,8 @@ let resolve path =
 
 let read_attachment run name =
   let ( let* ) = Result.bind in
-  let* text = read_file (Filename.concat run.run_dir (name ^ ".json")) in
+  let* text = Json.read_file (Filename.concat run.run_dir (name ^ ".json")) in
   Trace.Json.parse text
-
-(* --- snapshot access --- *)
-
-let assoc_fields key json =
-  match Trace.Json.member key json with
-  | Some (Trace.Json.Obj fields) -> fields
-  | _ -> []
-
-let counters_of_snapshot json =
-  assoc_fields "counters" json
-  |> List.filter_map (fun (name, v) ->
-         Option.map (fun x -> (name, x)) (Trace.Json.to_float v))
-  |> List.sort compare
-
-let spans_of_snapshot json =
-  assoc_fields "spans" json
-  |> List.filter_map (fun (name, v) ->
-         Option.map
-           (fun x -> (name, x))
-           (Option.bind (Trace.Json.member "total_s" v) Trace.Json.to_float))
-  |> List.sort compare
 
 (* --- ledger access --- *)
 
@@ -436,48 +389,34 @@ type ledger = {
 }
 
 let ledger_of_json json =
-  let open Trace.Json in
   let ( let* ) = Result.bind in
-  let str j key =
-    match Option.bind (member key j) to_string with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "ledger: missing string %S" key)
-  in
-  let num j key =
-    match Option.bind (member key j) to_float with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "ledger: missing number %S" key)
-  in
+  let str = str "ledger" and num = num "ledger" in
   let* l_circuit = str json "circuit" in
   let* l_total_before = num json "total_before" in
   let* l_total_after = num json "total_after" in
   let* gates =
-    match member "gates" json with
-    | Some (Arr gs) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | g :: rest ->
-              let* idx = num g "index" in
-              let* g_out = str g "output" in
-              let* g_cell = str g "cell" in
-              let* config_before = num g "config_before" in
-              let* config_after = num g "config_after" in
-              let* g_power_before = num g "power_before" in
-              let* g_power_after = num g "power_after" in
-              go
-                ({
-                   g_index = int_of_float idx;
-                   g_out;
-                   g_cell;
-                   g_config_before = int_of_float config_before;
-                   g_config_after = int_of_float config_after;
-                   g_power_before;
-                   g_power_after;
-                 }
-                :: acc)
-                rest
-        in
-        go [] gs
+    match Trace.Json.member "gates" json with
+    | Some (Trace.Json.Arr gs) ->
+        map_all
+          (fun g ->
+            let* idx = num g "index" in
+            let* g_out = str g "output" in
+            let* g_cell = str g "cell" in
+            let* config_before = num g "config_before" in
+            let* config_after = num g "config_after" in
+            let* g_power_before = num g "power_before" in
+            let* g_power_after = num g "power_after" in
+            Ok
+              {
+                g_index = int_of_float idx;
+                g_out;
+                g_cell;
+                g_config_before = int_of_float config_before;
+                g_config_after = int_of_float config_after;
+                g_power_before;
+                g_power_after;
+              })
+          gs
     | _ -> Error "ledger: missing array \"gates\""
   in
   let gates =
@@ -531,7 +470,6 @@ let assoc_drift a b =
       if va = vb then None else Some (key, va, vb))
     keys
 
-(* Audit-summary error metrics worth watching across runs. *)
 let audit_metrics =
   [
     "mean_density_err_pct"; "max_density_err_pct"; "mean_prob_err";
@@ -559,10 +497,10 @@ let diff ?tol ?(rtol = 1e-9) ?(ignore_counters = []) run_a run_b =
             Regress.name = "run";
             seconds = run.manifest.finished -. run.manifest.started;
             counters =
-              counters_of_snapshot json
+              Regress.counters_of_snapshot json
               |> List.filter (fun (name, _) ->
                      not (excluded_counter ignore_counters name));
-            spans = spans_of_snapshot json;
+            spans = Regress.spans_of_snapshot json;
           }
   in
   let counters =
@@ -639,17 +577,14 @@ let diff ?tol ?(rtol = 1e-9) ?(ignore_counters = []) run_a run_b =
   (match
      load_pair "audit" (fun json ->
          match Trace.Json.member "summary" json with
-         | Some s -> Ok s
+         | Some _ -> Ok (Json.members "summary" Json.to_float json)
          | None -> Error "audit: missing \"summary\"")
    with
   | None -> ()
   | Some (sa, sb) ->
       List.iter
         (fun metric ->
-          match
-            ( Option.bind (Trace.Json.member metric sa) Trace.Json.to_float,
-              Option.bind (Trace.Json.member metric sb) Trace.Json.to_float )
-          with
+          match (List.assoc_opt metric sa, List.assoc_opt metric sb) with
           | Some a, Some b -> value_drift ("audit." ^ metric) a b
           | _ -> ())
         audit_metrics);

@@ -102,14 +102,6 @@ val resolve : string -> (run, string) result
 val read_attachment : run -> string -> (Trace.Json.t, string) result
 (** Load and parse [<name>.json] from the run directory. *)
 
-(** {1 Snapshot access} *)
-
-val counters_of_snapshot : Trace.Json.t -> (string * float) list
-(** The counter map of a parsed [snapshot.json], sorted by name. *)
-
-val spans_of_snapshot : Trace.Json.t -> (string * float) list
-(** Span name to total seconds, sorted by name. *)
-
 (** {1 Ledger access} *)
 
 type ledger_gate = {
@@ -134,6 +126,11 @@ val ledger_of_json : Trace.Json.t -> (ledger, string) result
     configuration facts the diff engine needs. *)
 
 (** {1 Diffing} *)
+
+val audit_metrics : string list
+(** The audit-summary error metrics watched across runs: {!diff}
+    compares them, and the fleet history ({!History}) charts them as
+    [audit.<metric>]. *)
 
 type gate_drift = {
   gate : string;  (** output net name *)

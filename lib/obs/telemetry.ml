@@ -206,7 +206,12 @@ let render_labels b labels =
         labels;
       Buffer.add_char b '}'
 
-let num x = Obs.json_float x
+(* OpenMetrics has spellings for the values JSON lacks. *)
+let num x =
+  if Float.is_nan x then "NaN"
+  else if Float.is_finite x then Printf.sprintf "%.17g" x
+  else if x > 0. then "+Inf"
+  else "-Inf"
 
 (* [samples] are (name-suffix, labels, rendered value). *)
 let family b ~name ~typ ~help samples =
@@ -543,37 +548,18 @@ let write_atomic path text =
 
 let heartbeat_fields s =
   let p = s.s_progress in
-  let rates_obj =
-    let b = Buffer.create 64 in
-    Buffer.add_char b '{';
-    let first = ref true in
-    Array.iter
-      (fun (n, r) ->
-        if r > 0. then begin
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          Buffer.add_string b (Obs.json_string n);
-          Buffer.add_char b ':';
-          Buffer.add_string b (Obs.json_float r)
-        end)
-      s.s_rates;
-    Buffer.add_char b '}';
-    Buffer.contents b
-  in
-  let util_arr =
-    "["
-    ^ String.concat ","
-        (Array.to_list (Array.map (fun u -> Obs.json_float u.u_ratio) s.s_util))
-    ^ "]"
-  in
-  [
-    ("phase", Obs.json_string p.phase);
-    ("percent", Obs.json_float p.percent);
-  ]
-  @ (match p.eta_s with
-    | None -> []
-    | Some eta -> [ ("eta_s", Obs.json_float eta) ])
-  @ [ ("rates", rates_obj); ("util", util_arr) ]
+  [ ("phase", Json.Str p.phase); ("percent", Json.Num p.percent) ]
+  @ (match p.eta_s with None -> [] | Some eta -> [ ("eta_s", Json.Num eta) ])
+  @ [
+      ( "rates",
+        Json.Obj
+          (Array.to_list s.s_rates
+          |> List.filter_map (fun (n, r) ->
+                 if r > 0. then Some (n, Json.Num r) else None)) );
+      ( "util",
+        Json.Arr
+          (Array.to_list (Array.map (fun u -> Json.Num u.u_ratio) s.s_util)) );
+    ]
 
 let take_sample st =
   let t_tick0 = Unix.gettimeofday () in

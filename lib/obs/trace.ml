@@ -1,170 +1,6 @@
 (* NDJSON trace reader, span-tree aggregation and Chrome export. *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Error of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | Some _ | None -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some d when d = c -> advance ()
-      | Some _ | None -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word v =
-      String.iter expect word;
-      v
-    in
-    let string_lit () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' ->
-            advance ();
-            Buffer.contents b
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-            | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-            | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-            | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-            | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-            | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-            | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-            | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-            | Some 'u' ->
-                advance ();
-                let hex = Buffer.create 4 in
-                for _ = 1 to 4 do
-                  match peek () with
-                  | Some (('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') as c) ->
-                      advance ();
-                      Buffer.add_char hex c
-                  | Some _ | None -> fail "bad \\u escape"
-                done;
-                let code = int_of_string ("0x" ^ Buffer.contents hex) in
-                (* The sink only escapes control characters, so a plain
-                   byte for the BMP-latin subset is enough. *)
-                if code < 0x80 then Buffer.add_char b (Char.chr code)
-                else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
-                go ()
-            | Some _ | None -> fail "bad escape")
-        | Some c when Char.code c < 0x20 -> fail "raw control character"
-        | Some c ->
-            advance ();
-            Buffer.add_char b c;
-            go ()
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      let numeric = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> numeric c | None -> false) do
-        advance ()
-      done;
-      let text = String.sub s start (!pos - start) in
-      match float_of_string_opt text with
-      | Some x -> Num x
-      | None -> fail (Printf.sprintf "bad number %S" text)
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else
-            let rec members acc =
-              skip_ws ();
-              let key = string_lit () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((key, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  Obj (List.rev ((key, v) :: acc))
-              | Some _ | None -> fail "expected ',' or '}'"
-            in
-            members []
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else
-            let rec elements acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elements (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  Arr (List.rev (v :: acc))
-              | Some _ | None -> fail "expected ',' or ']'"
-            in
-            elements []
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some ('-' | '0' .. '9') -> number ()
-      | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
-      | None -> fail "unexpected end of input"
-    in
-    match
-      let v = value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Error msg -> Error msg
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | Null | Bool _ | Num _ | Str _ | Arr _ -> None
-
-  let to_float = function Num x -> Some x | _ -> None
-  let to_string = function Str s -> Some s | _ -> None
-end
+module Json = Json
 
 (* --- events --- *)
 
@@ -213,15 +49,7 @@ let event_of_line line =
           | "heartbeat", Some t ->
               let phase = Option.value (str "phase") ~default:"" in
               let percent = Option.value (num "percent") ~default:0. in
-              let rates =
-                match Json.member "rates" json with
-                | Some (Json.Obj fields) ->
-                    List.filter_map
-                      (fun (k, v) ->
-                        Option.map (fun x -> (k, x)) (Json.to_float v))
-                      fields
-                | _ -> []
-              in
+              let rates = Json.members "rates" Json.to_float json in
               let util =
                 match Json.member "util" json with
                 | Some (Json.Arr xs) -> List.filter_map Json.to_float xs
@@ -245,15 +73,7 @@ let events_of_string text =
   in
   go 1 [] lines
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> events_of_string text
-  | exception Sys_error msg -> Error msg
+let load path = Result.bind (Json.read_file path) events_of_string
 
 (* --- span tree --- *)
 
@@ -379,39 +199,36 @@ let final_counters events =
 (* --- Chrome trace-event export --- *)
 
 let to_chrome events =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let us t = t *. 1e6 in
-  let first = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_char b ',';
-        Buffer.add_string b s)
-      fmt
-  in
   (* One Chrome thread lane per domain; lane 0 (the coordinator, and
      everything in a pre-domain-tagging trace) stays tid 1. *)
-  List.iter
-    (fun ev ->
-      match ev with
-      | Span_begin { name; t; dom; _ } ->
-          emit "{\"name\":%s,\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-            (Obs.json_string name) (us t) (dom + 1)
-      | Span_end { name; t; dom; _ } ->
-          emit "{\"name\":%s,\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-            (Obs.json_string name) (us t) (dom + 1)
-      | Counter { name; t; value; dom } ->
-          emit
-            "{\"name\":%s,\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"value\":%d}}"
-            (Obs.json_string name) (us t) (dom + 1) value
-      | Heartbeat { t; percent; dom; _ } ->
-          emit
-            "{\"name\":\"progress.percent\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"value\":%.3f}}"
-            (us t) (dom + 1) percent)
-    events;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
+  let event ?value name ph t dom =
+    Json.Obj
+      ([
+         ("name", Json.Str name);
+         ("ph", Json.Str ph);
+         ("ts", Json.Num (t *. 1e6));
+         ("pid", Json.int 1);
+         ("tid", Json.int (dom + 1));
+       ]
+      @
+      match value with
+      | Some v -> [ ("args", Json.Obj [ ("value", v) ]) ]
+      | None -> [])
+  in
+  let chrome = function
+    | Span_begin { name; t; dom; _ } -> event name "B" t dom
+    | Span_end { name; t; dom; _ } -> event name "E" t dom
+    | Counter { name; t; value; dom } ->
+        event ~value:(Json.int value) name "C" t dom
+    | Heartbeat { t; percent; dom; _ } ->
+        event ~value:(Json.Num percent) "progress.percent" "C" t dom
+  in
+  Json.print
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (List.map chrome events));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
 
 (* --- folded stacks (flamegraph.pl / speedscope) --- *)
 

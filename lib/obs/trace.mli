@@ -9,30 +9,11 @@
     stream truncation: a trace cut off mid-run (the process died inside
     a span) still yields the tree of the spans that did complete. *)
 
-(** {1 JSON values}
+(** {1 JSON values} *)
 
-    A minimal self-contained JSON reader — also used by {!Regress} to
-    parse [BENCH_obs.json] documents — plus the escaping helper shared
-    by the writers. *)
-
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  (** Whole-string parse; the error carries a character offset. *)
-
-  val member : string -> t -> t option
-  (** Field lookup on [Obj]; [None] on other constructors. *)
-
-  val to_float : t -> float option
-  val to_string : t -> string option
-end
+module Json = Json
+(** The shared JSON reader and printer, under the name trace consumers
+    have always used. *)
 
 (** {1 Events} *)
 
@@ -104,7 +85,9 @@ val to_chrome : event list -> string
     heartbeats become a [progress.percent] counter track, on [pid 1]
     with one thread lane per domain ([tid = dom + 1], so a [--jobs 4]
     run renders four worker tracks plus the coordinator's), timestamps
-    in microseconds. Loadable by [chrome://tracing] and Perfetto. *)
+    in microseconds. Loadable by [chrome://tracing] and Perfetto.
+    @raise Invalid_argument when a timestamp in microseconds or a
+    heartbeat percent is not a finite number (see {!Json.print}). *)
 
 (** {1 Folded stacks} *)
 

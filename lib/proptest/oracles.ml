@@ -557,7 +557,7 @@ let check_archive_roundtrip ~seed c =
   Runlog.set_param p "seed" (string_of_int seed);
   Runlog.set_param p "circuit" (C.name c);
   Runlog.attach p ~name:"ledger" ~json:(Attrib.to_json ledger);
-  let snapshot_json = Obs.snapshot_to_json (Obs.snapshot ()) in
+  let snapshot_json = Json.print (Obs.json_of_snapshot (Obs.snapshot ())) in
   match Runlog.write ~id:"case" ~dir ~snapshot_json p with
   | Error e -> fail "archive write failed: %s" e
   | Ok run_dir -> (
@@ -896,19 +896,36 @@ let check_history_consistency ~seed c =
   let write_record dir i =
     let run_dir = Filename.concat dir (Printf.sprintf "r%02d" i) in
     Unix.mkdir run_dir 0o755;
-    write_text
-      (Filename.concat run_dir "snapshot.json")
-      (Printf.sprintf
-         "{\"counters\":{\"oracle.step\":%s,\"oracle.value\":%s},\"distributions\":{},\"spans\":{},\"gc\":{}}"
-         (Obs.json_float (step i))
-         (Obs.json_float (value i)));
-    write_text
-      (Filename.concat run_dir "manifest.json")
-      (Printf.sprintf
-         "{\"runlog_version\":1,\"tool\":\"treorder\",\"tool_version\":\"oracle\",\"subcommand\":\"optimize\",\"argv\":[\"optimize\",%s],\"inputs\":[],\"params\":{\"circuit\":%s,\"seed\":\"42\"},\"started\":%d,\"finished\":%d.25,\"attachments\":[]}"
-         (Obs.json_string name) (Obs.json_string name)
-         (1700000000 + i)
-         (1700000000 + i))
+    let write file fields =
+      write_text (Filename.concat run_dir file) (Json.print (Json.Obj fields))
+    in
+    write "snapshot.json"
+      [
+        ( "counters",
+          Json.Obj
+            [
+              ("oracle.step", Json.Num (step i));
+              ("oracle.value", Json.Num (value i));
+            ] );
+        ("distributions", Json.Obj []);
+        ("spans", Json.Obj []);
+        ("gc", Json.Obj []);
+      ];
+    let started = float_of_int (1700000000 + i) in
+    write "manifest.json"
+      [
+        ("runlog_version", Json.int 1);
+        ("tool", Json.Str "treorder");
+        ("tool_version", Json.Str "oracle");
+        ("subcommand", Json.Str "optimize");
+        ("argv", Json.Arr [ Json.Str "optimize"; Json.Str name ]);
+        ("inputs", Json.Arr []);
+        ( "params",
+          Json.Obj [ ("circuit", Json.Str name); ("seed", Json.Str "42") ] );
+        ("started", Json.Num started);
+        ("finished", Json.Num (started +. 0.25));
+        ("attachments", Json.Arr []);
+      ]
   in
   let with_archive order f =
     let dir = Filename.temp_dir "treorder_oracle" "" in

@@ -60,9 +60,9 @@ let local_of_node = function
   | Sp.Network.Internal i -> 3 + i
 
 let build proc ?external_load circ =
+  let config_of = Cell.Config.lookup () in
   let build_gate g (gate : C.gate) =
-    let configs = Cell.Config.all gate.C.cell in
-    let config = List.nth configs gate.C.config in
+    let config = config_of gate.C.cell gate.C.config in
     let network = Cell.Config.network config in
     let n_nodes = 3 + Sp.Network.internal_count network in
     let devices =

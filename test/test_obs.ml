@@ -330,7 +330,7 @@ let test_snapshot_json () =
   Obs.add c 42;
   Obs.observe (Obs.distribution "test.json_dist") 1.5;
   Obs.span "test.json_span" (fun () -> ());
-  let json = Obs.snapshot_to_json (Obs.snapshot ()) in
+  let json = Json.print (Obs.json_of_snapshot (Obs.snapshot ())) in
   check_valid_json "snapshot" json
 
 (* --- domain safety --- *)

@@ -31,7 +31,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* A snapshot document in the shape Obs.snapshot_to_json emits. *)
+(* A snapshot document in the shape Obs.json_of_snapshot prints as. *)
 let snap counters =
   Printf.sprintf
     {|{"counters":{%s},"distributions":{},"spans":{"optimize.run":{"calls":1,"total_s":0.25,"slowest_s":0.25}},"gc":{"minor_words":0,"major_words":0}}|}
@@ -131,7 +131,7 @@ let test_roundtrip () =
   Alcotest.(check int) "ledger gates decoded" 2
     (Array.length l.Runlog.l_gates);
   let counters =
-    Runlog.counters_of_snapshot
+    Regress.counters_of_snapshot
       (ok (Trace.Json.parse (read_file (Filename.concat run_dir "snapshot.json"))))
   in
   Alcotest.(check (option (float 1e-9))) "snapshot counters readable"

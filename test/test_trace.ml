@@ -47,6 +47,134 @@ let test_json_escape_roundtrip () =
         (J.to_string (ok (J.parse (Obs.json_string s)))))
     strings
 
+(* --- Json printer --- *)
+
+(* The printer's numbers must be Printf's "%.17g", byte for byte. *)
+let test_number_format () =
+  let rng = Random.State.make [| 17 |] in
+  let seeded =
+    List.init 200_000 (fun _ -> Int64.float_of_bits (Random.State.bits64 rng))
+    |> List.filter Float.is_finite
+  in
+  let tiny = Int64.float_of_bits 1L in
+  let edges =
+    [
+      0.; -0.; tiny; -.tiny; Float.min_float; Float.min_float /. 3.;
+      -.Float.min_float; Float.max_float; -.Float.max_float; Float.epsilon;
+      0.1; 1e21; 1e-7; 1. /. 3.;
+    ]
+  in
+  let ints =
+    List.concat
+      (List.init 54 (fun k ->
+           let p = Float.ldexp 1. k in
+           [ p; p -. 1.; -.p ]))
+    @ List.init 1000 (fun _ ->
+          Int64.to_float
+            (Random.State.int64 rng (Int64.add (Int64.shift_left 1L 53) 1L)))
+  in
+  List.iter
+    (fun x ->
+      let expected = Printf.sprintf "%.17g" x in
+      let got = J.print (J.Num x) in
+      if got <> expected then
+        Alcotest.failf "%h printed %s, Printf gives %s" x got expected)
+    (edges @ ints @ seeded);
+  List.iter
+    (fun n ->
+      Alcotest.(check string) "int digits" (string_of_int n)
+        (J.print (J.int n)))
+    [ 0; 1; -1; 42; max_int land ((1 lsl 53) - 1); -(1 lsl 53); 1 lsl 53 ]
+
+let test_non_finite_raises () =
+  List.iter
+    (fun x ->
+      let doc = J.Obj [ ("ok", J.Num 1.); ("bad", J.Arr [ J.Num x ]) ] in
+      match J.print doc with
+      | s -> Alcotest.failf "%h printed as %s" x s
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            ("the error names the key: " ^ msg)
+            true (contains msg "\"bad\""))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* Structural equality, floats compared bit for bit (so -0 is not 0). *)
+let rec same a b =
+  match (a, b) with
+  | J.Num x, J.Num y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | J.Arr xs, J.Arr ys ->
+      List.length xs = List.length ys && List.for_all2 same xs ys
+  | J.Obj xs, J.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && same x y) xs ys
+  | _ -> a = b
+
+let gen_json =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (2, oneofl [ '"'; '\\'; '/' ]);
+        (2, char_range '\000' '\031');
+        (4, char_range ' ' '~');
+        (1, char_range '\128' '\255');
+      ]
+  in
+  let str = string_size ~gen:byte (int_range 0 10) in
+  let finite =
+    map
+      (fun bits ->
+        let x = Int64.float_of_bits bits in
+        if Float.is_finite x then x else Int64.to_float bits)
+      ui64
+  in
+  let leaf =
+    frequency
+      [
+        (1, return J.Null);
+        (1, map (fun b -> J.Bool b) bool);
+        (4, map (fun x -> J.Num x) finite);
+        (1, map (fun n -> J.int n) int);
+        (3, map (fun s -> J.Str s) str);
+      ]
+  in
+  let tree =
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (1, leaf);
+              ( 2,
+                map
+                  (fun l -> J.Arr l)
+                  (list_size (int_range 0 4) (self (depth - 1))) );
+              ( 2,
+                map
+                  (fun l -> J.Obj l)
+                  (list_size (int_range 0 4) (pair str (self (depth - 1)))) );
+            ])
+      5
+  in
+  (* A spine of up to 300 alternating arrays and objects around each
+     tree, for nesting far deeper than any document the tool writes. *)
+  let rec nest k v =
+    if k = 0 then v
+    else nest (k - 1) (if k mod 2 = 0 then J.Arr [ v ] else J.Obj [ ("k", v) ])
+  in
+  map2 nest (int_range 0 300) tree
+
+let prop_roundtrip =
+  QCheck.Test.make ~name:"print -> parse round-trips, floats bit-exact"
+    ~count:500
+    (QCheck.make ~print:J.print gen_json)
+    (fun v ->
+      (match J.parse (J.print v) with Ok w -> same v w | Error _ -> false)
+      && J.print_streaming [ ("a", v) ] "k" (List.to_seq [ v; v ])
+         = J.print (J.Obj [ ("a", v); ("k", J.Arr [ v; v ]) ]))
+
 (* --- NDJSON round-trip: what Obs writes, Trace reads --- *)
 
 let with_trace f =
@@ -342,6 +470,13 @@ let () =
           Alcotest.test_case "reader" `Quick test_json_parse;
           Alcotest.test_case "escape round-trip" `Quick
             test_json_escape_roundtrip;
+          Alcotest.test_case "numbers print as Printf's %.17g" `Quick
+            test_number_format;
+          Alcotest.test_case "non-finite numbers raise" `Quick
+            test_non_finite_raises;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20 |])
+            prop_roundtrip;
         ] );
       ( "ndjson",
         [
