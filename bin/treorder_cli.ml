@@ -900,19 +900,23 @@ let with_gate name f =
       Printf.eprintf "error: unknown gate %S (see `treorder gates`)\n" name;
       exit 1
 
+(* [f gate] when [config] indexes one of the gate's configurations. *)
+let with_config name config f =
+  with_gate name (fun gate ->
+      if config < 0 || config >= Cell.Gate.config_count gate then begin
+        Printf.eprintf "error: %s has %d configurations\n" name
+          (Cell.Gate.config_count gate);
+        exit 1
+      end;
+      f gate)
+
 let dot_cmd =
   let run name config =
-    with_gate name (fun gate ->
-        if config < 0 || config >= Cell.Gate.config_count gate then begin
-          Printf.eprintf "error: %s has %d configurations\n" name
-            (Cell.Gate.config_count gate);
-          exit 1
-        end;
-        let cfg = List.nth (Cell.Config.all gate) config in
+    with_config name config (fun gate ->
         print_string
           (Sp.Network.to_dot
              ~name:(Printf.sprintf "%s_cfg%d" name config)
-             (Cell.Config.network cfg)))
+             (Cell.Config.nth_network gate config)))
   in
   Cmd.v
     (Cmd.info "dot"
@@ -934,7 +938,8 @@ let spice_cmd =
           Printf.eprintf "error: give a gate name or --library\n";
           exit 1
       | Some name ->
-          with_gate name (fun gate -> print_string (Cell.Spice.subckt gate ~config))
+          with_config name config (fun gate ->
+              print_string (Cell.Spice.subckt gate ~config))
   in
   Cmd.v
     (Cmd.info "spice" ~doc:"SPICE subcircuit of a gate configuration.")

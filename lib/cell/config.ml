@@ -29,20 +29,6 @@ let all gate =
   (* Put the reference configuration first. *)
   start :: List.filter (fun c -> not (equal c start)) combos
 
-let lookup () =
-  let cells = Hashtbl.create 16 in
-  fun gate k ->
-    let name = Gate.name gate in
-    let configs =
-      match Hashtbl.find_opt cells name with
-      | Some configs -> configs
-      | None ->
-          let configs = Array.of_list (all gate) in
-          Hashtbl.add cells name configs;
-          configs
-    in
-    configs.(k)
-
 let internal_node_count c =
   T.internal_node_count c.pull_down + T.internal_node_count c.pull_up
 
@@ -101,3 +87,56 @@ let to_string ?names c =
     (T.to_string ?names c.pull_down)
 
 let pp ppf c = Format.pp_print_string ppf (to_string c)
+
+(* --- The per-cell table --- *)
+
+(* One cell's configurations in [all]'s order, their networks, and the
+   ones input reordering reaches. Never mutated once published. *)
+type cell = {
+  configs : t array;
+  networks : Sp.Network.t array;
+  input_reorderings : int list;
+}
+
+let build gate =
+  let configs = Array.of_list (all gate) in
+  let reference = configs.(0) in
+  {
+    configs;
+    networks = Array.map network configs;
+    input_reorderings =
+      List.filter
+        (fun k -> same_shape configs.(k) reference)
+        (List.init (Array.length configs) Fun.id);
+  }
+
+(* Every cell built so far, by kind. A reader takes no lock: it finds
+   its cell in the list it loaded, or builds it and publishes a longer
+   list, adopting a racing domain's entry if that one won. *)
+let cells : (Gate.kind * cell) list Atomic.t = Atomic.make []
+
+let of_gate gate =
+  let kind = Gate.kind gate in
+  match List.assoc_opt kind (Atomic.get cells) with
+  | Some c -> c
+  | None ->
+      let c = build gate in
+      let rec publish () =
+        let known = Atomic.get cells in
+        match List.assoc_opt kind known with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set cells known ((kind, c) :: known) then c
+            else publish ()
+      in
+      publish ()
+
+let checked gate k =
+  let c = of_gate gate in
+  if k < 0 || k >= Array.length c.configs then
+    invalid_arg "Config: configuration index out of range";
+  c
+
+let nth gate k = (checked gate k).configs.(k)
+let nth_network gate k = (checked gate k).networks.(k)
+let input_reorderings gate = (of_gate gate).input_reorderings

@@ -15,13 +15,6 @@ val all : Gate.t -> t list
     two networks' orderings, reference first). Its length equals
     {!Gate.config_count}. *)
 
-val lookup : unit -> Gate.t -> int -> t
-(** [lookup ()] is a fresh [fun cell k -> List.nth (all cell) k] that
-    enumerates each cell's configurations once, on its first call for
-    that cell, and indexes them after. Make one per pass over a
-    circuit; its table is not shared between domains.
-    @raise Invalid_argument when [k] is out of range. *)
-
 val pivot_all : ?trace:(int -> t -> unit) -> t -> t list
 (** The paper's Fig. 4 algorithm on the whole gate: internal-node
     indices cover first the pull-down gaps, then the pull-up gaps.
@@ -30,7 +23,8 @@ val pivot_all : ?trace:(int -> t -> unit) -> t -> t list
     (tested). *)
 
 val network : t -> Sp.Network.t
-(** Flattened transistor graph (Fig. 2(a)). *)
+(** Flattened transistor graph (Fig. 2(a)), built afresh. A library
+    cell's configurations have theirs built once: {!nth_network}. *)
 
 val internal_node_count : t -> int
 
@@ -53,3 +47,26 @@ val same_shape : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : ?names:(int -> string) -> t -> string
 (** Prints as [PU=(b | (a1 . a2)) PD=((a1 | a2) . b)]. *)
+
+(** {1 The per-cell table}
+
+    Each cell's configurations, in {!all}'s order, and their transistor
+    graphs are built together on the cell's first use by any function
+    below, never at process start, and kept for the life of the
+    process. Nothing in the table is mutated once built, and a read
+    takes no lock, so every domain shares it: two domains that first
+    use a cell at once may both build it, and one copy is kept. Index
+    [k] is the configuration index a netlist gate carries. *)
+
+val nth : Gate.t -> int -> t
+(** [nth cell k]: the [k]-th element of [all cell].
+    @raise Invalid_argument when [k] is out of range. *)
+
+val nth_network : Gate.t -> int -> Sp.Network.t
+(** [network (nth cell k)], built once with the table: every reader of
+    configuration [k]'s transistor graph gets this one.
+    @raise Invalid_argument when [k] is out of range. *)
+
+val input_reorderings : Gate.t -> int list
+(** The configurations {!same_shape} as the reference, ascending: what
+    input reordering alone can reach. Always holds 0. *)

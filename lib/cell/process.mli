@@ -34,7 +34,8 @@ val device_resistance : t -> Sp.Sp_tree.polarity -> float
 
 val node_capacitance : t -> Sp.Network.t -> Sp.Network.node -> float
 (** Capacitance of a node {e inside} one gate: junction capacitance per
-    attached device terminal, plus the wire capacitance on the output
+    attached device terminal ({!Sp.Network.node_degree}, the length of
+    the node's adjacency), plus the wire capacitance on the output
     node. The fan-out load on the output node depends on the circuit,
     not the cell: [Netlist.Load.output] defines it. *)
 

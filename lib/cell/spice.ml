@@ -1,19 +1,9 @@
 module N = Sp.Network
 
-let node_name = function
-  | N.Vdd -> "vdd"
-  | N.Vss -> "vss"
-  | N.Output -> "y"
-  | N.Internal i -> "n" ^ string_of_int i
-
 let subckt ?name gate ~config =
-  let configs = Config.all gate in
-  let cfg =
-    try List.nth configs config
-    with Failure _ | Invalid_argument _ ->
-      invalid_arg "Spice.subckt: configuration index out of range"
-  in
-  let network = Config.network cfg in
+  if config < 0 || config >= Gate.config_count gate then
+    invalid_arg "Spice.subckt: configuration index out of range";
+  let cfg = Config.nth gate config in
   let subckt_name =
     match name with
     | Some n -> n
@@ -28,7 +18,7 @@ let subckt ?name gate ~config =
     (Printf.sprintf "* %s: %s\n" subckt_name (Config.to_string cfg));
   Buffer.add_string buf
     (Printf.sprintf ".subckt %s %s\n" subckt_name (String.concat " " pins));
-  List.iteri
+  Array.iteri
     (fun i (d : N.device) ->
       (* MOS line: M<name> drain gate source bulk model. The source/
          drain orientation is symmetric for our purposes; bulk ties to
@@ -39,9 +29,9 @@ let subckt ?name gate ~config =
         | Sp.Sp_tree.Nmos -> ("nmos", "MN", "vss")
       in
       Buffer.add_string buf
-        (Printf.sprintf "%s%d %s x%d %s %s %s\n" prefix i (node_name d.a)
-           d.input (node_name d.b) bulk model))
-    (N.devices network);
+        (Printf.sprintf "%s%d %s x%d %s %s %s\n" prefix i (N.node_name d.a)
+           d.input (N.node_name d.b) bulk model))
+    (N.devices (Config.nth_network gate config));
   Buffer.add_string buf ".ends\n";
   Buffer.contents buf
 

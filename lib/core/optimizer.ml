@@ -49,13 +49,8 @@ let power_objective = function
 
 let candidates_of ~input_only (gate : C.gate) =
   let cell = gate.C.cell in
-  if not input_only then List.init (Cell.Gate.config_count cell) Fun.id
-  else
-    let reference = Cell.Config.reference cell in
-    List.concat
-      (List.mapi
-         (fun i c -> if Cell.Config.same_shape c reference then [ i ] else [])
-         (Cell.Config.all cell))
+  if input_only then Cell.Config.input_reorderings cell
+  else List.init (Cell.Gate.config_count cell) Fun.id
 
 (* FIND_BEST_REORDERING's fold, the only one: candidates left to right,
    and a candidate replaces the best so far only if it costs strictly

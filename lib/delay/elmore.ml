@@ -8,53 +8,33 @@ type affine = { fixed : float; coef : float }
 
 type pin_model = { rise : affine list; fall : affine list }
 
-(* Per cell: its configurations, enumerated once, and each one's pin
-   models once built. *)
-type entry = {
-  configs : Cell.Config.t array;
-  models : pin_model array option array;
+(* Per cell name, each configuration's pin models once built. *)
+type table = {
+  proc : Cell.Process.t;
+  cells : (string, pin_model array option array) Hashtbl.t;
 }
-
-type table = { proc : Cell.Process.t; cells : (string, entry) Hashtbl.t }
 
 let table proc = { proc; cells = Hashtbl.create 32 }
 let process t = t.proc
 
-(* Node indices of the adjacency array: the output, the two rails, then
-   the internal nodes. *)
-let output = 0
-let vdd = 1
-let vss = 2
-let index = function
-  | N.Output -> output
-  | N.Vdd -> vdd
-  | N.Vss -> vss
-  | N.Internal i -> 3 + i
-
 let build_models t cell config =
-  let network = Cell.Config.network config in
-  let devices = Array.of_list (N.devices network) in
+  let network = Cell.Config.nth_network cell config in
+  let devices = N.devices network in
   let resistance =
     Array.map
       (fun (d : N.device) -> Cell.Process.device_resistance t.proc d.polarity)
       devices
   in
-  let nodes = 3 + N.internal_count network in
   (* Internal nodes only: the output's term is [c_out], and a rail never
      carries charge. *)
   let capacitance =
-    Array.init nodes (fun i ->
-        if i < 3 then 0.
-        else Cell.Process.node_capacitance t.proc network (N.Internal (i - 3)))
+    Array.init (N.node_count network) (fun i ->
+        match N.node_of_index i with
+        | N.Internal _ as node ->
+            Cell.Process.node_capacitance t.proc network node
+        | N.Vdd | N.Vss | N.Output -> 0.)
   in
   let c_out = Cell.Process.node_capacitance t.proc network N.Output in
-  (* Each node's (device, far end) pairs, in device order. *)
-  let adjacency = Array.make nodes [] in
-  for d = Array.length devices - 1 downto 0 do
-    let a = index devices.(d).a and b = index devices.(d).b in
-    adjacency.(a) <- (d, b) :: adjacency.(a);
-    adjacency.(b) <- (d, a) :: adjacency.(b)
-  done;
   let arity = Cell.Gate.arity cell in
   (* Elmore terms of one path, [(device, node past it)] from the output
      toward the rail, for every pin on it (each pin drives one device
@@ -79,22 +59,23 @@ let build_models t cell config =
   in
   (* Every simple path from the output to [rail] that does not cross the
      opposite rail, depth first, marking the nodes on the current path. *)
+  let vdd = N.index N.Vdd and vss = N.index N.Vss in
   let rail_models rail =
     let models = Array.make arity [] in
     let blocked = if rail = vss then vdd else vss in
-    let on_path = Array.make nodes false in
+    let on_path = Array.make (N.node_count network) false in
     let rec explore here acc =
       if here = rail then add_path models (List.rev acc)
       else if here <> blocked then begin
         on_path.(here) <- true;
-        List.iter
+        Array.iter
           (fun (d, next) ->
             if not on_path.(next) then explore next ((d, next) :: acc))
-          adjacency.(here);
+          (N.adjacency network here);
         on_path.(here) <- false
       end
     in
-    explore output [];
+    explore (N.index N.Output) [];
     models
   in
   let fall = rail_models vss and rise = rail_models vdd in
@@ -102,22 +83,21 @@ let build_models t cell config =
 
 let get t cell config =
   let name = Cell.Gate.name cell in
-  let entry =
+  let models =
     match Hashtbl.find_opt t.cells name with
-    | Some e -> e
+    | Some models -> models
     | None ->
-        let configs = Array.of_list (Cell.Config.all cell) in
-        let e = { configs; models = Array.make (Array.length configs) None } in
-        Hashtbl.add t.cells name e;
-        e
+        let models = Array.make (Cell.Gate.config_count cell) None in
+        Hashtbl.add t.cells name models;
+        models
   in
-  if config < 0 || config >= Array.length entry.configs then
+  if config < 0 || config >= Array.length models then
     invalid_arg "Delay.Elmore: configuration index out of range";
-  match entry.models.(config) with
+  match models.(config) with
   | Some m -> m
   | None ->
-      let m = build_models t cell entry.configs.(config) in
-      entry.models.(config) <- Some m;
+      let m = build_models t cell config in
+      models.(config) <- Some m;
       m
 
 let eval load paths =

@@ -20,10 +20,10 @@
 type table
 
 val table : Cell.Process.t -> table
-(** An empty cache of each cell's configurations and of each
-    configuration's pin models, filled on first use. It is an
-    unsynchronized [Hashtbl]: share it between domains only behind a
-    lock. *)
+(** An empty cache of each configuration's pin models, each built on
+    first use from the configuration's shared transistor graph
+    ({!Cell.Config.nth_network}). It is an unsynchronized [Hashtbl]:
+    share it between domains only behind a lock. *)
 
 val process : table -> Cell.Process.t
 

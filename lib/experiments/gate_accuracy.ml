@@ -1,4 +1,5 @@
 module S = Stoch.Signal_stats
+module N = Sp.Network
 
 type row = {
   gate : string;
@@ -37,67 +38,51 @@ let pin_stats n =
    per-edge charging energy. *)
 let exhaustive_power (ctx : Common.t) gate config =
   let n = Cell.Gate.arity gate in
-  let cfg = List.nth (Cell.Config.all gate) config in
-  let network = Cell.Config.network cfg in
-  let nodes = Sp.Network.power_nodes network in
-  let node_index =
-    List.mapi (fun i node -> (node, i)) nodes
-  in
+  let network = Cell.Config.nth_network gate config in
+  (* The powered nodes' indices: the output, then the internal nodes. *)
+  let powered = List.map N.index (N.power_nodes network) in
   let caps =
-    List.map
-      (fun node ->
-        let base = Cell.Process.node_capacitance ctx.Common.proc network node in
-        match node with
-        | Sp.Network.Output -> base +. Netlist.Load.default_external
-        | Sp.Network.Vdd | Sp.Network.Vss | Sp.Network.Internal _ -> base)
-      nodes
-    |> Array.of_list
+    Array.init (N.node_count network) (fun i ->
+        match N.node_of_index i with
+        | N.Output as node ->
+            Cell.Process.node_capacitance ctx.Common.proc network node
+            +. Netlist.Load.default_external
+        | N.Internal _ as node ->
+            Cell.Process.node_capacitance ctx.Common.proc network node
+        | N.Vdd | N.Vss -> 0.)
   in
   let vdd = ctx.Common.proc.Cell.Process.vdd in
-  let devices = Sp.Network.devices network in
+  let devices = N.devices network in
   (* Settle the node charges for input vector [v], holding the previous
      charges on isolated nodes. Complementary gates have no X states
-     once seeded, so charges are a plain bitmask over [nodes]. *)
+     once seeded, so charges are a plain bitmask over node indices. *)
   let solve v prev =
-    let conducting (d : Sp.Network.device) =
-      let bit = v land (1 lsl d.input) <> 0 in
-      match d.polarity with Sp.Sp_tree.Nmos -> bit | Sp.Sp_tree.Pmos -> not bit
+    let conducting d =
+      let bit = v land (1 lsl devices.(d).input) <> 0 in
+      match devices.(d).polarity with
+      | Sp.Sp_tree.Nmos -> bit
+      | Sp.Sp_tree.Pmos -> not bit
     in
-    let reach target =
-      let seen = Hashtbl.create 8 in
-      let rec go node =
-        if not (Hashtbl.mem seen node) then begin
-          Hashtbl.add seen node ();
-          List.iter
-            (fun (d : Sp.Network.device) ->
-              if conducting d then begin
-                if d.a = node then go d.b;
-                if d.b = node then go d.a
-              end)
-            devices
-        end
-      in
-      go target;
-      seen
-    in
-    let from_vdd = reach Sp.Network.Vdd and from_vss = reach Sp.Network.Vss in
+    let from_vdd = N.reachable network ~conducting (N.index N.Vdd) in
+    let from_vss = N.reachable network ~conducting (N.index N.Vss) in
     List.fold_left
-      (fun mask (node, i) ->
+      (fun mask i ->
+        let bit = 1 lsl i in
         let high =
-          if Hashtbl.mem from_vdd node then true
-          else if Hashtbl.mem from_vss node then false
-          else prev land (1 lsl i) <> 0
+          if from_vdd land bit <> 0 then true
+          else if from_vss land bit <> 0 then false
+          else prev land bit <> 0
         in
-        if high then mask lor (1 lsl i) else mask)
-      0 node_index
+        if high then mask lor bit else mask)
+      0 powered
   in
   let rising_energy before after =
     List.fold_left
-      (fun acc (_, i) ->
+      (fun acc i ->
         if after land (1 lsl i) <> 0 && before land (1 lsl i) = 0 then
           acc +. (caps.(i) *. vdd *. vdd)
         else acc)
-      0. node_index
+      0. powered
   in
   (* Enumerate reachable joint states by BFS from every vector settled
      from the all-low charge state. *)

@@ -277,16 +277,14 @@ let measured_stats r net =
    gate's Netlist.Load.output. Primary-input nets book no energy. *)
 let net_caps table ?external_load circuit =
   let proc = Power.Model.process table in
-  let config_of = Cell.Config.lookup () in
   Array.init (C.net_count circuit) (fun net ->
       match C.driver circuit net with
       | C.Primary_input -> 0.
       | C.Driven_by g ->
           let gate = C.gate_at circuit g in
-          let config = config_of gate.C.cell gate.C.config in
           let own =
             Cell.Process.node_capacitance proc
-              (Cell.Config.network config)
+              (Cell.Config.nth_network gate.C.cell gate.C.config)
               Sp.Network.Output
           in
           own +. Netlist.Load.output proc ?external_load circuit g)

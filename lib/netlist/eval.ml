@@ -18,37 +18,31 @@ let outputs circuit ~inputs =
   let values = nets circuit ~inputs in
   List.map (fun net -> values.(net)) (Circuit.primary_outputs circuit)
 
+(* Substitute the fanin functions for the pin variables 0..arity-1 in
+   two phases, through temporaries far above every variable in use, so
+   no substitution can capture a pin variable that is still to come. *)
+let gate_function m (gate : Circuit.gate) funcs =
+  let f = Cell.Gate.function_bdd m gate.Circuit.cell in
+  let arity = Cell.Gate.arity gate.Circuit.cell in
+  let shift = 1_000_000 in
+  let lifted = ref f in
+  for pin = 0 to arity - 1 do
+    lifted := Bdd.compose !lifted pin (Bdd.var m (shift + pin))
+  done;
+  let result = ref !lifted in
+  for pin = 0 to arity - 1 do
+    result := Bdd.compose !result (shift + pin) funcs.(gate.Circuit.fanins.(pin))
+  done;
+  !result
+
 let output_bdds m circuit =
-  let var_of_input = Hashtbl.create 16 in
-  List.iteri
-    (fun i net -> Hashtbl.add var_of_input net i)
-    (Circuit.primary_inputs circuit);
   let funcs = Array.make (Circuit.net_count circuit) (Bdd.zero m) in
-  List.iter
-    (fun net -> funcs.(net) <- Bdd.var m (Hashtbl.find var_of_input net))
+  List.iteri
+    (fun i net -> funcs.(net) <- Bdd.var m i)
     (Circuit.primary_inputs circuit);
   List.iter
     (fun g ->
       let gate = Circuit.gate_at circuit g in
-      let f = Cell.Gate.function_bdd m gate.Circuit.cell in
-      let substituted =
-        (* Substitute pin variables with fanin functions. Pin variables
-           are 0..arity-1; compose from the highest pin down so earlier
-           substitutions cannot capture later pin variables... composing
-           with shifted temporaries avoids capture entirely. *)
-        let arity = Cell.Gate.arity gate.Circuit.cell in
-        let shift = 1_000_000 in
-        let lifted = ref f in
-        for pin = 0 to arity - 1 do
-          lifted := Bdd.compose !lifted pin (Bdd.var m (shift + pin))
-        done;
-        let result = ref !lifted in
-        for pin = 0 to arity - 1 do
-          result :=
-            Bdd.compose !result (shift + pin) funcs.(gate.Circuit.fanins.(pin))
-        done;
-        !result
-      in
-      funcs.(gate.Circuit.output) <- substituted)
+      funcs.(gate.Circuit.output) <- gate_function m gate funcs)
     (Circuit.topological_order circuit);
   List.map (fun net -> (net, funcs.(net))) (Circuit.primary_outputs circuit)

@@ -11,6 +11,12 @@ val nets : Circuit.t -> inputs:(Circuit.net -> bool) -> bool array
 val outputs : Circuit.t -> inputs:(Circuit.net -> bool) -> bool list
 (** Primary-output values, in declaration order. *)
 
+val gate_function : Bdd.manager -> Circuit.gate -> Bdd.t array -> Bdd.t
+(** [gate_function m gate funcs]: the gate's output function, its cell's
+    function with each pin's variable replaced by [funcs.(net)] of the
+    net on that pin. The composition is capture-free whatever variables
+    [funcs] uses below 1,000,000. *)
+
 val output_bdds : Bdd.manager -> Circuit.t -> (Circuit.net * Bdd.t) list
 (** Symbolic functions of the primary outputs over BDD variables indexed
     by position in [Circuit.primary_inputs] (global functional

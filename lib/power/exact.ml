@@ -10,37 +10,20 @@ exception Blowup of { net : string; nodes : int }
 let run ?(max_nodes = 200_000) circuit ~inputs =
   let m = Bdd.manager () in
   let pis = C.primary_inputs circuit in
-  let pi_index = Hashtbl.create 16 in
-  List.iteri (fun i net -> Hashtbl.add pi_index net i) pis;
   let pi_stats = Array.of_list (List.map inputs pis) in
   let prob i = Stoch.Signal_stats.prob pi_stats.(i) in
   let funcs = Array.make (C.net_count circuit) (Bdd.zero m) in
-  List.iter
-    (fun net -> funcs.(net) <- Bdd.var m (Hashtbl.find pi_index net))
-    pis;
+  List.iteri (fun i net -> funcs.(net) <- Bdd.var m i) pis;
   let max_size = ref 1 in
-  (* Substitute fanin functions into each cell function, in topological
-     order; the capture-free two-phase composition mirrors
-     Netlist.Eval.output_bdds. *)
-  let shift = 1_000_000 in
   List.iter
     (fun g ->
       let gate = C.gate_at circuit g in
-      let f = Cell.Gate.function_bdd m gate.C.cell in
-      let arity = Cell.Gate.arity gate.C.cell in
-      let lifted = ref f in
-      for pin = 0 to arity - 1 do
-        lifted := Bdd.compose !lifted pin (Bdd.var m (shift + pin))
-      done;
-      let result = ref !lifted in
-      for pin = 0 to arity - 1 do
-        result := Bdd.compose !result (shift + pin) funcs.(gate.C.fanins.(pin))
-      done;
-      let size = Bdd.size !result in
+      let f = Netlist.Eval.gate_function m gate funcs in
+      let size = Bdd.size f in
       if size > max_nodes then
         raise (Blowup { net = C.net_name circuit gate.C.output; nodes = size });
       if size > !max_size then max_size := size;
-      funcs.(gate.C.output) <- !result)
+      funcs.(gate.C.output) <- f)
     (C.topological_order circuit);
   let per_net =
     Array.mapi

@@ -50,12 +50,13 @@ type gate_power = {
 type raw = { shape : shape; h : Bdd.t array; g : Bdd.t array }
 
 (* The programs compiled so far, by (cell name, configuration, pin
-   groups). BDDs never leave the table that built them. *)
+   groups), and the raw path functions they came from, by (cell name,
+   configuration). BDDs never leave the table that built them. *)
 type table = {
   proc : Cell.Process.t;
   programs : (string * int * int array, program) Hashtbl.t;
   bdd : Bdd.manager;
-  raw : (string, raw Lazy.t array) Hashtbl.t;  (* per cell, per config *)
+  raw : (string * int, raw) Hashtbl.t;
 }
 
 let table proc =
@@ -107,33 +108,30 @@ let remap_to_groups m groups f =
     groups;
   !result
 
-let raw_of t config =
-  let network = Cell.Config.network config in
-  let nodes = Array.of_list (Sp.Network.power_nodes network) in
-  {
-    shape =
-      {
-        nodes;
-        caps = Array.map (Cell.Process.node_capacitance t.proc network) nodes;
-      };
-    h = Array.map (Sp.Network.h_function t.bdd network) nodes;
-    g = Array.map (Sp.Network.g_function t.bdd network) nodes;
-  }
+let raw_of t cell config =
+  let key = (Cell.Gate.name cell, config) in
+  match Hashtbl.find_opt t.raw key with
+  | Some raw -> raw
+  | None ->
+      let network = Cell.Config.nth_network cell config in
+      let nodes = Array.of_list (Sp.Network.power_nodes network) in
+      let raw =
+        {
+          shape =
+            {
+              nodes;
+              caps =
+                Array.map (Cell.Process.node_capacitance t.proc network) nodes;
+            };
+          h = Array.map (Sp.Network.h_function t.bdd network) nodes;
+          g = Array.map (Sp.Network.g_function t.bdd network) nodes;
+        }
+      in
+      Hashtbl.add t.raw key raw;
+      raw
 
 let compile t cell config groups =
-  let name = Cell.Gate.name cell in
-  let raws =
-    match Hashtbl.find_opt t.raw name with
-    | Some raws -> raws
-    | None ->
-        let raws =
-          Array.of_list
-            (List.map (fun c -> lazy (raw_of t c)) (Cell.Config.all cell))
-        in
-        Hashtbl.add t.raw name raws;
-        raws
-  in
-  let raw = Lazy.force raws.(config) in
+  let raw = raw_of t cell config in
   let m = t.bdd in
   let arity = Cell.Gate.arity cell in
   let with_differences f =

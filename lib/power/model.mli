@@ -33,8 +33,9 @@ type table
     once looked up, is immutable, and {!total} evaluates it on any
     domain. [power.model_build] counts builds and [power.model_hit]
     every other lookup. Each (cell, configuration)'s raw H/G path
-    functions are computed once per table and kept with it; a tied-pin
-    key only remaps and differentiates them. Nothing is compiled until
+    functions are computed once per table, from the configuration's
+    shared transistor graph ({!Cell.Config.nth_network}), and kept with
+    it; a tied-pin key only remaps and differentiates them. Nothing is compiled until
     a key is first looked up. *)
 
 val table : Cell.Process.t -> table

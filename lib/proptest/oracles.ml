@@ -168,23 +168,20 @@ let check_function ~seed c =
       else begin
         Hashtbl.add seen name ();
         let reference = Cell.Gate.function_bdd m cell in
-        let configs = Cell.Config.all cell in
-        let n = List.length configs in
+        let n = Cell.Gate.config_count cell in
         let stride = if n <= max_configs_checked then 1 else n / max_configs_checked in
-        let rec check i = function
-          | [] -> gates (g + 1)
-          | cfg :: rest ->
-              if i mod stride <> 0 then check (i + 1) rest
-              else
-                let f =
-                  Sp.Network.output_function m (Cell.Config.network cfg)
-                in
-                if not (Bdd.equal f reference) then
-                  fail "%s configuration %d computes a different function"
-                    name i
-                else check (i + 1) rest
+        let rec check i =
+          if i >= n then gates (g + 1)
+          else if i mod stride <> 0 then check (i + 1)
+          else
+            let f =
+              Sp.Network.output_function m (Cell.Config.nth_network cell i)
+            in
+            if not (Bdd.equal f reference) then
+              fail "%s configuration %d computes a different function" name i
+            else check (i + 1)
         in
-        check 0 configs
+        check 0
       end
   in
   gates 0

@@ -8,10 +8,24 @@ type device = {
 }
 
 type t = {
-  devices : device list;
+  devices : device array;
   internal_count : int;
   inputs : int list;
+  adjacency : (int * int) array array;  (* node index -> (device, far node) *)
 }
+
+let index = function
+  | Vdd -> 0
+  | Vss -> 1
+  | Output -> 2
+  | Internal i -> 3 + i
+
+let node_of_index = function
+  | 0 -> Vdd
+  | 1 -> Vss
+  | 2 -> Output
+  | i when i > 2 -> Internal (i - 3)
+  | _ -> invalid_arg "Network.node_of_index: negative index"
 
 (* Lay an SP tree between terminals [u] and [v], allocating internal
    nodes for series gaps via [fresh]. *)
@@ -43,24 +57,53 @@ let of_networks ~pull_up ~pull_down =
     List.sort_uniq compare
       (List.sort_uniq compare (Sp_tree.inputs pull_up @ Sp_tree.inputs pull_down))
   in
-  { devices = List.rev acc; internal_count = !counter; inputs }
+  let devices = Array.of_list (List.rev acc) in
+  (* Prepending from the last device leaves each list in device order. *)
+  let adjacency = Array.make (3 + !counter) [] in
+  for d = Array.length devices - 1 downto 0 do
+    let a = index devices.(d).a and b = index devices.(d).b in
+    adjacency.(a) <- (d, b) :: adjacency.(a);
+    adjacency.(b) <- (d, a) :: adjacency.(b)
+  done;
+  {
+    devices;
+    internal_count = !counter;
+    inputs;
+    adjacency = Array.map Array.of_list adjacency;
+  }
 
 let complementary_gate ~pull_down =
   of_networks ~pull_up:(Sp_tree.dual pull_down) ~pull_down
 
 let devices t = t.devices
-let device_count t = List.length t.devices
+let device_count t = Array.length t.devices
 let internal_count t = t.internal_count
 let internal_nodes t = List.init t.internal_count (fun i -> Internal i)
 let power_nodes t = Output :: internal_nodes t
 let inputs t = t.inputs
+let node_count t = Array.length t.adjacency
+let adjacency t i = t.adjacency.(i)
+let node_degree t n = Array.length t.adjacency.(index n)
 
-let node_degree t n =
-  List.fold_left
-    (fun acc d ->
-      let acc = if d.a = n then acc + 1 else acc in
-      if d.b = n then acc + 1 else acc)
-    0 t.devices
+let reachable t ~conducting start =
+  if node_count t > Sys.int_size then
+    invalid_arg "Network.reachable: too many nodes for a bitmask";
+  let mask = ref (1 lsl start) in
+  let stack = ref [ start ] in
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | node :: rest ->
+        stack := rest;
+        Array.iter
+          (fun (d, other) ->
+            if !mask land (1 lsl other) = 0 && conducting d then begin
+              mask := !mask lor (1 lsl other);
+              stack := other :: !stack
+            end)
+          t.adjacency.(node)
+  done;
+  !mask
 
 (* Conduction literal of one transistor: NMOS passes when its input is
    1, PMOS when it is 0. *)
@@ -76,28 +119,28 @@ let device_literal m d =
 let path_function m t ~source ~target ~blocked =
   if source = Vdd || source = Vss then
     invalid_arg "Network: H/G undefined on supply rails";
-  let adjacency n =
-    List.filter_map
-      (fun d ->
-        if d.a = n then Some (d, d.b)
-        else if d.b = n then Some (d, d.a)
-        else None)
-      t.devices
-  in
-  let rec explore here on_path cube =
+  let target = index target and blocked = index blocked in
+  let on_path = Array.make (node_count t) false in
+  let rec explore here cube =
     if here = target then cube
     else if here = blocked then Bdd.zero m
-    else
-      List.fold_left
-        (fun acc (d, next) ->
-          if List.mem next on_path then acc
-          else
-            let cube = Bdd.( &&& ) cube (device_literal m d) in
-            if Bdd.is_zero cube then acc
-            else Bdd.( ||| ) acc (explore next (next :: on_path) cube))
-        (Bdd.zero m) (adjacency here)
+    else begin
+      on_path.(here) <- true;
+      let acc =
+        Array.fold_left
+          (fun acc (d, next) ->
+            if on_path.(next) then acc
+            else
+              let cube = Bdd.( &&& ) cube (device_literal m t.devices.(d)) in
+              if Bdd.is_zero cube then acc
+              else Bdd.( ||| ) acc (explore next cube))
+          (Bdd.zero m) t.adjacency.(here)
+      in
+      on_path.(here) <- false;
+      acc
+    end
   in
-  explore source [ source ] (Bdd.one m)
+  explore (index source) (Bdd.one m)
 
 let h_function m t n = path_function m t ~source:n ~target:Vdd ~blocked:Vss
 let g_function m t n = path_function m t ~source:n ~target:Vss ~blocked:Vdd
@@ -112,27 +155,23 @@ let has_short m t =
     (fun n -> not (Bdd.is_zero (Bdd.( &&& ) (h_function m t n) (g_function m t n))))
     (power_nodes t)
 
-let pp_node ppf = function
-  | Vdd -> Format.pp_print_string ppf "vdd"
-  | Vss -> Format.pp_print_string ppf "vss"
-  | Output -> Format.pp_print_string ppf "y"
-  | Internal i -> Format.fprintf ppf "n%d" i
+let node_name = function
+  | Vdd -> "vdd"
+  | Vss -> "vss"
+  | Output -> "y"
+  | Internal i -> "n" ^ string_of_int i
+
+let pp_node ppf n = Format.pp_print_string ppf (node_name n)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
-  List.iter
+  Array.iter
     (fun d ->
       Format.fprintf ppf "%s x%d : %a - %a@,"
         (match d.polarity with Sp_tree.Nmos -> "nmos" | Sp_tree.Pmos -> "pmos")
         d.input pp_node d.a pp_node d.b)
     t.devices;
   Format.fprintf ppf "@]"
-
-let node_id = function
-  | Vdd -> "vdd"
-  | Vss -> "vss"
-  | Output -> "y"
-  | Internal i -> "n" ^ string_of_int i
 
 let to_dot ?(name = "gate") ?(input_names = fun i -> "x" ^ string_of_int i) t =
   let buf = Buffer.create 512 in
@@ -148,10 +187,10 @@ let to_dot ?(name = "gate") ?(input_names = fun i -> "x" ^ string_of_int i) t =
       match node with
       | Internal _ ->
           Buffer.add_string buf
-            (Printf.sprintf "  %s [shape=circle];\n" (node_id node))
+            (Printf.sprintf "  %s [shape=circle];\n" (node_name node))
       | Vdd | Vss | Output -> ())
     (power_nodes t);
-  List.iter
+  Array.iter
     (fun d ->
       let style =
         match d.polarity with
@@ -159,8 +198,8 @@ let to_dot ?(name = "gate") ?(input_names = fun i -> "x" ^ string_of_int i) t =
         | Sp_tree.Nmos -> ""
       in
       Buffer.add_string buf
-        (Printf.sprintf "  %s -- %s [label=%S%s];\n" (node_id d.a)
-           (node_id d.b) (input_names d.input) style))
+        (Printf.sprintf "  %s -- %s [label=%S%s];\n" (node_name d.a)
+           (node_name d.b) (input_names d.input) style))
     t.devices;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

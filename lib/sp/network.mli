@@ -5,7 +5,15 @@
     [Output] and the internal nodes created by series chains — and one
     edge per transistor. This representation retains the transistor
     order information of a configuration, and supports the paper's
-    H/G path-function extraction (Fig. 2(b)). *)
+    H/G path-function extraction (Fig. 2(b)).
+
+    It is the one indexed form of a configuration: the power model's
+    path search, node capacitances, Elmore delays, the switch-level
+    simulator and the Monte-Carlo engine all read it. Devices are
+    numbered [0 .. device_count - 1] in lay order (see {!of_networks}),
+    nodes by {!index}, and each node's adjacency is built once with the
+    network. A network is never mutated after it is built, so any
+    number of domains may read one. *)
 
 type node = Vdd | Vss | Output | Internal of int
 
@@ -19,16 +27,19 @@ type device = {
 type t
 
 val of_networks : pull_up:Sp_tree.t -> pull_down:Sp_tree.t -> t
-(** Lays [pull_up] (PMOS devices) between [Vdd] and [Output] and
-    [pull_down] (NMOS devices) between [Output] and [Vss]. Pull-down
-    internal nodes are numbered first, then pull-up ones, each network
-    left-to-right / supply-to-output in depth-first order. *)
+(** Lays [pull_down] (NMOS devices) between [Output] and [Vss], then
+    [pull_up] (PMOS devices) between [Vdd] and [Output]. Devices are
+    numbered in that order, each network depth first and left to right;
+    so are internal nodes, the pull-down ones first. *)
 
 val complementary_gate : pull_down:Sp_tree.t -> t
 (** [of_networks ~pull_up:(Sp_tree.dual pull_down) ~pull_down]: the
     standard fully-complementary static CMOS realization. *)
 
-val devices : t -> device list
+val devices : t -> device array
+(** Device [d] is [(devices t).(d)], in lay order. The array is the
+    network's own: read it, never write it. *)
+
 val device_count : t -> int
 
 val internal_count : t -> int
@@ -38,20 +49,50 @@ val internal_nodes : t -> node list
 (** [Internal 0 .. Internal (p-1)]. *)
 
 val power_nodes : t -> node list
-(** The nodes whose charging consumes power: all internal nodes plus the
-    output node. *)
+(** The nodes whose charging consumes power: the output node, then the
+    internal nodes. *)
 
 val inputs : t -> int list
 (** Distinct gate input indices, ascending. *)
 
+(** {1 Node indices and adjacency} *)
+
+val index : node -> int
+(** The one node numbering: [Vdd] 0, [Vss] 1, [Output] 2 and
+    [Internal i] [3 + i]. *)
+
+val node_of_index : int -> node
+(** Inverse of {!index}.
+    @raise Invalid_argument on a negative index. *)
+
+val node_count : t -> int
+(** [3 + internal_count t]: indices [0 .. node_count t - 1]. *)
+
+val adjacency : t -> int -> (int * int) array
+(** [adjacency t i]: a [(device, far node)] pair, by index, for every
+    device terminal on node [i], in ascending device order. Built with
+    the network; read it, never write it. *)
+
 val node_degree : t -> node -> int
 (** Number of transistor source/drain terminals attached to the node —
-    drives the junction-capacitance model. *)
+    drives the junction-capacitance model. The length of its
+    {!adjacency}. *)
+
+val reachable : t -> conducting:(int -> bool) -> int -> int
+(** [reachable t ~conducting i]: node [i] and every node joined to it
+    through devices [d] with [conducting d], as a bitmask over node
+    indices.
+    @raise Invalid_argument if the network has more than [Sys.int_size]
+    nodes. *)
+
+(** {1 Path functions} *)
 
 val h_function : Bdd.manager -> t -> node -> Bdd.t
 (** [h_function m t n] is the paper's [H_n]: the Boolean condition (over
     gate inputs) that at least one conducting path links [n] to [Vdd].
-    Paths may cross the output node but not the opposite rail.
+    Paths may cross the output node but not the opposite rail. The
+    search follows {!adjacency}, so its BDD operations come in device
+    order.
     @raise Invalid_argument when [n] is [Vdd] or [Vss]. *)
 
 val g_function : Bdd.manager -> t -> node -> Bdd.t
@@ -69,7 +110,12 @@ val has_short : Bdd.manager -> t -> bool
     ([H_n ∧ G_n] satisfiable) — never the case for a well-formed
     complementary gate. *)
 
+val node_name : node -> string
+(** [vdd], [vss], [y], [n0], [n1], ...: the names {!pp}, {!to_dot} and
+    the SPICE export print. *)
+
 val pp_node : Format.formatter -> node -> unit
+
 val pp : Format.formatter -> t -> unit
 
 val to_dot : ?name:string -> ?input_names:(int -> string) -> t -> string

@@ -24,25 +24,20 @@ type observer = {
   on_energy : (time:float -> gate:int -> node:int -> energy:float -> unit) option;
 }
 
-(* Local node numbering inside one gate: 0 = vdd, 1 = vss, 2 = output,
-   3+i = internal node i. *)
-let vdd_node = 0
-let vss_node = 1
-let out_node = 2
+module N = Sp.Network
 
-type sim_device = {
-  net : int;  (* controlling circuit net *)
-  polarity : Sp.Sp_tree.polarity;
-  a : int;
-  b : int;  (* local terminal nodes *)
-}
+(* Node indices of a gate's transistor graph (Sp.Network.index). *)
+let vdd_node = N.index N.Vdd
+let vss_node = N.index N.Vss
+let out_node = N.index N.Output
 
+(* One gate instance: its cell's shared configured graph and what the
+   instance adds to it. *)
 type sim_gate = {
-  devices : sim_device array;
-  n_nodes : int;
-  caps : float array;  (* per local node; 0 for the rails *)
+  network : N.t;
+  nets : int array;  (* per device: the circuit net on its gate terminal *)
+  caps : float array;  (* per node; 0 for the rails *)
   output_net : int;
-  adjacency : (int * int) array array;  (* node -> (device index, other node) *)
 }
 
 type t = {
@@ -53,50 +48,24 @@ type t = {
   readers : int list array;  (* net -> reading gate indices *)
 }
 
-let local_of_node = function
-  | Sp.Network.Vdd -> vdd_node
-  | Sp.Network.Vss -> vss_node
-  | Sp.Network.Output -> out_node
-  | Sp.Network.Internal i -> 3 + i
-
 let build proc ?external_load circ =
-  let config_of = Cell.Config.lookup () in
   let build_gate g (gate : C.gate) =
-    let config = config_of gate.C.cell gate.C.config in
-    let network = Cell.Config.network config in
-    let n_nodes = 3 + Sp.Network.internal_count network in
-    let devices =
-      Array.of_list
-        (List.map
-           (fun (d : Sp.Network.device) ->
-             {
-               net = gate.C.fanins.(d.input);
-               polarity = d.polarity;
-               a = local_of_node d.a;
-               b = local_of_node d.b;
-             })
-           (Sp.Network.devices network))
-    in
-    let caps = Array.make n_nodes 0. in
+    let network = Cell.Config.nth_network gate.C.cell gate.C.config in
+    let caps = Array.make (N.node_count network) 0. in
     List.iter
       (fun node ->
-        caps.(local_of_node node) <-
-          Cell.Process.node_capacitance proc network node)
-      (Sp.Network.power_nodes network);
+        caps.(N.index node) <- Cell.Process.node_capacitance proc network node)
+      (N.power_nodes network);
     caps.(out_node) <-
       caps.(out_node) +. Netlist.Load.output proc ?external_load circ g;
-    let adjacency = Array.make n_nodes [] in
-    Array.iteri
-      (fun i d ->
-        adjacency.(d.a) <- (i, d.b) :: adjacency.(d.a);
-        adjacency.(d.b) <- (i, d.a) :: adjacency.(d.b))
-      devices;
     {
-      devices;
-      n_nodes;
+      network;
+      nets =
+        Array.map
+          (fun (d : N.device) -> gate.C.fanins.(d.input))
+          (N.devices network);
       caps;
       output_net = gate.C.output;
-      adjacency = Array.map Array.of_list adjacency;
     }
   in
   {
@@ -110,7 +79,7 @@ let build proc ?external_load circ =
   }
 
 let circuit t = t.circ
-let internal_nodes t g = t.gates.(g).n_nodes - 3
+let internal_nodes t g = N.internal_count t.gates.(g).network
 
 type result = {
   horizon : float;
@@ -123,36 +92,6 @@ type result = {
   net_high_time : float array;
   final_values : value array;
 }
-
-(* Reachability over conducting devices, as a bitmask of local nodes.
-   [on] decides whether each device conducts. *)
-let reach gate ~on start =
-  let mask = ref (1 lsl start) in
-  let stack = ref [ start ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | node :: rest ->
-        stack := rest;
-        Array.iter
-          (fun (di, other) ->
-            if !mask land (1 lsl other) = 0 && on gate.devices.(di) then begin
-              mask := !mask lor (1 lsl other);
-              stack := other :: !stack
-            end)
-          gate.adjacency.(node)
-  done;
-  !mask
-
-let device_definitely_on net_values d =
-  match (net_values.(d.net), d.polarity) with
-  | V1, Sp.Sp_tree.Nmos | V0, Sp.Sp_tree.Pmos -> true
-  | (V0 | V1 | VX), _ -> false
-
-let device_maybe_on net_values d =
-  match net_values.(d.net) with
-  | VX -> true
-  | V0 | V1 -> device_definitely_on net_values d
 
 type state = {
   sim : t;
@@ -175,7 +114,7 @@ let fresh_state sim warmup observer =
     node_states =
       Array.map
         (fun g ->
-          let a = Array.make g.n_nodes VX in
+          let a = Array.make (N.node_count g.network) VX in
           a.(vdd_node) <- V1;
           a.(vss_node) <- V0;
           a)
@@ -224,13 +163,22 @@ let set_net st ~now ~accounting net v =
 let solve st g =
   let gate = st.sim.gates.(g) in
   let states = st.node_states.(g) in
-  let definite = device_definitely_on st.net_values in
-  let maybe = device_maybe_on st.net_values in
-  let r1 = reach gate ~on:definite vdd_node in
-  let r0 = reach gate ~on:definite vss_node in
-  let m1 = reach gate ~on:maybe vdd_node in
-  let m0 = reach gate ~on:maybe vss_node in
-  Array.init gate.n_nodes (fun node ->
+  let values = st.net_values and nets = gate.nets in
+  let devices = N.devices gate.network in
+  (* Whether device [d] surely conducts, and whether it may. *)
+  let definite d =
+    match (values.(nets.(d)), devices.(d).N.polarity) with
+    | V1, Sp.Sp_tree.Nmos | V0, Sp.Sp_tree.Pmos -> true
+    | (V0 | V1 | VX), _ -> false
+  in
+  let maybe d =
+    match values.(nets.(d)) with VX -> true | V0 | V1 -> definite d
+  in
+  let r1 = N.reachable gate.network ~conducting:definite vdd_node in
+  let r0 = N.reachable gate.network ~conducting:definite vss_node in
+  let m1 = N.reachable gate.network ~conducting:maybe vdd_node in
+  let m0 = N.reachable gate.network ~conducting:maybe vss_node in
+  Array.init (N.node_count gate.network) (fun node ->
       if node < out_node then states.(node)
       else
         let bit = 1 lsl node in
@@ -273,7 +221,7 @@ let evaluate_gate st ~now ~accounting g =
   Obs.incr c_gate_evals;
   let next = solve st g in
   let gate = st.sim.gates.(g) in
-  for node = out_node to gate.n_nodes - 1 do
+  for node = out_node to N.node_count gate.network - 1 do
     commit_node st ~now ~accounting g node next.(node)
   done;
   next.(out_node)
@@ -290,11 +238,43 @@ let settle st ~now ~accounting =
       end)
     st.sim.topo
 
-(* Per-net energy is the driving gate's total (every net has at most
-   one driver, so this is a re-indexing of [per_gate_energy], not a
+(* The start both modes share: check the stimulus, then settle the
+   circuit on the inputs' values at t = 0, with no energy accounting.
+   Returns the primary inputs, the horizon and the settled state. *)
+let start t ~warmup ~observer ~inputs =
+  let pis = C.primary_inputs t.circ in
+  let horizon =
+    match pis with
+    | [] -> invalid_arg "Switchsim.run: circuit has no primary inputs"
+    | first :: rest ->
+        let h = W.horizon (inputs first) in
+        List.iter
+          (fun net ->
+            if W.horizon (inputs net) <> h then
+              invalid_arg "Switchsim.run: waveform horizons differ")
+          rest;
+        h
+  in
+  if warmup < 0. || warmup >= horizon then
+    invalid_arg "Switchsim.run: warmup outside [0, horizon)";
+  let st = fresh_state t warmup observer in
+  List.iter
+    (fun net ->
+      set_net st ~now:0. ~accounting:false net
+        (if W.initial (inputs net) then V1 else V0))
+    pis;
+  Array.iter (fun g -> st.dirty.(g) <- true) t.topo;
+  settle st ~now:0. ~accounting:false;
+  (pis, horizon, st)
+
+(* Flush high-time up to the horizon and read the result out. Per-net
+   energy is the driving gate's total (every net has at most one
+   driver, so this is a re-indexing of [per_gate_energy], not a
    re-summation); [energy] is defined as its fold in net-id order so
    the per-net decomposition is conserved bit-for-bit. *)
-let mk_result st ~events ~window =
+let finish st ~events ~horizon ~warmup =
+  Array.iteri (fun net _ -> accrue_high st ~now:horizon net) st.net_values;
+  let window = horizon -. warmup in
   let per_net = Array.make (C.net_count st.sim.circ) 0. in
   Array.iteri
     (fun g (sg : sim_gate) -> per_net.(sg.output_net) <- st.per_gate_energy.(g))
@@ -312,32 +292,23 @@ let mk_result st ~events ~window =
     final_values = Array.copy st.net_values;
   }
 
-let run t ?(warmup = 0.) ?observer ~inputs () =
-  Obs.span "switchsim.run" @@ fun () ->
-  let pis = C.primary_inputs t.circ in
-  let horizon =
-    match pis with
-    | [] -> invalid_arg "Switchsim.run: circuit has no primary inputs"
-    | first :: rest ->
-        let h = W.horizon (inputs first) in
-        List.iter
-          (fun net ->
-            if W.horizon (inputs net) <> h then
-              invalid_arg "Switchsim.run: waveform horizons differ")
-          rest;
-        h
-  in
-  if warmup < 0. || warmup >= horizon then
-    invalid_arg "Switchsim.run: warmup outside [0, horizon)";
-  let st = fresh_state t warmup observer in
-  (* Initial values at t = 0, no energy accounting. *)
+(* One stationary Markov waveform per primary input, each from its own
+   stream split off [rng] in input order. *)
+let stimulus t ~rng ~stats ~horizon =
+  let table = Hashtbl.create 16 in
   List.iter
     (fun net ->
-      set_net st ~now:0. ~accounting:false net
-        (if W.initial (inputs net) then V1 else V0))
-    pis;
-  Array.iter (fun g -> st.dirty.(g) <- true) t.topo;
-  settle st ~now:0. ~accounting:false;
+      let stream = Stoch.Rng.split rng in
+      Hashtbl.add table net (W.generate stream (stats net) ~horizon))
+    (C.primary_inputs t.circ);
+  fun net ->
+    match Hashtbl.find_opt table net with
+    | Some w -> w
+    | None -> invalid_arg "Switchsim.run_stats: not a primary input net"
+
+let run t ?(warmup = 0.) ?observer ~inputs () =
+  Obs.span "switchsim.run" @@ fun () ->
+  let pis, horizon, st = start t ~warmup ~observer ~inputs in
   (* Merge the per-input event streams by time. *)
   let events =
     List.concat_map
@@ -373,23 +344,10 @@ let run t ?(warmup = 0.) ?observer ~inputs () =
         process rest
   in
   process events;
-  (* Flush high-time up to the horizon. *)
-  Array.iteri (fun net _ -> accrue_high st ~now:horizon net) st.net_values;
-  mk_result st ~events:n_events ~window:(horizon -. warmup)
+  finish st ~events:n_events ~horizon ~warmup
 
-let run_stats t ~rng ~stats ~horizon ?(warmup = 0.) ?observer () =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun net ->
-      let stream = Stoch.Rng.split rng in
-      Hashtbl.add table net (W.generate stream (stats net) ~horizon))
-    (C.primary_inputs t.circ);
-  let inputs net =
-    match Hashtbl.find_opt table net with
-    | Some w -> w
-    | None -> invalid_arg "Switchsim.run_stats: not a primary input net"
-  in
-  run t ~warmup ?observer ~inputs ()
+let run_stats t ~rng ~stats ~horizon ?warmup ?observer () =
+  run t ?warmup ?observer ~inputs:(stimulus t ~rng ~stats ~horizon) ()
 
 (* --- timed (inertial) mode --- *)
 
@@ -399,21 +357,8 @@ type timed_event =
 
 let run_timed t ?(warmup = 0.) ?observer ~gate_delay ~inputs () =
   Obs.span "switchsim.run_timed" @@ fun () ->
-  let pis = C.primary_inputs t.circ in
-  let horizon =
-    match pis with
-    | [] -> invalid_arg "Switchsim.run: circuit has no primary inputs"
-    | first :: rest ->
-        let h = W.horizon (inputs first) in
-        List.iter
-          (fun net ->
-            if W.horizon (inputs net) <> h then
-              invalid_arg "Switchsim.run: waveform horizons differ")
-          rest;
-        h
-  in
-  if warmup < 0. || warmup >= horizon then
-    invalid_arg "Switchsim.run: warmup outside [0, horizon)";
+  (* The initial values settle with zero delay. *)
+  let pis, horizon, st = start t ~warmup ~observer ~inputs in
   let n_gates = Array.length t.gates in
   let delays =
     Array.init n_gates (fun g ->
@@ -422,15 +367,6 @@ let run_timed t ?(warmup = 0.) ?observer ~gate_delay ~inputs () =
           invalid_arg "Switchsim.run_timed: negative gate delay";
         d)
   in
-  let st = fresh_state t warmup observer in
-  (* Initial values at t = 0 settle with zero delay, no accounting. *)
-  List.iter
-    (fun net ->
-      set_net st ~now:0. ~accounting:false net
-        (if W.initial (inputs net) then V1 else V0))
-    pis;
-  Array.iter (fun g -> st.dirty.(g) <- true) t.topo;
-  settle st ~now:0. ~accounting:false;
   let heap = Event_heap.create () in
   let n_events = ref 0 in
   List.iter
@@ -467,7 +403,7 @@ let run_timed t ?(warmup = 0.) ?observer ~gate_delay ~inputs () =
     Obs.incr c_gate_evals;
     let next = solve st g in
     let gate = t.gates.(g) in
-    for node = out_node + 1 to gate.n_nodes - 1 do
+    for node = out_node + 1 to N.node_count gate.network - 1 do
       commit_node st ~now ~accounting g node next.(node)
     done;
     let v = next.(out_node) in
@@ -505,23 +441,12 @@ let run_timed t ?(warmup = 0.) ?observer ~gate_delay ~inputs () =
         drain ()
   in
   drain ();
-  Array.iteri (fun net _ -> accrue_high st ~now:horizon net) st.net_values;
-  mk_result st ~events:!n_events ~window:(horizon -. warmup)
+  finish st ~events:!n_events ~horizon ~warmup
 
-let run_timed_stats t ~rng ~stats ~gate_delay ~horizon ?(warmup = 0.) ?observer
-    () =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun net ->
-      let stream = Stoch.Rng.split rng in
-      Hashtbl.add table net (W.generate stream (stats net) ~horizon))
-    (C.primary_inputs t.circ);
-  let inputs net =
-    match Hashtbl.find_opt table net with
-    | Some w -> w
-    | None -> invalid_arg "Switchsim.run_stats: not a primary input net"
-  in
-  run_timed t ~warmup ?observer ~gate_delay ~inputs ()
+let run_timed_stats t ~rng ~stats ~gate_delay ~horizon ?warmup ?observer () =
+  run_timed t ?warmup ?observer ~gate_delay
+    ~inputs:(stimulus t ~rng ~stats ~horizon)
+    ()
 
 let measured_stats (r : result) net =
   Stoch.Signal_stats.make

@@ -3,7 +3,9 @@
     (column S), substituting for the SLS simulator [11].
 
     The circuit is simulated at the transistor level: each gate instance
-    is its configured transistor graph; on every input event the fan-out
+    is its configured transistor graph, the one {!Cell.Config.nth_network}
+    shares with the power model, plus the net on each device and its node
+    capacitances; on every input event the fan-out
     cone is re-solved by path analysis (a node is high if a conducting
     path links it to vdd, low if to vss, holds its charge when isolated;
     complementary gates guarantee no shorts). Every low→high transition

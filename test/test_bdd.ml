@@ -341,12 +341,12 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_compile_agrees;
-          QCheck_alcotest.to_alcotest prop_canonical;
-          QCheck_alcotest.to_alcotest prop_shannon_expansion;
-          QCheck_alcotest.to_alcotest prop_probability_matches_enumeration;
-          QCheck_alcotest.to_alcotest prop_boolean_difference_semantics;
-          QCheck_alcotest.to_alcotest prop_support_is_tight;
-          QCheck_alcotest.to_alcotest prop_fold_paths_disjoint_cover;
+          Property.to_alcotest prop_compile_agrees;
+          Property.to_alcotest prop_canonical;
+          Property.to_alcotest prop_shannon_expansion;
+          Property.to_alcotest prop_probability_matches_enumeration;
+          Property.to_alcotest prop_boolean_difference_semantics;
+          Property.to_alcotest prop_support_is_tight;
+          Property.to_alcotest prop_fold_paths_disjoint_cover;
         ] );
     ]

@@ -202,7 +202,7 @@ let test_input_pin_capacitance () =
               List.length
                 (List.filter
                    (fun (d : Sp.Network.device) -> d.input = pin)
-                   (Sp.Network.devices (C.network config)))
+                   (Array.to_list (Sp.Network.devices (C.network config))))
             in
             Alcotest.(check int) name driven (G.pin_devices g pin))
           (C.all g);
@@ -265,7 +265,7 @@ let () =
             test_config_functions_invariant;
           Alcotest.test_case "Fig. 5 pivot exploration" `Quick
             test_fig5_pivot_exploration;
-          QCheck_alcotest.to_alcotest prop_pivot_all_matches_all;
+          Property.to_alcotest prop_pivot_all_matches_all;
           Alcotest.test_case "index_in" `Quick test_index_in;
         ] );
       ( "process",

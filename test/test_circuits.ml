@@ -465,6 +465,6 @@ let () =
             test_generators_validate;
           Alcotest.test_case "all generators build/eval/round-trip (sizes 1-8)"
             `Quick test_generators_build_eval_roundtrip;
-          QCheck_alcotest.to_alcotest prop_random_logic_valid;
+          Property.to_alcotest prop_random_logic_valid;
         ] );
     ]

@@ -97,6 +97,55 @@ let prop_all_pins_positive =
             (List.init (Cell.Gate.arity g) Fun.id))
         (List.init (Cell.Gate.config_count g) Fun.id))
 
+(* Each configuration's graph derived from its device list alone: a
+   node's neighbours by a scan of every device, its degree by a fold
+   over them, its H/G by a depth-first search over those scans. The
+   shared, indexed graphs must agree with it. *)
+module Reference_graph = struct
+  module N = Sp.Network
+
+  let neighbours devices n =
+    List.concat
+      (List.mapi
+         (fun d (dev : N.device) ->
+           if dev.a = n then [ (d, dev.b) ]
+           else if dev.b = n then [ (d, dev.a) ]
+           else [])
+         devices)
+
+  let capacitance devices n =
+    let degree =
+      List.fold_left
+        (fun acc (d : N.device) ->
+          acc + (if d.a = n then 1 else 0) + if d.b = n then 1 else 0)
+        0 devices
+    in
+    let junction = float_of_int degree *. proc.Cell.Process.c_junction in
+    if n = N.Output then junction +. proc.Cell.Process.c_wire else junction
+
+  let path m devices ~source ~target ~blocked =
+    let literal (d : N.device) =
+      match d.polarity with
+      | Sp.Sp_tree.Nmos -> Bdd.var m d.input
+      | Sp.Sp_tree.Pmos -> Bdd.nvar m d.input
+    in
+    let rec explore here on_path cube =
+      if here = target then cube
+      else if here = blocked then Bdd.zero m
+      else
+        List.fold_left
+          (fun acc (d, next) ->
+            if List.mem next on_path then acc
+            else
+              Bdd.(
+                acc
+                ||| explore next (next :: on_path)
+                      (cube &&& literal (List.nth devices d))))
+          (Bdd.zero m) (neighbours devices here)
+    in
+    explore source [ source ] (Bdd.one m)
+end
+
 (* Reference pin models in their plainest form: rail paths enumerated
    over device lists, one Elmore walk per (path, pin). The table's pin
    delays must match them bit for bit. *)
@@ -107,14 +156,7 @@ module Reference_elmore = struct
 
   let rail_paths network rail =
     let blocked = match rail with N.Vss -> N.Vdd | _ -> N.Vss in
-    let adjacency n =
-      List.filter_map
-        (fun (d : N.device) ->
-          if d.a = n then Some (d, d.b)
-          else if d.b = n then Some (d, d.a)
-          else None)
-        (N.devices network)
-    in
+    let devices = Array.to_list (N.devices network) in
     let paths = ref [] in
     let rec explore here on_path acc =
       if here = rail then paths := List.rev acc :: !paths
@@ -122,8 +164,8 @@ module Reference_elmore = struct
         List.iter
           (fun (d, next) ->
             if not (List.mem next on_path) then
-              explore next (next :: on_path) (d :: acc))
-          (adjacency here)
+              explore next (next :: on_path) (List.nth devices d :: acc))
+          (Reference_graph.neighbours devices here)
     in
     explore N.Output [ N.Output ] [];
     !paths
@@ -131,6 +173,7 @@ module Reference_elmore = struct
   let path_affine network pin path =
     if not (List.exists (fun (d : N.device) -> d.input = pin) path) then None
     else
+      let all = Array.to_list (N.devices network) in
       let resistances =
         List.map
           (fun (d : N.device) -> Cell.Process.device_resistance proc d.polarity)
@@ -148,16 +191,14 @@ module Reference_elmore = struct
               let fixed =
                 match mid with
                 | N.Internal _ ->
-                    fixed
-                    +. (Cell.Process.node_capacitance proc network mid
-                       *. downstream)
+                    fixed +. (Reference_graph.capacitance all mid *. downstream)
                 | N.Vdd | N.Vss | N.Output -> fixed
               in
               walk rest_d rest_r downstream mid fixed
         | _ -> assert false
       in
       let internal_fixed = walk path resistances total_r N.Output 0. in
-      let c_out = Cell.Process.node_capacitance proc network N.Output in
+      let c_out = Reference_graph.capacitance all N.Output in
       Some { fixed = internal_fixed +. (c_out *. total_r); coef = total_r }
 
   let eval load paths =
@@ -193,6 +234,71 @@ let test_pin_delays_bit_identical () =
         done
       done)
     Cell.Gate.library
+
+(* Every configuration of every library cell: the shared graph that the
+   power model, Elmore, the simulator and Monte-Carlo read, against its
+   derivation from the configuration's device list. *)
+let test_graphs_match_device_lists () =
+  let module N = Sp.Network in
+  let t = table () in
+  let m = Bdd.manager () in
+  let bits = Int64.bits_of_float in
+  let configurations = ref 0 in
+  List.iter
+    (fun cell ->
+      List.iteri
+        (fun config reference ->
+          incr configurations;
+          let name = Printf.sprintf "%s config %d" (Cell.Gate.name cell) config in
+          let network = Cell.Config.nth_network cell config in
+          let devices = Array.to_list (N.devices (Cell.Config.network reference)) in
+          if Array.to_list (N.devices network) <> devices then
+            Alcotest.failf "%s: devices differ from a fresh layout" name;
+          let internal = List.init (N.internal_count network) (fun i -> N.Internal i) in
+          let nodes = [ N.Vdd; N.Vss; N.Output ] @ internal in
+          Alcotest.(check int) (name ^ " node count") (List.length nodes)
+            (N.node_count network);
+          List.iter
+            (fun node ->
+              let i = N.index node in
+              if N.node_of_index i <> node then
+                Alcotest.failf "%s: index %d does not map back" name i;
+              let expected =
+                List.map
+                  (fun (d, far) -> (d, N.index far))
+                  (Reference_graph.neighbours devices node)
+              in
+              if Array.to_list (N.adjacency network i) <> expected then
+                Alcotest.failf "%s: adjacency of %s" name (N.node_name node))
+            nodes;
+          List.iter
+            (fun node ->
+              let c = Cell.Process.node_capacitance proc network node in
+              if bits c <> bits (Reference_graph.capacitance devices node) then
+                Alcotest.failf "%s: capacitance of %s" name (N.node_name node);
+              let path target blocked =
+                Reference_graph.path m devices ~source:node ~target ~blocked
+              in
+              if not (Bdd.equal (N.h_function m network node) (path N.Vdd N.Vss))
+              then Alcotest.failf "%s: H of %s" name (N.node_name node);
+              if not (Bdd.equal (N.g_function m network node) (path N.Vss N.Vdd))
+              then Alcotest.failf "%s: G of %s" name (N.node_name node))
+            (N.power_nodes network);
+          for pin = 0 to Cell.Gate.arity cell - 1 do
+            List.iter
+              (fun load ->
+                let rise, fall = El.pin_delay_rise_fall t cell ~config ~pin ~load in
+                let rise', fall' =
+                  Reference_elmore.pin_delay_rise_fall cell ~config ~pin ~load
+                in
+                if bits rise <> bits rise' || bits fall <> bits fall' then
+                  Alcotest.failf "%s pin %d load %g: (%h, %h) <> (%h, %h)" name
+                    pin load rise fall rise' fall')
+              [ 0.; 20e-15; 1e-12 ]
+          done)
+        (Cell.Config.all cell))
+    Cell.Gate.library;
+  Alcotest.(check int) "configurations walked" 353 !configurations
 
 (* --- STA --- *)
 
@@ -363,9 +469,11 @@ let () =
           Alcotest.test_case "affine in load" `Quick test_delay_affine_in_load;
           Alcotest.test_case "worst = max pin" `Quick test_worst_delay_is_max_pin;
           Alcotest.test_case "validation" `Quick test_validation;
-          QCheck_alcotest.to_alcotest prop_all_pins_positive;
+          Property.to_alcotest prop_all_pins_positive;
           Alcotest.test_case "pin delays bit-identical to the reference"
             `Quick test_pin_delays_bit_identical;
+          Alcotest.test_case "graphs match their device lists" `Quick
+            test_graphs_match_device_lists;
         ] );
       ( "sta",
         [

@@ -135,7 +135,7 @@ let () =
             test_exact_pi_stats_pass_through;
           Alcotest.test_case "blow-up guard" `Quick test_exact_blowup_guard;
           Alcotest.test_case "constant input" `Quick test_exact_constant_input;
-          QCheck_alcotest.to_alcotest prop_exact_wellformed;
+          Property.to_alcotest prop_exact_wellformed;
         ] );
       ( "E11",
         [ Alcotest.test_case "experiment rows" `Slow test_exactness_rows ] );

@@ -347,8 +347,8 @@ let () =
           Alcotest.test_case "smart constructors" `Quick test_smart_constructors;
           Alcotest.test_case "variables" `Quick test_variables;
           Alcotest.test_case "eval" `Quick test_eval;
-          QCheck_alcotest.to_alcotest prop_parse_print_roundtrip;
-          QCheck_alcotest.to_alcotest prop_constructors_preserve_semantics;
+          Property.to_alcotest prop_parse_print_roundtrip;
+          Property.to_alcotest prop_constructors_preserve_semantics;
         ] );
       ( "eqn",
         [
@@ -358,7 +358,7 @@ let () =
           Alcotest.test_case "precedence" `Quick test_eqn_precedence;
           Alcotest.test_case "errors" `Quick test_eqn_errors;
           Alcotest.test_case "round-trip" `Quick test_eqn_roundtrip;
-          QCheck_alcotest.to_alcotest prop_eqn_robust;
+          Property.to_alcotest prop_eqn_robust;
         ] );
       ( "mapper",
         [
@@ -374,7 +374,7 @@ let () =
           Alcotest.test_case "output = input" `Quick test_map_output_is_input;
           Alcotest.test_case "constant rejected" `Quick
             test_map_constant_rejected;
-          QCheck_alcotest.to_alcotest prop_mapper_equivalence;
-          QCheck_alcotest.to_alcotest prop_mapper_reorderable;
+          Property.to_alcotest prop_mapper_equivalence;
+          Property.to_alcotest prop_mapper_reorderable;
         ] );
     ]

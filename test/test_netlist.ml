@@ -665,10 +665,10 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_topo_respects_dependencies;
-          QCheck_alcotest.to_alcotest prop_parser_robust;
-          QCheck_alcotest.to_alcotest prop_blif_robust;
-          QCheck_alcotest.to_alcotest prop_io_roundtrip;
-          QCheck_alcotest.to_alcotest prop_levels_bounded;
+          Property.to_alcotest prop_topo_respects_dependencies;
+          Property.to_alcotest prop_parser_robust;
+          Property.to_alcotest prop_blif_robust;
+          Property.to_alcotest prop_io_roundtrip;
+          Property.to_alcotest prop_levels_bounded;
         ] );
     ]

@@ -624,8 +624,8 @@ let () =
             test_analysis_uses_groups;
           Alcotest.test_case "compiled programs bit-identical to the walk"
             `Quick test_compiled_bit_identical;
-          QCheck_alcotest.to_alcotest prop_output_stats_config_invariant;
-          QCheck_alcotest.to_alcotest prop_gate_power_nonnegative;
+          Property.to_alcotest prop_output_stats_config_invariant;
+          Property.to_alcotest prop_gate_power_nonnegative;
         ] );
       ( "analysis",
         [

@@ -428,8 +428,8 @@ let () =
           Alcotest.test_case "reduction percent" `Quick test_reduction_percent;
           Alcotest.test_case "function preserved" `Quick
             test_rewritten_circuit_same_function;
-          QCheck_alcotest.to_alcotest prop_scenarios_and_circuits_improve;
-          QCheck_alcotest.to_alcotest prop_reduction_percent_bounded;
+          Property.to_alcotest prop_scenarios_and_circuits_improve;
+          Property.to_alcotest prop_reduction_percent_bounded;
         ] );
       ( "objectives",
         [

@@ -127,7 +127,7 @@ let () =
           Alcotest.test_case "rejects bad row" `Quick test_table_rejects_bad_row;
           Alcotest.test_case "csv" `Quick test_csv;
           Alcotest.test_case "cells" `Quick test_cells;
-          QCheck_alcotest.to_alcotest prop_csv_row_count;
+          Property.to_alcotest prop_csv_row_count;
         ] );
       ( "stats",
         [
@@ -136,6 +136,6 @@ let () =
           Alcotest.test_case "correlation" `Quick test_correlation;
           Alcotest.test_case "geometric mean ratio" `Quick
             test_geometric_mean_ratio;
-          QCheck_alcotest.to_alcotest prop_mean_bounds;
+          Property.to_alcotest prop_mean_bounds;
         ] );
     ]

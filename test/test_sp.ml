@@ -382,12 +382,12 @@ let () =
         ] );
       ( "sp_tree properties",
         [
-          QCheck_alcotest.to_alcotest prop_pivot_involution;
-          QCheck_alcotest.to_alcotest prop_pivot_matches_enumeration;
-          QCheck_alcotest.to_alcotest prop_orderings_preserve_function;
-          QCheck_alcotest.to_alcotest prop_orderings_preserve_counts;
-          QCheck_alcotest.to_alcotest prop_dual_conduction_complement;
-          QCheck_alcotest.to_alcotest prop_count_closed_form;
+          Property.to_alcotest prop_pivot_involution;
+          Property.to_alcotest prop_pivot_matches_enumeration;
+          Property.to_alcotest prop_orderings_preserve_function;
+          Property.to_alcotest prop_orderings_preserve_counts;
+          Property.to_alcotest prop_dual_conduction_complement;
+          Property.to_alcotest prop_count_closed_form;
         ] );
       ( "network",
         [
@@ -402,9 +402,9 @@ let () =
         ] );
       ( "network properties",
         [
-          QCheck_alcotest.to_alcotest prop_gate_wellformed;
-          QCheck_alcotest.to_alcotest prop_output_function_is_inverted_pulldown;
-          QCheck_alcotest.to_alcotest prop_internal_counts_add_up;
-          QCheck_alcotest.to_alcotest prop_reordering_preserves_output;
+          Property.to_alcotest prop_gate_wellformed;
+          Property.to_alcotest prop_output_function_is_inverted_pulldown;
+          Property.to_alcotest prop_internal_counts_add_up;
+          Property.to_alcotest prop_reordering_preserves_output;
         ] );
     ]

@@ -308,6 +308,6 @@ let () =
           Alcotest.test_case "generate realizes stats" `Slow
             test_generate_realizes_stats;
           Alcotest.test_case "generate constant" `Quick test_generate_constant;
-          QCheck_alcotest.to_alcotest prop_generate_wellformed;
+          Property.to_alcotest prop_generate_wellformed;
         ] );
     ]

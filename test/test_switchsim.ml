@@ -506,7 +506,7 @@ let () =
             test_agrees_with_eval_on_static_vectors;
           Alcotest.test_case "clocked c17 vs Eval" `Quick
             test_agrees_with_eval_after_transitions;
-          QCheck_alcotest.to_alcotest prop_final_state_matches_eval;
+          Property.to_alcotest prop_final_state_matches_eval;
         ] );
       ( "statistics",
         [

@@ -216,7 +216,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
+          Property.to_alcotest prop_heap_sorts;
         ] );
       ( "timed simulation",
         [

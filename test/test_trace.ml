@@ -474,9 +474,7 @@ let () =
             test_number_format;
           Alcotest.test_case "non-finite numbers raise" `Quick
             test_non_finite_raises;
-          QCheck_alcotest.to_alcotest
-            ~rand:(Random.State.make [| 20 |])
-            prop_roundtrip;
+          Property.to_alcotest prop_roundtrip;
         ] );
       ( "ndjson",
         [
