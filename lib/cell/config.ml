@@ -112,24 +112,17 @@ let build gate =
 
 (* Every cell built so far, by kind. A reader takes no lock: it finds
    its cell in the list it loaded, or builds it and publishes a longer
-   list, adopting a racing domain's entry if that one won. *)
+   list, looking again if another domain published first. *)
 let cells : (Gate.kind * cell) list Atomic.t = Atomic.make []
 
-let of_gate gate =
-  let kind = Gate.kind gate in
-  match List.assoc_opt kind (Atomic.get cells) with
+let rec of_gate gate =
+  let kind = Gate.kind gate and known = Atomic.get cells in
+  match List.assoc_opt kind known with
   | Some c -> c
   | None ->
       let c = build gate in
-      let rec publish () =
-        let known = Atomic.get cells in
-        match List.assoc_opt kind known with
-        | Some winner -> winner
-        | None ->
-            if Atomic.compare_and_set cells known ((kind, c) :: known) then c
-            else publish ()
-      in
-      publish ()
+      if Atomic.compare_and_set cells known ((kind, c) :: known) then c
+      else of_gate gate
 
 let checked gate k =
   let c = of_gate gate in

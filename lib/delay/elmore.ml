@@ -29,10 +29,8 @@ let build_models t cell config =
      carries charge. *)
   let capacitance =
     Array.init (N.node_count network) (fun i ->
-        match N.node_of_index i with
-        | N.Internal _ as node ->
-            Cell.Process.node_capacitance t.proc network node
-        | N.Vdd | N.Vss | N.Output -> 0.)
+        if i <= N.index N.Output then 0.
+        else Cell.Process.node_capacitance t.proc network (N.node_of_index i))
   in
   let c_out = Cell.Process.node_capacitance t.proc network N.Output in
   let arity = Cell.Gate.arity cell in

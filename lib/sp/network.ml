@@ -163,16 +163,6 @@ let node_name = function
 
 let pp_node ppf n = Format.pp_print_string ppf (node_name n)
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun d ->
-      Format.fprintf ppf "%s x%d : %a - %a@,"
-        (match d.polarity with Sp_tree.Nmos -> "nmos" | Sp_tree.Pmos -> "pmos")
-        d.input pp_node d.a pp_node d.b)
-    t.devices;
-  Format.fprintf ppf "@]"
-
 let to_dot ?(name = "gate") ?(input_names = fun i -> "x" ^ string_of_int i) t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf "graph %S {\n" name);

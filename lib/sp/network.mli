@@ -9,11 +9,12 @@
 
     It is the one indexed form of a configuration: the power model's
     path search, node capacitances, Elmore delays, the switch-level
-    simulator and the Monte-Carlo engine all read it. Devices are
-    numbered [0 .. device_count - 1] in lay order (see {!of_networks}),
-    nodes by {!index}, and each node's adjacency is built once with the
-    network. A network is never mutated after it is built, so any
-    number of domains may read one. *)
+    simulator and the Monte-Carlo engine all read it, and [Cell.Config]
+    builds one per library cell configuration, on the cell's first use.
+    Devices are numbered [0 .. device_count - 1] in lay order (see
+    {!of_networks}), nodes by {!index}, and each node's adjacency is
+    built once with the network. A network is never mutated after it
+    is built, so any number of domains may read one. *)
 
 type node = Vdd | Vss | Output | Internal of int
 
@@ -111,12 +112,10 @@ val has_short : Bdd.manager -> t -> bool
     complementary gate. *)
 
 val node_name : node -> string
-(** [vdd], [vss], [y], [n0], [n1], ...: the names {!pp}, {!to_dot} and
-    the SPICE export print. *)
+(** [vdd], [vss], [y], [n0], [n1], ...: the names {!to_dot} and the
+    SPICE export print. *)
 
 val pp_node : Format.formatter -> node -> unit
-
-val pp : Format.formatter -> t -> unit
 
 val to_dot : ?name:string -> ?input_names:(int -> string) -> t -> string
 (** Graphviz rendering of the transistor graph: circuit nodes as
