@@ -431,6 +431,61 @@ let test_validation () =
     (Invalid_argument "Switchsim.run: warmup outside [0, horizon)") (fun () ->
       ignore (Sim.run sim ~warmup:2.0 ~inputs:(fun _ -> wa) ()))
 
+(* Once [start] has settled the circuit in topological order every net
+   is 0 or 1, and stays so: a gate then always sees a known input
+   vector. Every suite circuit, zero-delay and timed. *)
+let test_no_unknown_net_after_settle () =
+  let delay = Delay.Elmore.table proc in
+  List.iter
+    (fun (name, circuit) ->
+      let sim = Sim.build proc circuit in
+      let stats =
+        Power.Scenario.input_stats ~rng:(Stoch.Rng.create 5) Power.Scenario.A
+          circuit
+      in
+      let gate_delay g =
+        let gate = C.gate_at circuit g in
+        Delay.Elmore.worst_delay delay gate.C.cell ~config:gate.C.config
+          ~load:(Netlist.Load.output proc circuit g)
+      in
+      let check mode r events =
+        List.iter
+          (fun (time, net, before, after) ->
+            if after = Sim.VX || (time > 0. && before = Sim.VX) then
+              Alcotest.failf "%s (%s): net %s unknown at %g" name mode
+                (C.net_name circuit net) time)
+          events;
+        Array.iteri
+          (fun net v ->
+            if v = Sim.VX then
+              Alcotest.failf "%s (%s): net %s ends unknown" name mode
+                (C.net_name circuit net))
+          r.Sim.final_values
+      in
+      let observe () =
+        let events = ref [] in
+        ( events,
+          {
+            null_observer with
+            Sim.on_net =
+              (fun ~time ~net ~before ~after ~in_window:_ ->
+                events := (time, net, before, after) :: !events);
+          } )
+      in
+      let events, observer = observe () in
+      let r =
+        Sim.run_stats sim ~rng:(Stoch.Rng.create 7) ~stats ~horizon:2e-5
+          ~observer ()
+      in
+      check "zero-delay" r !events;
+      let events, observer = observe () in
+      let r =
+        Sim.run_timed_stats sim ~rng:(Stoch.Rng.create 7) ~stats ~gate_delay
+          ~horizon:2e-5 ~observer ()
+      in
+      check "timed" r !events)
+    (Circuits.Suite.all ())
+
 (* Property: on random circuits with random clocked stimuli, simulated
    primary-output values at the end of the run equal Eval of the final
    vector. *)
@@ -506,6 +561,8 @@ let () =
             test_agrees_with_eval_on_static_vectors;
           Alcotest.test_case "clocked c17 vs Eval" `Quick
             test_agrees_with_eval_after_transitions;
+          Alcotest.test_case "no unknown net after the settle" `Quick
+            test_no_unknown_net_after_settle;
           Property.to_alcotest prop_final_state_matches_eval;
         ] );
       ( "statistics",
