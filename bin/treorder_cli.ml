@@ -572,16 +572,18 @@ let optimize_cmd =
         print_newline ();
         print_string (Attrib.render_explain ~top ledger)
       end;
+      (* Serialized once, for the file and the archive alike. *)
+      let json = lazy (Attrib.to_json ledger) in
       Option.iter
         (fun path ->
           let oc = open_out path in
-          output_string oc (Attrib.to_json ledger);
+          output_string oc (Lazy.force json);
           output_char oc '\n';
           close_out oc;
           Printf.printf "wrote %s\n" path)
         explain_json;
       Option.iter
-        (fun p -> Runlog.attach p ~name:"ledger" ~json:(Attrib.to_json ledger))
+        (fun p -> Runlog.attach p ~name:"ledger" ~json:(Lazy.force json))
         pending
     end;
     Option.iter
@@ -1187,7 +1189,7 @@ let eco_cmd =
     let script =
       try Incremental.Script.load ~circuit edits_file
       with Incremental.Edit_error msg ->
-        Printf.eprintf "error: %s: %s\n" edits_file msg;
+        Printf.eprintf "error: %s\n" msg;
         exit 1
     in
     let ctx = context () in

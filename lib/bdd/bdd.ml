@@ -217,28 +217,6 @@ let probability t p =
   in
   go t
 
-let post_order roots =
-  Array.iter (fun r -> same_mgr r roots.(0)) roots;
-  let slots = Hashtbl.create 64 in
-  let nodes = ref [] and next = ref 2 in
-  let rec visit t =
-    match t.desc with
-    | Const b -> if b then 1 else 0
-    | Node n -> (
-        match Hashtbl.find_opt slots t.tag with
-        | Some s -> s
-        | None ->
-            let lo = visit n.lo in
-            let hi = visit n.hi in
-            let s = !next in
-            incr next;
-            nodes := (n.var, lo, hi) :: !nodes;
-            Hashtbl.add slots t.tag s;
-            s)
-  in
-  let roots = Array.map visit roots in
-  (Array.of_list (List.rev !nodes), roots)
-
 let sat_count t ~nvars =
   List.iter
     (fun v ->

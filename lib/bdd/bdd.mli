@@ -4,7 +4,10 @@
     functions manipulated are over a gate's handful of inputs or a cone
     of logic. Nodes are hash-consed inside a {!manager}; two functions
     built in the same manager are equivalent iff their roots are
-    physically equal ({!equal}).
+    physically equal ({!equal}). Logic functions, the exact-propagation
+    backend and the symbolic H/G path search build on it; the power
+    model reads its diagrams off the cells' truth tables instead, and
+    evaluates them as {!probability} does.
 
     Variables are identified by integers; the variable order is the
     natural integer order (smaller index closer to the root). *)
@@ -94,16 +97,6 @@ val probability : t -> (int -> float) -> float
     each variable [i] is independently 1 with probability [p i]
     (Parker-McCluskey on the BDD: linear in {!size}).
     @raise Invalid_argument if any [p i] is outside [\[0, 1\]]. *)
-
-val post_order : t array -> (int * int * int) array * int array
-(** [post_order roots] numbers the internal nodes reachable from
-    [roots], children before parents: slot 0 is the zero constant, slot
-    1 the one constant and slot [k + 2] the [k]-th node, listed as its
-    [(var, lo slot, hi slot)]. The second array gives each root's slot.
-    One pass over the nodes in order, each computing
-    [p var *. hi +. (1. -. p var) *. lo] from its children's slots,
-    reproduces {!probability} of every root bit for bit.
-    @raise Invalid_argument if the roots come from several managers. *)
 
 val sat_count : t -> nvars:int -> float
 (** Number of satisfying assignments over variables [0..nvars-1].

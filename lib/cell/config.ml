@@ -90,20 +90,73 @@ let pp ppf c = Format.pp_print_string ppf (to_string c)
 
 (* --- The per-cell table --- *)
 
-(* One cell's configurations in [all]'s order, their networks, and the
-   ones input reordering reaches. Never mutated once published. *)
+type tables = { h : int64 array; g : int64 array }
+
+let pin_tables =
+  [|
+    0xAAAAAAAAAAAAAAAAL;
+    0xCCCCCCCCCCCCCCCCL;
+    0xF0F0F0F0F0F0F0F0L;
+    0xFF00FF00FF00FF00L;
+    0xFFFF0000FFFF0000L;
+    0xFFFFFFFF00000000L;
+  |]
+
+let pin_table i = pin_tables.(i)
+let at table v = Int64.logand (Int64.shift_right_logical table v) 1L <> 0L
+
+(* Every input vector at once: a node joins a rail on the vectors where
+   a conducting device links it to a node that does, grown from the rail
+   to a fixpoint. The path search stops at the opposite rail and this
+   does not, which changes nothing: no vector joins a cell's rails. *)
+let tables_of gate network =
+  let module N = Sp.Network in
+  let devices = N.devices network in
+  let conducts (d : N.device) =
+    if d.polarity = T.Nmos then pin_tables.(d.input)
+    else Int64.lognot pin_tables.(d.input)
+  in
+  let joined rail =
+    let t = Array.make (N.node_count network) 0L in
+    t.(N.index rail) <-
+      Int64.shift_right_logical (-1L) (64 - (1 lsl Gate.arity gate));
+    let grown = ref true in
+    while !grown do
+      grown := false;
+      Array.iter
+        (fun (d : N.device) ->
+          let a = N.index d.a and b = N.index d.b and c = conducts d in
+          let ta = Int64.logor t.(a) (Int64.logand t.(b) c) in
+          let tb = Int64.logor t.(b) (Int64.logand t.(a) c) in
+          if ta <> t.(a) || tb <> t.(b) then begin
+            grown := true;
+            t.(a) <- ta;
+            t.(b) <- tb
+          end)
+        devices
+    done;
+    Array.of_list (List.map (fun n -> t.(N.index n)) (N.power_nodes network))
+  in
+  { h = joined N.Vdd; g = joined N.Vss }
+
+(* One cell's configurations in [all]'s order, their networks and truth
+   tables, and the ones input reordering reaches. Never mutated once
+   published. *)
 type cell = {
   configs : t array;
   networks : Sp.Network.t array;
+  tables : tables array;
   input_reorderings : int list;
 }
 
 let build gate =
   let configs = Array.of_list (all gate) in
   let reference = configs.(0) in
+  let networks = Array.map network configs in
   {
     configs;
-    networks = Array.map network configs;
+    networks;
+    tables = Array.map (tables_of gate) networks;
     input_reorderings =
       List.filter
         (fun k -> same_shape configs.(k) reference)
@@ -132,4 +185,11 @@ let checked gate k =
 
 let nth gate k = (checked gate k).configs.(k)
 let nth_network gate k = (checked gate k).networks.(k)
+let nth_tables gate k = (checked gate k).tables.(k)
 let input_reorderings gate = (of_gate gate).input_reorderings
+
+let instance_count gate =
+  let add shapes c =
+    if List.exists (same_shape c) shapes then shapes else c :: shapes
+  in
+  List.length (Array.fold_left add [] (of_gate gate).configs)

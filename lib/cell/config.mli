@@ -50,13 +50,14 @@ val to_string : ?names:(int -> string) -> t -> string
 
 (** {1 The per-cell table}
 
-    Each cell's configurations, in {!all}'s order, and their transistor
-    graphs are built together on the cell's first use by any function
-    below, never at process start, and kept for the life of the
-    process. Nothing in the table is mutated once built, and a read
-    takes no lock, so every domain shares it: two domains that first
-    use a cell at once may both build it, and one copy is kept. Index
-    [k] is the configuration index a netlist gate carries. *)
+    Each cell's configurations, in {!all}'s order, their transistor
+    graphs and their switch-level truth tables are built together on the
+    cell's first use by any function below, never at process start, and
+    kept for the life of the process. Nothing in the table is mutated
+    once built, and a read takes no lock, so every domain shares it: two
+    domains that first use a cell at once may both build it, and one
+    copy is kept. Index [k] is the configuration index a netlist gate
+    carries. *)
 
 val nth : Gate.t -> int -> t
 (** [nth cell k]: the [k]-th element of [all cell].
@@ -67,6 +68,38 @@ val nth_network : Gate.t -> int -> Sp.Network.t
     configuration [k]'s transistor graph gets this one.
     @raise Invalid_argument when [k] is out of range. *)
 
+type tables = { h : int64 array; g : int64 array }
+(** A configuration's switch-level model, the paper's H and G (§3.3,
+    Fig. 2(b)) as truth tables: one entry per powered node, in
+    {!Sp.Network.power_nodes} order (the output first). Bit [v] of
+    [h.(j)] is set when input vector [v] (pin [i] is bit [i] of [v])
+    joins node [j] to vdd through conducting devices, and bit [v] of
+    [g.(j)] when it joins it to vss. A node with neither bit set is
+    isolated and holds its charge. No cell has more than 6 pins, so 64
+    bits always suffice; bits from [2{^arity}] up are 0. The tables
+    equal {!Sp.Network.h_function} and {!Sp.Network.g_function}
+    evaluated at every vector (tested), and no vector sets both bits of
+    a node. *)
+
+val nth_tables : Gate.t -> int -> tables
+(** Configuration [k]'s truth tables, built once with the table from
+    {!nth_network}, for all input vectors at once: read them, never
+    write them.
+    @raise Invalid_argument when [k] is out of range. *)
+
+val pin_table : int -> int64
+(** [pin_table i]: pin [i]'s own truth table in the {!tables} format,
+    bit [v] set when bit [i] of [v] is, for [0 <= i < 6]. *)
+
+val at : int64 -> int -> bool
+(** [at table v]: bit [v] of [table], the function's value on input
+    vector [v]. *)
+
 val input_reorderings : Gate.t -> int list
 (** The configurations {!same_shape} as the reference, ascending: what
     input reordering alone can reach. Always holds 0. *)
+
+val instance_count : Gate.t -> int
+(** Number of layout instances needed to reach every configuration by
+    input permutation alone: the {!same_shape} classes of the cell's
+    configurations, the paper's [\[A,B,...\]] annotations (Table 2). *)

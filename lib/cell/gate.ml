@@ -133,28 +133,5 @@ let pin_devices t pin =
   if pin < 0 || pin >= t.arity then invalid_arg "Gate.pin_devices: no such pin";
   t.pin_devices.(pin)
 
-(* Erase leaf labels: two configurations with the same label-erased
-   shape pair differ only by an input permutation, so they can share one
-   physical layout (the paper's oai21[A]/oai21[B] instances). *)
-let rec erase = function
-  | T.Leaf _ -> T.leaf 0
-  | T.Series cs -> T.series (List.map erase cs)
-  | T.Parallel cs -> T.parallel (List.map erase cs)
-
-let instance_count t =
-  let shapes = Hashtbl.create 16 in
-  let ups = T.orderings (T.dual t.pull_down) in
-  let downs = T.orderings t.pull_down in
-  List.iter
-    (fun up ->
-      List.iter
-        (fun down ->
-          Hashtbl.replace shapes
-            (T.canonical (erase up), T.canonical (erase down))
-            ())
-        downs)
-    ups;
-  Hashtbl.length shapes
-
 let equal a b = a.kind = b.kind
 let pp ppf t = Format.pp_print_string ppf t.name

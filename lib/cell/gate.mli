@@ -49,11 +49,5 @@ val pin_devices : t -> int -> int
     precomputed by {!make}.
     @raise Invalid_argument if [i] is not a pin. *)
 
-val instance_count : t -> int
-(** Number of layout instances needed to reach every configuration by
-    input permutation alone — the paper's [\[A,B,...\]] annotations
-    (configurations sharing an unlabeled network-shape pair form one
-    instance). *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

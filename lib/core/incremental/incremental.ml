@@ -266,11 +266,14 @@ module Script = struct
     List.rev !batches
 
   let load ~circuit path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    parse ~circuit text
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> (
+        try parse ~circuit text
+        with Edit_error msg -> edit_error "%s: %s" path msg)
+    | exception Sys_error msg ->
+        (* A failed open names the file in [msg]; a failed read does not. *)
+        if String.starts_with ~prefix:path msg then edit_error "%s" msg
+        else edit_error "%s: %s" path msg
 end
 
 (* --- replay ---------------------------------------------------------- *)

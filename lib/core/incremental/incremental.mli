@@ -119,7 +119,8 @@ module Script : sig
       offending 1-based line number. *)
 
   val load : circuit:Netlist.Circuit.t -> string -> edit list list
-  (** [parse] a file. *)
+  (** [parse] a file. @raise Edit_error naming the file, then the line
+      as [parse] does, or why the file cannot be read. *)
 
   val objective_of_string : string -> Reorder.Optimizer.objective
   (** @raise Edit_error on an unknown name. *)

@@ -39,50 +39,37 @@ let pin_stats n =
 let exhaustive_power (ctx : Common.t) gate config =
   let n = Cell.Gate.arity gate in
   let network = Cell.Config.nth_network gate config in
-  (* The powered nodes' indices: the output, then the internal nodes. *)
-  let powered = List.map N.index (N.power_nodes network) in
+  let { Cell.Config.h; g } = Cell.Config.nth_tables gate config in
+  (* Per powered node: the output, then the internal nodes. *)
   let caps =
-    Array.init (N.node_count network) (fun i ->
-        match N.node_of_index i with
-        | N.Output as node ->
-            Cell.Process.node_capacitance ctx.Common.proc network node
-            +. Netlist.Load.default_external
-        | N.Internal _ as node ->
-            Cell.Process.node_capacitance ctx.Common.proc network node
-        | N.Vdd | N.Vss -> 0.)
+    Array.of_list
+      (List.map
+         (Cell.Process.node_capacitance ctx.Common.proc network)
+         (N.power_nodes network))
   in
+  caps.(0) <- caps.(0) +. Netlist.Load.default_external;
   let vdd = ctx.Common.proc.Cell.Process.vdd in
-  let devices = N.devices network in
   (* Settle the node charges for input vector [v], holding the previous
      charges on isolated nodes. Complementary gates have no X states
-     once seeded, so charges are a plain bitmask over node indices. *)
+     once seeded, so charges are a plain bitmask over powered nodes. *)
   let solve v prev =
-    let conducting d =
-      let bit = v land (1 lsl devices.(d).input) <> 0 in
-      match devices.(d).polarity with
-      | Sp.Sp_tree.Nmos -> bit
-      | Sp.Sp_tree.Pmos -> not bit
-    in
-    let from_vdd = N.reachable network ~conducting (N.index N.Vdd) in
-    let from_vss = N.reachable network ~conducting (N.index N.Vss) in
-    List.fold_left
-      (fun mask i ->
-        let bit = 1 lsl i in
-        let high =
-          if from_vdd land bit <> 0 then true
-          else if from_vss land bit <> 0 then false
-          else prev land bit <> 0
-        in
-        if high then mask lor bit else mask)
-      0 powered
+    let mask = ref 0 in
+    for j = 0 to Array.length caps - 1 do
+      if
+        Cell.Config.at h.(j) v
+        || ((not (Cell.Config.at g.(j) v)) && prev land (1 lsl j) <> 0)
+      then
+        mask := !mask lor (1 lsl j)
+    done;
+    !mask
   in
   let rising_energy before after =
-    List.fold_left
-      (fun acc i ->
-        if after land (1 lsl i) <> 0 && before land (1 lsl i) = 0 then
-          acc +. (caps.(i) *. vdd *. vdd)
-        else acc)
-      0. powered
+    let energy = ref 0. in
+    for j = 0 to Array.length caps - 1 do
+      if after land (1 lsl j) <> 0 && before land (1 lsl j) = 0 then
+        energy := !energy +. (caps.(j) *. vdd *. vdd)
+    done;
+    !energy
   in
   (* Enumerate reachable joint states by BFS from every vector settled
      from the all-low charge state. *)
@@ -161,9 +148,7 @@ let powers ctx gate =
     List.map (model_power ctx gate) configs )
 
 let row ctx gate =
-  let count = Cell.Gate.config_count gate in
   let truth, model = powers ctx gate in
-  ignore count;
   let count = Cell.Gate.config_count gate in
   let errors =
     List.map2 (fun m t -> 100. *. Float.abs (m -. t) /. t) model truth

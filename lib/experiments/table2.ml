@@ -17,7 +17,7 @@ let run () =
         arity = Cell.Gate.arity gate;
         transistors = Cell.Gate.transistor_count gate;
         configurations = Cell.Gate.config_count gate;
-        instances = Cell.Gate.instance_count gate;
+        instances = Cell.Config.instance_count gate;
         pivot_configurations =
           List.length (Cell.Config.pivot_all (Cell.Config.reference gate));
       })

@@ -226,10 +226,5 @@ let to_string t =
   Buffer.contents buf
 
 let load path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   of_string ~name:(Filename.remove_extension (Filename.basename path)) text

@@ -236,12 +236,6 @@ let save c path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string c))
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load path =
-  let text = read_file path in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   if Filename.check_suffix path ".blif" then of_blif text else of_string text

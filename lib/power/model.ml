@@ -5,13 +5,12 @@ let c_model_build = Obs.counter "power.model_build"
 let c_node_evals = Obs.counter "power.node_evals"
 let c_gate_powers = Obs.counter "power.gate_powers"
 
-(* The powered nodes of one (cell, configuration), output first, and
-   their capacitances (junction + wire, excluding fan-out load); shared
-   by every pin-groups variant of that configuration. *)
+(* The powered nodes of a program's configuration, output first, and
+   their capacitances (junction + wire, excluding fan-out load). *)
 type shape = { nodes : Sp.Network.node array; caps : float array }
 
 (* A compiled (cell, configuration, pin-groups) model. [code] holds the
-   BDD nodes of every root, children first (Bdd.post_order), one int
+   reduced ordered BDD nodes of every root, children first, one int
    each: the variable, the lo slot and the hi slot, [slot_bits] apiece.
    [roots] holds each root's slot as a [slot_bits]-bit little-endian
    integer.
@@ -45,27 +44,14 @@ type gate_power = {
   total : float;
 }
 
-(* A configuration's H and G path functions before any pin tying: the
-   Fig. 2(b) path search, done once per table. *)
-type raw = { shape : shape; h : Bdd.t array; g : Bdd.t array }
-
 (* The programs compiled so far, by (cell name, configuration, pin
-   groups), and the raw path functions they came from, by (cell name,
-   configuration). BDDs never leave the table that built them. *)
+   groups). *)
 type table = {
   proc : Cell.Process.t;
   programs : (string * int * int array, program) Hashtbl.t;
-  bdd : Bdd.manager;
-  raw : (string * int, raw) Hashtbl.t;
 }
 
-let table proc =
-  {
-    proc;
-    programs = Hashtbl.create 256;
-    bdd = Bdd.manager ();
-    raw = Hashtbl.create 32;
-  }
+let table proc = { proc; programs = Hashtbl.create 256 }
 
 let process t = t.proc
 
@@ -97,65 +83,85 @@ let slot_mask = (1 lsl slot_bits) - 1
 
 let pack (var, lo, hi) = var lor (lo lsl slot_bits) lor (hi lsl (2 * slot_bits))
 
+(* A function of the pins is a truth table in the Cell.Config.tables
+   format: bit [v] is its value on input vector [v], pin [i] being bit
+   [i] of [v]. [cofactor f i b] is f|xᵢ=b, spread over both halves so it
+   no longer depends on pin i. *)
+let cofactor f i b =
+  let shift = 1 lsl i in
+  if b then
+    let f = Int64.logand f (Cell.Config.pin_table i) in
+    Int64.logor f (Int64.shift_right_logical f shift)
+  else
+    let f = Int64.logand f (Int64.lognot (Cell.Config.pin_table i)) in
+    Int64.logor f (Int64.shift_left f shift)
+
+(* The paper's ∂f/∂xᵢ. *)
+let difference f i = Int64.logxor (cofactor f i false) (cofactor f i true)
+
 (* Pins tied to one net toggle together: substitute the representative
-   pin's variable for every tied pin, then Boolean differences with
-   respect to the representative capture the joint toggle. *)
-let remap_to_groups m groups f =
-  let result = ref f in
+   pin for every tied pin, then Boolean differences with respect to the
+   representative capture the joint toggle. *)
+let tie groups f =
+  let tied = ref f in
   Array.iteri
     (fun pin rep ->
-      if rep <> pin then result := Bdd.compose !result pin (Bdd.var m rep))
+      if rep <> pin then
+        let f0 = cofactor !tied pin false in
+        tied :=
+          Int64.logxor f0
+            (Int64.logand (Cell.Config.pin_table rep)
+               (Int64.logxor (cofactor !tied pin true) f0)))
     groups;
-  !result
-
-let raw_of t cell config =
-  let key = (Cell.Gate.name cell, config) in
-  match Hashtbl.find_opt t.raw key with
-  | Some raw -> raw
-  | None ->
-      let network = Cell.Config.nth_network cell config in
-      let nodes = Array.of_list (Sp.Network.power_nodes network) in
-      let raw =
-        {
-          shape =
-            {
-              nodes;
-              caps =
-                Array.map (Cell.Process.node_capacitance t.proc network) nodes;
-            };
-          h = Array.map (Sp.Network.h_function t.bdd network) nodes;
-          g = Array.map (Sp.Network.g_function t.bdd network) nodes;
-        }
-      in
-      Hashtbl.add t.raw key raw;
-      raw
+  !tied
 
 let compile t cell config groups =
-  let raw = raw_of t cell config in
-  let m = t.bdd in
   let arity = Cell.Gate.arity cell in
+  let network = Cell.Config.nth_network cell config in
+  let { Cell.Config.h; g } = Cell.Config.nth_tables cell config in
   let with_differences f =
-    let f = remap_to_groups m groups f in
-    f
-    :: List.init arity (fun i ->
-           if groups.(i) = i then Bdd.boolean_difference f i else Bdd.zero m)
+    let f = tie groups f in
+    f :: List.init arity (fun i -> if groups.(i) = i then difference f i else 0L)
   in
   let roots =
     List.concat
-      (List.init (Array.length raw.h) (fun j ->
-           with_differences raw.h.(j) @ with_differences raw.g.(j)))
+      (List.init (Array.length h) (fun j ->
+           with_differences h.(j) @ with_differences g.(j)))
   in
-  let code, slots = Bdd.post_order (Array.of_list roots) in
+  (* Each root's reduced ordered BDD has one node per distinct function,
+     on the lowest pin it depends on. Slots 0 and 1 are the constants,
+     then the nodes, children first, lo before hi, roots in order. *)
+  let one = Int64.shift_right_logical (-1L) (64 - (1 lsl arity)) in
+  let slots = Hashtbl.create 64 and code = ref [] in
+  let rec visit f =
+    if f = 0L then 0
+    else if f = one then 1
+    else
+      match Hashtbl.find_opt slots f with
+      | Some s -> s
+      | None ->
+          let rec top i = if difference f i <> 0L then i else top (i + 1) in
+          let var = top 0 in
+          let lo = visit (cofactor f var false) in
+          let hi = visit (cofactor f var true) in
+          let s = Hashtbl.length slots + 2 in
+          code := pack (var, lo, hi) :: !code;
+          Hashtbl.add slots f s;
+          s
+  in
+  let slots = List.map visit roots in
   (* The last node holds the highest slot; variables are pins. *)
-  if Array.length code + 1 > slot_mask || arity > slot_mask then
+  if List.length !code + 1 > slot_mask || arity > slot_mask then
     invalid_arg "Power.Model: gate model too large to compile";
-  let roots = Bytes.create (2 * Array.length slots) in
-  Array.iteri (fun r s -> Bytes.set_uint16_le roots (2 * r) s) slots;
+  let roots = Bytes.create (2 * List.length slots) in
+  List.iteri (fun r s -> Bytes.set_uint16_le roots (2 * r) s) slots;
+  let nodes = Array.of_list (Sp.Network.power_nodes network) in
+  let caps = Array.map (Cell.Process.node_capacitance t.proc network) nodes in
   {
     groups = Array.copy groups;
-    code = Array.map pack code;
+    code = Array.of_list (List.rev !code);
     roots = Bytes.unsafe_to_string roots;
-    shape = raw.shape;
+    shape = { nodes; caps };
     vdd = t.proc.Cell.Process.vdd;
   }
 

@@ -2,8 +2,10 @@
     (§3.3), including internal-node power.
 
     For every powered node [nk] of a configuration (output + internal),
-    the model extracts the path functions [H_nk] (to vdd) and [G_nk]
-    (to vss) and their Boolean differences with respect to each input.
+    the model reads the path functions [H_nk] (to vdd) and [G_nk] (to
+    vss) from the configuration's truth tables
+    ({!Cell.Config.nth_tables}) and takes their Boolean differences with
+    respect to each input.
     Given input statistics it then computes:
 
     - node equilibrium probability [P(nk) = P(H)/(P(H)+P(G))] (steady
@@ -14,13 +16,16 @@
     - node power [W(nk) = ½·C(nk)·Vdd²·Σᵢ T(nk|xi)].
 
     Each (cell, configuration, pin-groups) model is compiled on first
-    use into one immutable program: the BDD nodes of H, G and every
-    ∂H/∂xᵢ, ∂G/∂xᵢ, children first ({!Bdd.post_order}), their root
-    slots and the node capacitances. Evaluating it for given input
-    statistics is one pass over a float array with {!Bdd.probability}'s
-    Shannon expansion, bit-identical to walking each diagram, and needs
-    no symbolic work: that is what makes exhaustive per-gate exploration
-    cheap (§4.1). *)
+    use into one immutable program: the reduced ordered BDD nodes of H,
+    G and every ∂H/∂xᵢ, ∂G/∂xᵢ, children first, their root slots and
+    the node capacitances. Tying pins and differencing are shifts and
+    masks on the 64-bit tables, and the diagram of a table is read off
+    it directly. Evaluating a program for given input statistics is one
+    pass over a float array with {!Bdd.probability}'s Shannon
+    expansion, bit-identical to walking each diagram (tested against
+    {!Sp.Network.h_function}'s diagrams on every key of the library),
+    and needs no symbolic work: that is what makes exhaustive per-gate
+    exploration cheap (§4.1). *)
 
 type table
 (** Compiled models for one process. The table holds programs only: a
@@ -32,11 +37,8 @@ type table
     missing ones, so call them from one domain at a time. A program,
     once looked up, is immutable, and {!total} evaluates it on any
     domain. [power.model_build] counts builds and [power.model_hit]
-    every other lookup. Each (cell, configuration)'s raw H/G path
-    functions are computed once per table, from the configuration's
-    shared transistor graph ({!Cell.Config.nth_network}), and kept with
-    it; a tied-pin key only remaps and differentiates them. Nothing is compiled until
-    a key is first looked up. *)
+    every other lookup. Nothing is compiled until a key is first looked
+    up. *)
 
 val table : Cell.Process.t -> table
 val process : table -> Cell.Process.t

@@ -85,26 +85,6 @@ let node_count t = Array.length t.adjacency
 let adjacency t i = t.adjacency.(i)
 let node_degree t n = Array.length t.adjacency.(index n)
 
-let reachable t ~conducting start =
-  if node_count t > Sys.int_size then
-    invalid_arg "Network.reachable: too many nodes for a bitmask";
-  let mask = ref (1 lsl start) in
-  let stack = ref [ start ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | node :: rest ->
-        stack := rest;
-        Array.iter
-          (fun (d, other) ->
-            if !mask land (1 lsl other) = 0 && conducting d then begin
-              mask := !mask lor (1 lsl other);
-              stack := other :: !stack
-            end)
-          t.adjacency.(node)
-  done;
-  !mask
-
 (* Conduction literal of one transistor: NMOS passes when its input is
    1, PMOS when it is 0. *)
 let device_literal m d =

@@ -7,10 +7,11 @@
     order information of a configuration, and supports the paper's
     H/G path-function extraction (Fig. 2(b)).
 
-    It is the one indexed form of a configuration: the power model's
-    path search, node capacitances, Elmore delays, the switch-level
-    simulator and the Monte-Carlo engine all read it, and [Cell.Config]
-    builds one per library cell configuration, on the cell's first use.
+    It is the one indexed form of a configuration: node capacitances,
+    Elmore delays and the Monte-Carlo engine read it, and [Cell.Config]
+    builds one per library cell configuration, on the cell's first use,
+    and from it the H/G truth tables the power model, the switch-level
+    simulator and E13 read.
     Devices are numbered [0 .. device_count - 1] in lay order (see
     {!of_networks}), nodes by {!index}, and each node's adjacency is
     built once with the network. A network is never mutated after it
@@ -79,14 +80,10 @@ val node_degree : t -> node -> int
     drives the junction-capacitance model. The length of its
     {!adjacency}. *)
 
-val reachable : t -> conducting:(int -> bool) -> int -> int
-(** [reachable t ~conducting i]: node [i] and every node joined to it
-    through devices [d] with [conducting d], as a bitmask over node
-    indices.
-    @raise Invalid_argument if the network has more than [Sys.int_size]
-    nodes. *)
+(** {1 Path functions}
 
-(** {1 Path functions} *)
+    The symbolic form of H and G, by the paper's Fig. 2(b) path search.
+    The library's truth tables are held to it in the tests. *)
 
 val h_function : Bdd.manager -> t -> node -> Bdd.t
 (** [h_function m t n] is the paper's [H_n]: the Boolean condition (over

@@ -24,19 +24,13 @@ type observer = {
   on_energy : (time:float -> gate:int -> node:int -> energy:float -> unit) option;
 }
 
-module N = Sp.Network
-
-(* Node indices of a gate's transistor graph (Sp.Network.index). *)
-let vdd_node = N.index N.Vdd
-let vss_node = N.index N.Vss
-let out_node = N.index N.Output
-
-(* One gate instance: its cell's shared configured graph and what the
-   instance adds to it. *)
+(* One gate instance: its cell configuration's shared switch-level
+   model and what the instance adds to it. Powered nodes are numbered as
+   in the tables: the output 0, internal node [i] at [i + 1]. *)
 type sim_gate = {
-  network : N.t;
-  nets : int array;  (* per device: the circuit net on its gate terminal *)
-  caps : float array;  (* per node; 0 for the rails *)
+  tables : Cell.Config.tables;
+  fanins : int array;  (* per pin: the circuit net *)
+  caps : float array;  (* per powered node *)
   output_net : int;
 }
 
@@ -51,19 +45,16 @@ type t = {
 let build proc ?external_load circ =
   let build_gate g (gate : C.gate) =
     let network = Cell.Config.nth_network gate.C.cell gate.C.config in
-    let caps = Array.make (N.node_count network) 0. in
-    List.iter
-      (fun node ->
-        caps.(N.index node) <- Cell.Process.node_capacitance proc network node)
-      (N.power_nodes network);
-    caps.(out_node) <-
-      caps.(out_node) +. Netlist.Load.output proc ?external_load circ g;
+    let caps =
+      Array.of_list
+        (List.map
+           (Cell.Process.node_capacitance proc network)
+           (Sp.Network.power_nodes network))
+    in
+    caps.(0) <- caps.(0) +. Netlist.Load.output proc ?external_load circ g;
     {
-      network;
-      nets =
-        Array.map
-          (fun (d : N.device) -> gate.C.fanins.(d.input))
-          (N.devices network);
+      tables = Cell.Config.nth_tables gate.C.cell gate.C.config;
+      fanins = gate.C.fanins;
       caps;
       output_net = gate.C.output;
     }
@@ -79,7 +70,7 @@ let build proc ?external_load circ =
   }
 
 let circuit t = t.circ
-let internal_nodes t g = N.internal_count t.gates.(g).network
+let internal_nodes t g = Array.length t.gates.(g).caps - 1
 
 type result = {
   horizon : float;
@@ -96,7 +87,7 @@ type result = {
 type state = {
   sim : t;
   net_values : value array;
-  node_states : value array array;  (* per gate, per local node *)
+  node_states : value array array;  (* per gate, per powered node *)
   dirty : bool array;  (* per gate *)
   per_gate_energy : float array;
   net_toggles : int array;
@@ -112,13 +103,7 @@ let fresh_state sim warmup observer =
     sim;
     net_values = Array.make n_nets VX;
     node_states =
-      Array.map
-        (fun g ->
-          let a = Array.make (N.node_count g.network) VX in
-          a.(vdd_node) <- V1;
-          a.(vss_node) <- V0;
-          a)
-        sim.gates;
+      Array.map (fun g -> Array.make (Array.length g.caps) VX) sim.gates;
     dirty = Array.make (Array.length sim.gates) false;
     per_gate_energy = Array.make (Array.length sim.gates) 0.;
     net_toggles = Array.make n_nets 0;
@@ -157,74 +142,64 @@ let set_net st ~now ~accounting net v =
     List.iter (fun g -> st.dirty.(g) <- true) st.sim.readers.(net)
   end
 
-(* Solve one gate's node states against the current net values, without
-   committing anything: returns the array of next values (previous
-   values persist on isolated, charge-holding nodes). *)
-let solve st g =
-  let gate = st.sim.gates.(g) in
-  let states = st.node_states.(g) in
-  let values = st.net_values and nets = gate.nets in
-  let devices = N.devices gate.network in
-  (* Whether device [d] surely conducts, and whether it may. *)
-  let definite d =
-    match (values.(nets.(d)), devices.(d).N.polarity) with
-    | V1, Sp.Sp_tree.Nmos | V0, Sp.Sp_tree.Pmos -> true
-    | (V0 | V1 | VX), _ -> false
-  in
-  let maybe d =
-    match values.(nets.(d)) with VX -> true | V0 | V1 -> definite d
-  in
-  let r1 = N.reachable gate.network ~conducting:definite vdd_node in
-  let r0 = N.reachable gate.network ~conducting:definite vss_node in
-  let m1 = N.reachable gate.network ~conducting:maybe vdd_node in
-  let m0 = N.reachable gate.network ~conducting:maybe vss_node in
-  Array.init (N.node_count gate.network) (fun node ->
-      if node < out_node then states.(node)
-      else
-        let bit = 1 lsl node in
-        if r1 land bit <> 0 && m0 land bit = 0 then V1
-        else if r0 land bit <> 0 && m1 land bit = 0 then V0
-        else if m1 land bit = 0 && m0 land bit = 0 then states.(node)
-        else VX)
+(* Gate [g]'s input vector: pin [i] is bit [i]. Once [start] has
+   settled the circuit every net is 0 or 1. *)
+let input_vector st g =
+  let fanins = st.sim.gates.(g).fanins in
+  let v = ref 0 in
+  for i = 0 to Array.length fanins - 1 do
+    if st.net_values.(fanins.(i)) = V1 then v := !v lor (1 lsl i)
+  done;
+  !v
+
+(* Powered node [j] under input vector [v]: high when a conducting path
+   joins it to vdd, low when one joins it to vss, and otherwise holding
+   its charge. No input vector joins a library cell's rails. *)
+let next_value st g v j =
+  let { Cell.Config.h; g = low } = st.sim.gates.(g).tables in
+  if Cell.Config.at h.(j) v then V1
+  else if Cell.Config.at low.(j) v then V0
+  else st.node_states.(g).(j)
 
 (* Commit one node's new value, depositing charging energy when it
    rises inside the accounting window. *)
-let commit_node st ~now ~accounting g node next =
-  let gate = st.sim.gates.(g) in
+let commit_node st ~now ~accounting g j next =
   let states = st.node_states.(g) in
-  let prev = states.(node) in
+  let prev = states.(j) in
   if next <> prev then begin
     if accounting && next = V1 then begin
       let vdd = st.sim.proc.Cell.Process.vdd in
       let scale = match prev with V0 -> 1. | VX -> 0.5 | V1 -> 0. in
-      let e = scale *. gate.caps.(node) *. vdd *. vdd in
+      let e = scale *. st.sim.gates.(g).caps.(j) *. vdd *. vdd in
       st.per_gate_energy.(g) <- st.per_gate_energy.(g) +. e;
       match st.observer with
       | Some { on_energy = Some f; _ } ->
           Obs.incr c_probe_events;
-          f ~time:now ~gate:g ~node:(node - out_node) ~energy:e
+          f ~time:now ~gate:g ~node:j ~energy:e
       | Some _ | None -> ()
     end;
-    states.(node) <- next;
-    if node > out_node then
+    states.(j) <- next;
+    if j > 0 then
       match st.observer with
       | Some { on_internal = Some f; _ } ->
           Obs.incr c_probe_events;
-          f ~time:now ~gate:g ~node:(node - out_node) ~before:prev ~after:next
+          f ~time:now ~gate:g ~node:j ~before:prev ~after:next
             ~in_window:accounting
       | Some _ | None -> ()
   end
+
+(* Commit powered nodes [from] onward to input vector [v], in order. *)
+let commit_from st ~now ~accounting g v from =
+  for j = from to Array.length st.node_states.(g) - 1 do
+    commit_node st ~now ~accounting g j (next_value st g v j)
+  done
 
 (* Zero-delay evaluation: commit every powered node immediately and
    return the new output value. *)
 let evaluate_gate st ~now ~accounting g =
   Obs.incr c_gate_evals;
-  let next = solve st g in
-  let gate = st.sim.gates.(g) in
-  for node = out_node to N.node_count gate.network - 1 do
-    commit_node st ~now ~accounting g node next.(node)
-  done;
-  next.(out_node)
+  commit_from st ~now ~accounting g (input_vector st g) 0;
+  st.node_states.(g).(0)
 
 (* Sweep all dirty gates in topological order, propagating output
    changes onward. *)
@@ -401,12 +376,10 @@ let run_timed t ?(warmup = 0.) ?observer ~gate_delay ~inputs () =
      moved back first. *)
   let react now ~accounting g =
     Obs.incr c_gate_evals;
-    let next = solve st g in
+    let inputs = input_vector st g in
+    commit_from st ~now ~accounting g inputs 1;
+    let v = next_value st g inputs 0 in
     let gate = t.gates.(g) in
-    for node = out_node + 1 to N.node_count gate.network - 1 do
-      commit_node st ~now ~accounting g node next.(node)
-    done;
-    let v = next.(out_node) in
     let current = st.net_values.(gate.output_net) in
     if has_pending.(g) then begin
       if v = pending.(g) then ()
@@ -433,7 +406,7 @@ let run_timed t ?(warmup = 0.) ?observer ~gate_delay ~inputs () =
               has_pending.(g) <- false;
               let v = pending.(g) in
               let gate = t.gates.(g) in
-              commit_node st ~now ~accounting g out_node v;
+              commit_node st ~now ~accounting g 0 v;
               set_net st ~now ~accounting gate.output_net v;
               List.iter (react now ~accounting) t.readers.(gate.output_net)
             end

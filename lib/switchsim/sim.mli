@@ -3,18 +3,21 @@
     (column S), substituting for the SLS simulator [11].
 
     The circuit is simulated at the transistor level: each gate instance
-    is its configured transistor graph, the one {!Cell.Config.nth_network}
-    shares with the power model, plus the net on each device and its node
-    capacitances; on every input event the fan-out
-    cone is re-solved by path analysis (a node is high if a conducting
-    path links it to vdd, low if to vss, holds its charge when isolated;
-    complementary gates guarantee no shorts). Every low→high transition
+    is its configuration's switch-level model, the H/G truth tables
+    {!Cell.Config.nth_tables} shares with the power model, plus the net
+    on each pin and its node capacitances. On every input event the
+    fan-out cone is re-solved: under the gate's input vector a node is
+    high if a conducting path links it to vdd (its H bit), low if one
+    links it to vss (its G bit), and holds its charge when isolated;
+    complementary gates guarantee no shorts. Every low→high transition
     of a node deposits [C·Vdd²] of energy; average power is energy over
     the measurement window.
 
     Signal values are ternary: nodes that have never been driven are
     unknown ([X]); a charge from X is counted at half energy. Primary
-    inputs are always known, so gate outputs are always known too. *)
+    inputs are always known, and the start settles the circuit in
+    topological order, so every net is known from then on and a gate
+    always sees a known input vector (tested on every suite circuit). *)
 
 type t
 (** Static simulation structure for one circuit (configurations baked

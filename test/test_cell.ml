@@ -93,7 +93,7 @@ let test_table2_instance_counts () =
     ]
   in
   List.iter
-    (fun (n, c) -> Alcotest.(check int) n c (G.instance_count (G.of_name n)))
+    (fun (n, c) -> Alcotest.(check int) n c (C.instance_count (G.of_name n)))
     expect
 
 (* --- Config --- *)
@@ -133,6 +133,43 @@ let test_config_functions_invariant () =
             (Bdd.equal (Sp.Network.output_function m (C.network c)) reference))
         (C.all g))
     G.library
+
+(* The per-cell truth tables against the BDD path search they replace:
+   every powered node of every configuration of every cell, at every
+   input vector. No vector joins a node to both rails, and the output
+   is always driven. *)
+let test_config_tables_match_path_search () =
+  let m = Bdd.manager () in
+  let configs = ref 0 in
+  List.iter
+    (fun g ->
+      for k = 0 to G.config_count g - 1 do
+        incr configs;
+        let network = C.nth_network g k in
+        let { C.h; g = low } = C.nth_tables g k in
+        List.iteri
+          (fun j node ->
+            let where = Format.asprintf "%s config %d node %a" (G.name g) k Sp.Network.pp_node node in
+            let hf = Sp.Network.h_function m network node in
+            let gf = Sp.Network.g_function m network node in
+            for v = 0 to 63 do
+              let bit table = Int64.logand (Int64.shift_right_logical table v) 1L = 1L in
+              let env i = (v lsr i) land 1 = 1 in
+              let in_range = v < 1 lsl G.arity g in
+              Alcotest.(check bool) (Printf.sprintf "%s H at %d" where v)
+                (in_range && Bdd.eval hf env) (bit h.(j));
+              Alcotest.(check bool) (Printf.sprintf "%s G at %d" where v)
+                (in_range && Bdd.eval gf env) (bit low.(j))
+            done;
+            Alcotest.(check int64) (where ^ ": H and G disjoint") 0L (Int64.logand h.(j) low.(j)))
+          (Sp.Network.power_nodes network);
+        let all = Int64.pred (Int64.shift_left 1L (1 lsl G.arity g)) in
+        let all = if G.arity g = 6 then -1L else all in
+        Alcotest.(check int64) (Printf.sprintf "%s config %d: H of y = not G of y" (G.name g) k)
+          (Int64.logand all (Int64.lognot low.(0))) h.(0)
+      done)
+    G.library;
+  Alcotest.(check int) "configurations walked" 353 !configs
 
 (* Fig. 5: the pivot exploration of the whole example gate finds exactly
    the four configurations of Fig. 1(a). *)
@@ -267,6 +304,8 @@ let () =
             test_fig5_pivot_exploration;
           Property.to_alcotest prop_pivot_all_matches_all;
           Alcotest.test_case "index_in" `Quick test_index_in;
+          Alcotest.test_case "truth tables match the path search" `Quick
+            test_config_tables_match_path_search;
         ] );
       ( "process",
         [

@@ -577,6 +577,28 @@ let test_script_parsing () =
     (Printf.sprintf {|{"op":"replace_gate","gate":0,"config":%d}|}
        (Cell.Gate.config_count (C.gate_at circuit 0).C.cell))
 
+(* A script file that cannot be opened, or opened but not read, is an
+   [Edit_error] naming the file, never an escaping [Sys_error]; so is a
+   malformed line, which also gives the line. *)
+let test_script_unreadable () =
+  let circuit = Circuits.Suite.find "rca4" in
+  let malformed = Filename.temp_file "script" ".ndjson" in
+  Out_channel.with_open_bin malformed (fun oc ->
+      output_string oc "# header\n{\"op\":\"frobnicate\"}\n");
+  let rejected ?(line = "") path =
+    match I.Script.load ~circuit path with
+    | _ -> Alcotest.failf "%s loaded" path
+    | exception I.Edit_error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names the file" msg)
+          true
+          (String.starts_with ~prefix:(path ^ ": " ^ line) msg)
+  in
+  rejected "no_such_script.ndjson";
+  rejected Filename.current_dir_name;
+  rejected ~line:"line 2: " malformed;
+  Sys.remove malformed
+
 let test_replay_and_percentiles () =
   let pt = power_table () and dt = delay_table () in
   let circuit = Circuits.Suite.find "rca4" in
@@ -679,5 +701,6 @@ let () =
             test_replay_and_percentiles;
           Alcotest.test_case "cold fallback" `Quick
             test_cold_fallback_on_non_power_objective;
+          Alcotest.test_case "unreadable script" `Quick test_script_unreadable;
         ] );
     ]

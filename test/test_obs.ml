@@ -420,8 +420,8 @@ let test_densities_once_per_net () =
     (Obs.counter_value snap "optimizer.gates_visited" = gates);
   Alcotest.(check bool) "configurations explored" true
     (Obs.counter_value snap "optimizer.configs_explored" > 0);
-  Alcotest.(check bool) "bdd memo hits observed" true
-    (Obs.counter_value snap "bdd.memo_hit" > 0)
+  Alcotest.(check bool) "power-model builds observed" true
+    (Obs.counter_value snap "power.model_build" > 0)
 
 let () =
   Alcotest.run "obs"

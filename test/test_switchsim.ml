@@ -561,9 +561,9 @@ let () =
             test_agrees_with_eval_on_static_vectors;
           Alcotest.test_case "clocked c17 vs Eval" `Quick
             test_agrees_with_eval_after_transitions;
+          Property.to_alcotest prop_final_state_matches_eval;
           Alcotest.test_case "no unknown net after the settle" `Quick
             test_no_unknown_net_after_settle;
-          Property.to_alcotest prop_final_state_matches_eval;
         ] );
       ( "statistics",
         [
