@@ -30,6 +30,22 @@ let load_circuit spec =
         spec;
       exit 1
 
+(* Every file a subcommand writes is opened here: a path it cannot
+   write is one line on stderr and exit 1, as a reader's error is. *)
+let open_output path =
+  try open_out_bin path
+  with Sys_error message ->
+    Printf.eprintf "error: %s\n" message;
+    exit 1
+
+(* [-o FILE]: the circuit in the native netlist format. *)
+let save_netlist circuit =
+  Option.iter (fun path ->
+      let oc = open_output path in
+      output_string oc (Netlist.Io.to_string circuit);
+      close_out oc;
+      Printf.printf "wrote %s\n" path)
+
 let circuit_arg =
   let doc = "Benchmark name or netlist file path." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
@@ -292,7 +308,7 @@ let with_obs ~cmd (stats, trace, archive, metrics, telemetry, interval) f =
                 Option.iter
                   (fun s ->
                     let oc =
-                      open_out (Filename.concat run_dir "metrics.prom")
+                      open_output (Filename.concat run_dir "metrics.prom")
                     in
                     output_string oc (Telemetry.to_openmetrics s);
                     close_out oc)
@@ -576,7 +592,7 @@ let optimize_cmd =
       let json = lazy (Attrib.to_json ledger) in
       Option.iter
         (fun path ->
-          let oc = open_out path in
+          let oc = open_output path in
           output_string oc (Lazy.force json);
           output_char oc '\n';
           close_out oc;
@@ -586,11 +602,7 @@ let optimize_cmd =
         (fun p -> Runlog.attach p ~name:"ledger" ~json:(Lazy.force json))
         pending
     end;
-    Option.iter
-      (fun path ->
-        Netlist.Io.save r.Reorder.Optimizer.circuit path;
-        Printf.printf "wrote %s\n" path)
-      out
+    save_netlist r.Reorder.Optimizer.circuit out
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Reorder transistors for the chosen objective.")
@@ -626,7 +638,7 @@ let with_vcd sim vcd probe_internals =
   match vcd with
   | None -> (None, fun ~time:_ -> ())
   | Some file ->
-      let oc = open_out file in
+      let oc = open_output file in
       let observer, finish =
         Switchsim.Vcd_dump.make sim ~probe_internals
           ~emit:(output_string oc) ()
@@ -1000,11 +1012,7 @@ let map_cmd =
       end
       else circuit
     in
-    Option.iter
-      (fun path ->
-        Netlist.Io.save circuit path;
-        Printf.printf "wrote %s\n" path)
-      out
+    save_netlist circuit out
   in
   let optimize_flag =
     Arg.(value & flag & info [ "optimize" ] ~doc:"Also reorder for minimum power.")
@@ -1272,11 +1280,7 @@ let eco_cmd =
         Runlog.attach p ~name:"ledger"
           ~json:(Attrib.to_json (Incremental.ledger sess)))
       pending;
-    Option.iter
-      (fun path ->
-        Netlist.Io.save (Incremental.circuit sess) path;
-        Printf.printf "wrote %s\n" path)
-      out
+    save_netlist (Incremental.circuit sess) out
   in
   Cmd.v
     (Cmd.info "eco"
@@ -1327,7 +1331,7 @@ let trace_report_cmd =
     print_string (Trace.render_tree tree);
     Option.iter
       (fun target ->
-        let oc = open_out target in
+        let oc = open_output target in
         output_string oc (Trace.to_folded tree);
         close_out oc;
         Printf.printf "wrote %s\n" target)
@@ -1377,7 +1381,7 @@ let trace_chrome_cmd =
     match out with
     | None -> print_endline json
     | Some target ->
-        let oc = open_out target in
+        let oc = open_output target in
         output_string oc json;
         output_char oc '\n';
         close_out oc;
@@ -2055,7 +2059,7 @@ let write_dashboard ~title ~details ~path report =
   | Error msg ->
       Printf.eprintf "internal error: dashboard fails self-check: %s\n" msg;
       exit 2);
-  let oc = open_out_bin path in
+  let oc = open_output path in
   output_string oc html;
   close_out oc
 
