@@ -64,13 +64,12 @@ let gate_entry table circuit g (st : O.gate_state) =
   let gate = C.gate_at circuit g in
   let vdd = (Power.Model.process table).Cell.Process.vdd in
   let groups = M.groups_of_nets gate.C.fanins in
-  let input_stats = st.O.input_stats and load = st.O.load in
-  let power_of config =
-    M.gate_power table gate.C.cell ~config ~input_stats ~groups ~load ()
-  in
-  let gp_before = power_of st.O.incumbent in
+  let load = st.O.load in
+  let eval = M.eval (M.program table gate.C.cell ~groups) st.O.input_stats in
+  let gp_before = M.power eval ~config:st.O.incumbent ~load in
   let gp_after =
-    if st.O.chosen = st.O.incumbent then gp_before else power_of st.O.chosen
+    if st.O.chosen = st.O.incumbent then gp_before
+    else M.power eval ~config:st.O.chosen ~load
   in
   {
     index = g;
@@ -86,10 +85,7 @@ let gate_entry table circuit g (st : O.gate_state) =
     candidates =
       Array.init
         (Cell.Gate.config_count gate.C.cell)
-        (fun k ->
-          ( k,
-            M.gate_total table gate.C.cell ~config:k ~input_stats ~groups
-              ~load ));
+        (fun k -> (k, M.total eval ~config:k ~load));
   }
 
 (* The one builder: every gate's entry in index order, then the totals

@@ -160,37 +160,15 @@ let mark s g =
   end
 
 (* One gate to decide, resolved on the calling domain: its candidates
-   and, under a power-costed objective, the compiled program of every
-   configuration [decide] may cost, by configuration. *)
+   and its compiled power program, which holds every configuration. *)
 type work = {
   w_gate : int;
   w_candidates : int list;
-  w_programs : Power.Model.program array;
+  w_program : Power.Model.program;
 }
 
-(* The programs of the incumbent and each candidate, looked up in the
-   order an exhaustive [decide] costs them: the incumbent, then the
-   candidates left to right. So such a settle builds the keys its sweep
-   costs, in the same order, with one lookup per evaluation. The bound
-   and the memo may leave some unevaluated. A configuration that is
-   neither keeps the incumbent's program, which [decide] never reads.
-   Delay costs read no program. *)
-let resolve s g candidates =
-  match s.objective with
-  | Min_delay -> [||]
-  | Min_power | Max_power | Min_power_delay_bounded ->
-      let gate = C.gate_at s.circuit g in
-      let groups = Power.Model.groups_of_nets gate.C.fanins in
-      let program config =
-        Power.Model.program s.table gate.C.cell ~config ~groups
-      in
-      let programs =
-        Array.make (Cell.Gate.config_count gate.C.cell) (program s.configs.(g))
-      in
-      List.iter (fun c -> programs.(c) <- program c) candidates;
-      programs
-
-(* A gate's verdict; [settle] applies these in level-major order, so
+(* A gate's verdict and its powers under the configuration it started
+   from and the winner; [settle] applies these in level-major order, so
    counters, distributions and [configs] evolve the same whether the
    level was decided inline or across the pool. *)
 type decision = {
@@ -198,14 +176,18 @@ type decision = {
   d_chosen : int;
   d_candidates : int;
   d_reduction : float option;
+  d_before : Power.Model.gate_power;
+  d_after : Power.Model.gate_power;
 }
 
 (* One gate decision under any objective, on the calling domain or a
-   pool worker. Returns the chosen configuration and, for the
-   power-minimizing objectives, its per-gate reduction over the
-   incumbent. Reads the gate's own entry of [configs] only, which no
-   decision of its level writes, and evaluates the programs [resolve]
-   looked up: it never reads the power table. *)
+   pool worker. Returns the chosen configuration, for the
+   power-minimizing objectives its per-gate reduction over the
+   incumbent, and the gate's powers. Reads the gate's own entry of
+   [configs] only, which no decision of its level writes, and evaluates
+   the program [settle] looked up, once for the gate's statistics (and
+   once more for a memo miss's representative ones): it never reads the
+   power table. *)
 let decide s timing w =
   Obs.span "optimize.gate" @@ fun () ->
   let g = w.w_gate and candidates = w.w_candidates in
@@ -214,13 +196,14 @@ let decide s timing w =
   let input_stats = input_stats_of s gate in
   let load = s.loads.(g) in
   let maximize = s.objective = Max_power in
+  let eval = Power.Model.eval w.w_program input_stats in
   (* The objective's cost of one configuration: power, negated to
      maximize it, or worst-case pin delay. *)
-  let cost ?(input_stats = input_stats) ?(load = load) config =
+  let cost ?(eval = eval) ?(load = load) config =
     match s.objective with
     | Min_delay -> Delay.Elmore.worst_delay s.delay cell ~config ~load
     | Min_power | Max_power | Min_power_delay_bounded ->
-        let p = Power.Model.total w.w_programs.(config) ~input_stats ~load in
+        let p = Power.Model.total eval ~config ~load in
         if maximize then -.p else p
   in
   (* The delay bound: a candidate is admissible if the circuit, with it
@@ -264,7 +247,9 @@ let decide s timing w =
           | None ->
               let cost =
                 cost
-                  ~input_stats:(Memo.representative_stats input_stats)
+                  ~eval:
+                    (Power.Model.eval w.w_program
+                       (Memo.representative_stats input_stats))
                   ~load:(Memo.representative_load load)
               in
               let chosen =
@@ -294,15 +279,19 @@ let decide s timing w =
         let chosen, best = argmin cost (incumbent, current) candidates in
         (chosen, reduction ~current ~best)
   in
+  let power config = Power.Model.power eval ~config ~load in
+  let before = power incumbent in
   {
     d_gate = g;
     d_chosen = chosen;
     d_candidates = List.length candidates;
     d_reduction = reduction;
+    d_before = before;
+    d_after = (if chosen = incumbent then before else power chosen);
   }
 
 (* Decide the dirty gates ([s.swept]) and record their powers. Every
-   dirty gate's programs are resolved first, on the calling domain; the
+   dirty gate's program is looked up first, on the calling domain; the
    gates are then decided level by level, each level in topological
    order, and each level's decisions applied in that order. A level of
    several gates maps across the pool when it has [jobs > 1] and the
@@ -335,14 +324,15 @@ let settle ?pool s ~phase =
           Netlist.Load.output (Power.Model.process s.table)
             ~external_load:s.external_load circuit g;
         s.incumbents.(g) <- s.configs.(g);
-        let candidates =
-          candidates_of ~input_only:s.input_only (C.gate_at circuit g)
-        in
+        let gate = C.gate_at circuit g in
+        let candidates = candidates_of ~input_only:s.input_only gate in
         total := !total + List.length candidates;
         {
           w_gate = g;
           w_candidates = candidates;
-          w_programs = resolve s g candidates;
+          w_program =
+            Power.Model.program s.table gate.C.cell
+              ~groups:(Power.Model.groups_of_nets gate.C.fanins);
         })
       gates
   in
@@ -366,19 +356,25 @@ let settle ?pool s ~phase =
      gate's candidate list is enumerable up-front), so the telemetry
      heartbeat's percent/ETA is exact rather than guessed. *)
   Telemetry.progress_begin ~phase ~total:!total;
-  let explored = ref 0 in
+  let explored = ref 0 and changed = ref 0 in
   let finish d =
+    let g = d.d_gate in
     Obs.incr c_gates_visited;
     Obs.add c_configs_explored d.d_candidates;
     Obs.observe d_configs_per_gate (float_of_int d.d_candidates);
     explored := !explored + d.d_candidates;
     Option.iter (Obs.observe d_gate_reduction) d.d_reduction;
-    s.configs.(d.d_gate) <- d.d_chosen;
+    if d.d_chosen <> s.configs.(g) then incr changed;
+    s.configs.(g) <- d.d_chosen;
+    s.internal_before.(g) <- d.d_before.Power.Model.internal;
+    s.output_before.(g) <- d.d_before.Power.Model.output;
+    s.internal.(g) <- d.d_after.Power.Model.internal;
+    s.output.(g) <- d.d_after.Power.Model.output;
     (match timing with
     | None -> ()
     | Some t ->
-        t.arrival.((C.gate_at circuit d.d_gate).C.output) <-
-          Delay.Sta.step t.sta t.arrival d.d_gate ~config:d.d_chosen);
+        t.arrival.((C.gate_at circuit g).C.output) <-
+          Delay.Sta.step t.sta t.arrival g ~config:d.d_chosen);
     Telemetry.progress_tick ~n:d.d_candidates ()
   in
   let pool =
@@ -407,31 +403,6 @@ let settle ?pool s ~phase =
     end
   in
   sweep 0;
-  (* The swept gates' incumbent and winner powers, in gate order. *)
-  let changed = ref 0 in
-  List.iter
-    (fun g ->
-      let gate = C.gate_at circuit g in
-      let incumbent = s.incumbents.(g) and chosen = s.configs.(g) in
-      let record config =
-        Power.Model.gate_power s.table gate.C.cell ~config
-          ~input_stats:(input_stats_of s gate)
-          ~groups:(Power.Model.groups_of_nets gate.C.fanins)
-          ~load:s.loads.(g) ()
-      in
-      let before = record incumbent in
-      let after =
-        if chosen = incumbent then before
-        else begin
-          incr changed;
-          record chosen
-        end
-      in
-      s.internal_before.(g) <- before.Power.Model.internal;
-      s.output_before.(g) <- before.Power.Model.output;
-      s.internal.(g) <- after.Power.Model.internal;
-      s.output.(g) <- after.Power.Model.output)
-    s.swept;
   s.explored <- !explored;
   s.changed <- !changed;
   s.report <- None

@@ -405,8 +405,23 @@ let test_densities_once_per_net () =
   let gates = Netlist.Circuit.gate_count circuit in
   Obs.reset ();
   let (_ : Power.Analysis.t) = Power.Analysis.run pt circuit ~inputs in
+  let snap = Obs.snapshot () in
   Alcotest.(check int) "analysis propagates each gate's density once" gates
-    (Obs.counter_value (Obs.snapshot ()) "power.densities_propagated");
+    (Obs.counter_value snap "power.densities_propagated");
+  (* On a fresh table the analysis compiles each distinct (cell,
+     pin-groups) key of the circuit once, every configuration of its
+     cell at once, so the sweep after it builds nothing. *)
+  let keys = Hashtbl.create 16 in
+  for g = 0 to gates - 1 do
+    let gate = Netlist.Circuit.gate_at circuit g in
+    let cell = gate.Netlist.Circuit.cell in
+    Hashtbl.replace keys
+      (Cell.Gate.name cell, Power.Model.groups_of_nets gate.Netlist.Circuit.fanins)
+      (Cell.Gate.config_count cell)
+  done;
+  Alcotest.(check int) "analysis builds every configuration of each key"
+    (Hashtbl.fold (fun _ configs n -> n + configs) keys 0)
+    (Obs.counter_value snap "power.model_build");
   (* The whole greedy optimization still needs exactly one propagation
      per net: statistics are configuration-independent (§4.2). *)
   Obs.reset ();
@@ -420,8 +435,10 @@ let test_densities_once_per_net () =
     (Obs.counter_value snap "optimizer.gates_visited" = gates);
   Alcotest.(check bool) "configurations explored" true
     (Obs.counter_value snap "optimizer.configs_explored" > 0);
-  Alcotest.(check bool) "power-model builds observed" true
-    (Obs.counter_value snap "power.model_build" > 0)
+  Alcotest.(check int) "optimize after the analysis builds nothing" 0
+    (Obs.counter_value snap "power.model_build");
+  Alcotest.(check bool) "at least one model lookup per gate" true
+    (Obs.counter_value snap "power.model_hit" >= gates)
 
 let () =
   Alcotest.run "obs"

@@ -572,11 +572,8 @@ let test_compiled_bit_identical () =
               same (where ^ " internal") got.M.internal want.M.internal;
               same (where ^ " output") got.M.output want.M.output;
               same (where ^ " total") got.M.total want.M.total;
-              same (where ^ " gate_total")
-                (M.gate_total t cell ~config ~input_stats ~groups ~load)
-                want.M.total;
-              same (where ^ " resolved program")
-                (M.total (M.program t cell ~config ~groups) ~input_stats ~load)
+              same (where ^ " total")
+                (M.total (M.eval (M.program t cell ~groups) input_stats) ~config ~load)
                 want.M.total;
               if config = 0 then begin
                 let out = M.output_stats t cell ~input_stats ~groups () in
