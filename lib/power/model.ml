@@ -131,7 +131,7 @@ let compile t cell groups =
      configuration. Slots 0 and 1 are the constants, then the nodes,
      children first, lo before hi, roots in order. *)
   let one = Int64.shift_right_logical (-1L) (64 - (1 lsl arity)) in
-  let slots = Nodes.create 256 and code = ref [] in
+  let slots = Nodes.create 64 and code = ref [] in
   let rec visit f =
     if f = 0L then 0
     else if f = one then 1
@@ -205,7 +205,11 @@ let program t cell ~groups =
 
 (* --- Evaluation --- *)
 
-type eval = { program : program; input_stats : Stats.t array; slots : float array }
+type eval = {
+  program : program;
+  input_stats : Stats.t array;
+  slots : float array;
+}
 
 let check_stats ~arity input_stats =
   if Array.length input_stats <> arity then
@@ -256,7 +260,8 @@ let transitions e shape ~p_node j by_input =
   !total
 
 let node_capacitance shape j ~load =
-  shape.caps.(j) +. match shape.nodes.(j) with Sp.Network.Output -> load | _ -> 0.
+  shape.caps.(j)
+  +. match shape.nodes.(j) with Sp.Network.Output -> load | _ -> 0.
 
 (* The configuration's shape, once its evaluation is counted. *)
 let shape_for e ~config ~load =
@@ -324,10 +329,12 @@ let gate_power t cell ~config ~input_stats ?groups ~load () =
 (* f and ∂f/∂xᵢ are the same for every configuration; configuration 0's
    roots [0 .. arity] serve them. *)
 let output_stats t cell ~input_stats ?groups () =
-  let e = eval (program t cell ~groups:(resolve_groups cell groups)) input_stats in
+  let p = program t cell ~groups:(resolve_groups cell groups) in
+  let e = eval p input_stats in
   let shape = e.program.shapes.(0) in
   let density = ref 0. in
   for i = 0 to Array.length input_stats - 1 do
-    density := !density +. (input_stats.(i).Stats.density *. root e shape (1 + i))
+    density :=
+      !density +. (input_stats.(i).Stats.density *. root e shape (1 + i))
   done;
   Stats.make ~prob:(root e shape 0) ~density:!density
