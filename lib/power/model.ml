@@ -231,13 +231,14 @@ let eval (p : program) input_stats =
   done;
   { program = p; input_stats; slots }
 
-let root e shape r = e.slots.(String.get_uint16_le shape.roots (2 * r))
+let root shape r = String.get_uint16_le shape.roots (2 * r)
 
 (* The paper's steady-state node probability; a node that can never be
    driven (P(H)+P(G) = 0 under these statistics) is reported at 0. *)
 let node_probability e shape ~arity j =
   let base = j * ((2 * arity) + 2) in
-  let p_h = root e shape base and p_g = root e shape (base + arity + 1) in
+  let p_h = e.slots.(root shape base)
+  and p_g = e.slots.(root shape (base + arity + 1)) in
   let denom = p_h +. p_g in
   if denom <= 0. then 0. else p_h /. denom
 
@@ -250,8 +251,8 @@ let transitions e shape ~p_node j by_input =
   for i = 0 to arity - 1 do
     let d_i = e.input_stats.(i).Stats.density in
     if d_i > 0. then begin
-      let toggle_h = root e shape (base + 1 + i) in
-      let toggle_g = root e shape (base + arity + 2 + i) in
+      let toggle_h = e.slots.(root shape (base + 1 + i)) in
+      let toggle_g = e.slots.(root shape (base + arity + 2 + i)) in
       let t_i = d_i *. (((1. -. p_node) *. toggle_h) +. (p_node *. toggle_g)) in
       if Array.length by_input > 0 then by_input.(i) <- t_i;
       total := !total +. t_i
@@ -331,10 +332,11 @@ let gate_power t cell ~config ~input_stats ?groups ~load () =
 let output_stats t cell ~input_stats ?groups () =
   let p = program t cell ~groups:(resolve_groups cell groups) in
   let e = eval p input_stats in
-  let shape = e.program.shapes.(0) in
+  let shape = p.shapes.(0) in
   let density = ref 0. in
   for i = 0 to Array.length input_stats - 1 do
     density :=
-      !density +. (input_stats.(i).Stats.density *. root e shape (1 + i))
+      !density
+      +. (input_stats.(i).Stats.density *. e.slots.(root shape (1 + i)))
   done;
-  Stats.make ~prob:(root e shape 0) ~density:!density
+  Stats.make ~prob:e.slots.(root shape 0) ~density:!density
