@@ -211,14 +211,11 @@ type eval = {
   slots : float array;
 }
 
-let check_stats ~arity input_stats =
-  if Array.length input_stats <> arity then
-    invalid_arg "Power.Model: input_stats length differs from gate arity"
-
 (* Bdd.probability's Shannon expansion, once per node, for every root of
    every configuration; slots 0 and 1 hold the constants. *)
 let eval (p : program) input_stats =
-  check_stats ~arity:(Array.length p.groups) input_stats;
+  if Array.length input_stats <> Array.length p.groups then
+    invalid_arg "Power.Model: input_stats length differs from gate arity";
   let code = p.code in
   let slots = Array.make (Array.length code + 2) 0. in
   slots.(1) <- 1.;
