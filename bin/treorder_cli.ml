@@ -72,14 +72,27 @@ let scenario_inputs ~seed scenario circuit =
 
 (* --- parallelism flags --- *)
 
-let jobs_conv =
+(* Counts and lengths that must be positive fail at parse time, with
+   Cmdliner's usage message and exit code 124. *)
+let positive_int_conv ~what =
   let parse s =
     match int_of_string_opt (String.trim s) with
     | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "JOBS must be at least 1, got %d" n))
+    | Some n -> Error (`Msg (Printf.sprintf "%s must be at least 1, got %d" what n))
     | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_float_conv ~what =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some x when x > 0. && Float.is_finite x -> Ok x
+    | Some x -> Error (`Msg (Printf.sprintf "%s must be positive, got %g" what x))
+    | None -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let jobs_conv = positive_int_conv ~what:"JOBS"
 
 let jobs_arg =
   let doc =
@@ -115,7 +128,24 @@ let samples_arg =
     "Monte-Carlo sample budget: net-value observations \
      (trajectories x steps), rounded up to whole blocks. mc backend only."
   in
-  Arg.(value & opt (some int) None & info [ "samples" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (positive_int_conv ~what:"N")) None
+    & info [ "samples" ] ~docv:"N" ~doc)
+
+let make_horizon_arg ~doc =
+  Arg.(
+    value
+    & opt (positive_float_conv ~what:"SECONDS") 2e-3
+    & info [ "horizon" ] ~docv:"SECONDS" ~doc)
+
+(* The simulator collects statistics from the warm-up to the horizon. *)
+let check_warmup ~horizon warmup =
+  if not (warmup >= 0. && warmup < horizon) then begin
+    Printf.eprintf "error: --warmup %g is outside [0, %g), the horizon\n"
+      warmup horizon;
+    exit 1
+  end
 
 let with_optional_pool ~jobs f =
   if jobs <= 1 then f None
@@ -281,6 +311,14 @@ let with_obs ~cmd (stats, trace, archive, metrics, telemetry, interval) f =
      Without --metrics/--telemetry it never starts and obs.sample_ns
      stays 0. *)
   let sampler_on = telemetry || Option.is_some metrics in
+  (* The sampler writes FILE.tmp and renames it over FILE, outside
+     [open_output]: a path it cannot write fails here, before the run. *)
+  Option.iter
+    (fun path ->
+      let tmp = path ^ ".tmp" in
+      close_out (open_output tmp);
+      Sys.remove tmp)
+    metrics;
   if sampler_on then Telemetry.start ~interval ?metrics_file:metrics ();
   let pending =
     Option.map
@@ -423,8 +461,8 @@ let estimate_cmd =
          switchsim (event-driven switch-level simulation)."
   in
   let horizon_arg =
-    let doc = "Simulation horizon in seconds (switchsim backend only)." in
-    Arg.(value & opt float 2e-3 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
+    make_horizon_arg
+      ~doc:"Simulation horizon in seconds (switchsim backend only)."
   in
   let run spec scenario seed backend samples jobs horizon obs =
     with_obs ~cmd:"estimate" obs @@ fun pending ->
@@ -613,9 +651,7 @@ let optimize_cmd =
 
 (* --- simulate --- *)
 
-let horizon_arg =
-  let doc = "Simulation horizon in seconds." in
-  Arg.(value & opt float 2e-3 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
+let horizon_arg = make_horizon_arg ~doc:"Simulation horizon in seconds."
 
 let warmup_arg =
   let doc =
@@ -701,6 +737,7 @@ let simulate_cmd =
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"N" ~doc)
   in
   let run spec scenario seed horizon warmup vcd probe_internals top obs =
+    check_warmup ~horizon warmup;
     with_obs ~cmd:"simulate" obs @@ fun pending ->
     record_circuit pending spec;
     record_params pending
@@ -804,6 +841,7 @@ let audit_cmd =
              measure against the switchsim or mc backend\n";
           exit 2
       | Power.Backend.Switchsim ->
+          check_warmup ~horizon warmup;
           record_params pending
             [
               ("horizon", string_of_float horizon);

@@ -7,7 +7,15 @@ let c_samples = Obs.counter "mc.samples"
 
 (* --- word-level primitives --- *)
 
-let popcount x =
+(* A block's net words live in [Bytes] buffers, eight bytes per net, read
+   and written unboxed. The unchecked primitives are safe because every
+   offset is [8 * net] for a net of the circuit the buffer was sized
+   for. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Inlined, so the hot loops count a word without boxing it. *)
+let[@inline] popcount x =
   let open Int64 in
   let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
   let x =
@@ -30,6 +38,23 @@ let unpack w =
   Array.init 64 (fun i ->
       Int64.logand (Int64.shift_right_logical w i) 1L <> 0L)
 
+(* A stream's uniform words, drawn [Bytes.length buf / 8] at a time:
+   Stoch.Rng.fill_bits64 writes the words bits64 would return, in order,
+   and [pos] is the next unread one. A block owns its stream, so the
+   words still unread when it ends are never wanted. *)
+type draws = { rng : Stoch.Rng.t; buf : Bytes.t; mutable pos : int }
+
+let draws ~batch rng = { rng; buf = Bytes.create (8 * batch); pos = batch }
+
+let[@inline] draw d =
+  if 8 * d.pos = Bytes.length d.buf then begin
+    Stoch.Rng.fill_bits64 d.rng d.buf;
+    d.pos <- 0
+  end;
+  let w = get64 d.buf (8 * d.pos) in
+  d.pos <- d.pos + 1;
+  w
+
 (* Biased bits: p rounded to [mask_bits] fractional bits m, then a lane
    is accepted iff a uniform [mask_bits]-bit stream compares below m
    lexicographically, MSB first — accepted at the first uniform bit
@@ -49,14 +74,14 @@ let m_of_prob p =
     let m = int_of_float (Float.round (p *. float_of_int mask_one)) in
     if m < 0 then 0 else if m > mask_one then mask_one else m
 
-let mask_of_m rng m =
+let[@inline] mask_of_m d m =
   if m <= 0 then 0L
   else if m >= mask_one then -1L
   else begin
     let result = ref 0L and undecided = ref (-1L) in
     let i = ref (mask_bits - 1) in
     while !undecided <> 0L && !i >= 0 do
-      let w = Stoch.Rng.bits64 rng in
+      let w = draw d in
       if (m lsr !i) land 1 = 1 then begin
         result :=
           Int64.logor !result (Int64.logand !undecided (Int64.lognot w));
@@ -68,14 +93,15 @@ let mask_of_m rng m =
     !result
   end
 
-let bernoulli_mask rng p = mask_of_m rng (m_of_prob p)
+(* One word per draw, as Stoch.Rng.bits64 gives them. *)
+let bernoulli_mask rng p = mask_of_m (draws ~batch:1 rng) (m_of_prob p)
 
 (* Flip mask for one input: probability [ma]/2^K on 0-lanes, [mb]/2^K on
    1-lanes, sharing one comparison chain — each lane compares the same
    uniform stream against the threshold its previous state selects.
    Thresholds saturated at 1.0 (clamped flip probabilities) accept
    before the first draw. *)
-let flip_mask rng ~ma ~mb prev =
+let[@inline] flip_mask d ~ma ~mb prev =
   if ma <= 0 && mb <= 0 then 0L
   else begin
     let sat =
@@ -86,13 +112,12 @@ let flip_mask rng ~ma ~mb prev =
     let result = ref sat and undecided = ref (Int64.lognot sat) in
     let i = ref (mask_bits - 1) in
     while !undecided <> 0L && !i >= 0 do
-      let w = Stoch.Rng.bits64 rng in
+      let w = draw d in
       let mbit =
-        match ((ma lsr !i) land 1, (mb lsr !i) land 1) with
-        | 1, 1 -> -1L
-        | 0, 0 -> 0L
-        | 1, 0 -> Int64.lognot prev
-        | _ -> prev
+        if (ma lsr !i) land 1 = 1 then
+          if (mb lsr !i) land 1 = 1 then -1L else Int64.lognot prev
+        else if (mb lsr !i) land 1 = 1 then prev
+        else 0L
       in
       result :=
         Int64.logor !result
@@ -140,66 +165,114 @@ let default_dt ~inputs circuit =
 (* Every configuration of a cell computes the cell function (that is the
    whole point of reordering), so evaluation depends only on the kind.
    Output = NOT (pull-down conducts); pins are numbered left-to-right
-   across AOI/OAI groups, matching Cell.Gate.pull_down. *)
+   across AOI/OAI groups, matching Cell.Gate.pull_down.
 
-let group_segments groups =
-  let segs = Array.make (List.length groups) (0, 0) in
-  let _ =
-    List.fold_left
-      (fun (i, start) len ->
-        segs.(i) <- (start, len);
-        (i + 1, start + len))
-      (0, 0) groups
-  in
-  segs
-
-let compile_gate (gate : C.gate) =
-  let f = gate.C.fanins in
-  let and_range v start len =
-    let acc = ref v.(f.(start)) in
-    for i = start + 1 to start + len - 1 do
-      acc := Int64.logand !acc v.(f.(i))
-    done;
-    !acc
-  in
-  let or_range v start len =
-    let acc = ref v.(f.(start)) in
-    for i = start + 1 to start + len - 1 do
-      acc := Int64.logor !acc v.(f.(i))
-    done;
-    !acc
-  in
-  match Cell.Gate.kind gate.C.cell with
-  | Cell.Gate.Inv -> fun v -> Int64.lognot v.(f.(0))
-  | Cell.Gate.Nand n -> fun v -> Int64.lognot (and_range v 0 n)
-  | Cell.Gate.Nor n -> fun v -> Int64.lognot (or_range v 0 n)
-  | Cell.Gate.Aoi groups ->
-      let segs = group_segments groups in
-      fun v ->
-        let acc = ref 0L in
-        Array.iter (fun (s, l) -> acc := Int64.logor !acc (and_range v s l)) segs;
-        Int64.lognot !acc
-  | Cell.Gate.Oai groups ->
-      let segs = group_segments groups in
-      fun v ->
-        let acc = ref (-1L) in
-        Array.iter (fun (s, l) -> acc := Int64.logand !acc (or_range v s l)) segs;
-        Int64.lognot !acc
+   The circuit compiles, in topological order, into one flat program:
+   per gate an opcode, the output's byte offset, then its operands,
+   fanins as byte offsets. Opcodes: 0 NOT-AND and 1 NOT-OR (inv, nand,
+   nor) take a fanin count and the fanins; 2 AOI (NOT of an OR of ANDs)
+   and 3 OAI (NOT of an AND of ORs) take a group count, then per group
+   its length and fanins. *)
 
 let compile circuit =
-  C.topological_order circuit |> Array.of_list
-  |> Array.map (fun g ->
-         let gate = C.gate_at circuit g in
-         (gate.C.output, compile_gate gate))
+  let code = ref [] in
+  let emit x = code := x :: !code in
+  let fanins (gate : C.gate) start len =
+    for pin = start to start + len - 1 do
+      emit (8 * gate.C.fanins.(pin))
+    done
+  in
+  let gate_op op (gate : C.gate) =
+    emit op;
+    emit (8 * gate.C.output)
+  in
+  let groups op gate lengths =
+    gate_op op gate;
+    emit (List.length lengths);
+    ignore
+      (List.fold_left
+         (fun start len ->
+           emit len;
+           fanins gate start len;
+           start + len)
+         0 lengths)
+  in
+  List.iter
+    (fun g ->
+      let gate = C.gate_at circuit g in
+      match Cell.Gate.kind gate.C.cell with
+      | Cell.Gate.Inv ->
+          gate_op 0 gate;
+          emit 1;
+          fanins gate 0 1
+      | Cell.Gate.Nand n ->
+          gate_op 0 gate;
+          emit n;
+          fanins gate 0 n
+      | Cell.Gate.Nor n ->
+          gate_op 1 gate;
+          emit n;
+          fanins gate 0 n
+      | Cell.Gate.Aoi lengths -> groups 2 gate lengths
+      | Cell.Gate.Oai lengths -> groups 3 gate lengths)
+    (C.topological_order circuit);
+  Array.of_list (List.rev !code)
 
-let eval_ops ops values =
-  Array.iter (fun (out, op) -> values.(out) <- op values) ops
+(* The AND (OR) of the words at fanin offsets [code.(first .. last)]. *)
+let[@inline] and_words code v first last =
+  let acc = ref (get64 v (Array.unsafe_get code first)) in
+  for k = first + 1 to last do
+    acc := Int64.logand !acc (get64 v (Array.unsafe_get code k))
+  done;
+  !acc
+
+let[@inline] or_words code v first last =
+  let acc = ref (get64 v (Array.unsafe_get code first)) in
+  for k = first + 1 to last do
+    acc := Int64.logor !acc (get64 v (Array.unsafe_get code k))
+  done;
+  !acc
+
+(* Runs the program over the net words in [v], every gate in order. *)
+let exec code v =
+  let pc = ref 0 in
+  while !pc < Array.length code do
+    let at = !pc in
+    let out = Array.unsafe_get code (at + 1) in
+    let n = Array.unsafe_get code (at + 2) in
+    match Array.unsafe_get code at with
+    | 0 ->
+        set64 v out (Int64.lognot (and_words code v (at + 3) (at + 2 + n)));
+        pc := at + 3 + n
+    | 1 ->
+        set64 v out (Int64.lognot (or_words code v (at + 3) (at + 2 + n)));
+        pc := at + 3 + n
+    | 2 ->
+        let acc = ref 0L and k = ref (at + 3) in
+        for _ = 1 to n do
+          let len = Array.unsafe_get code !k in
+          acc := Int64.logor !acc (and_words code v (!k + 1) (!k + len));
+          k := !k + len + 1
+        done;
+        set64 v out (Int64.lognot !acc);
+        pc := !k
+    | _ ->
+        let acc = ref (-1L) and k = ref (at + 3) in
+        for _ = 1 to n do
+          let len = Array.unsafe_get code !k in
+          acc := Int64.logand !acc (or_words code v (!k + 1) (!k + len));
+          k := !k + len + 1
+        done;
+        set64 v out (Int64.lognot !acc);
+        pc := !k
+  done
 
 let eval_nets circuit ~inputs =
-  let values = Array.make (C.net_count circuit) 0L in
-  List.iter (fun net -> values.(net) <- inputs net) (C.primary_inputs circuit);
-  eval_ops (compile circuit) values;
-  values
+  let nets = C.net_count circuit in
+  let v = Bytes.make (8 * nets) '\000' in
+  List.iter (fun net -> set64 v (8 * net) (inputs net)) (C.primary_inputs circuit);
+  exec (compile circuit) v;
+  Array.init nets (fun net -> get64 v (8 * net))
 
 (* --- blocks --- *)
 
@@ -209,41 +282,64 @@ type block = {
   b_high : int array;
 }
 
+(* The primary inputs' byte offsets and thresholds, in input order:
+   flip probabilities 0→1 and 1→0 and the stationary probability, each
+   as m / 2^[mask_bits]. *)
+type inputs = { off : int array; ma : int array; mb : int array; mp : int array }
+
+(* Uniform words drawn from a block's stream per refill. *)
+let draw_batch = 256
+
 (* One block: [words] independent word-trajectories of [steps] steps,
    all drawn from this block's private RNG stream. Each lane starts in
    its stationary distribution; counts cover the post-transition states
-   of steps 1..steps. *)
-let run_block ~nets ~pis ~ops ~words ~steps rng =
-  let b_toggles = Array.make nets 0 in
-  let b_rises = Array.make nets 0 in
-  let b_high = Array.make nets 0 in
-  let prev = ref (Array.make nets 0L) in
-  let cur = ref (Array.make nets 0L) in
+   of steps 1..steps. The loop allocates nothing per step: net words sit
+   in two buffers that swap roles, and counts go to int arrays. Rises are
+   not counted per step: over one lane's trajectory, rises − falls =
+   last − first, so Σ rises = (Σ toggles + Σ last − Σ first) / 2 exactly;
+   [rises] holds Σ last − Σ first until the block ends. *)
+let run_block ~nets ~pis ~code ~words ~steps rng =
+  let toggles = Array.make nets 0 in
+  let rises = Array.make nets 0 in
+  let high = Array.make nets 0 in
+  let d = draws ~batch:draw_batch rng in
+  let prev = ref (Bytes.make (8 * nets) '\000') in
+  let cur = ref (Bytes.make (8 * nets) '\000') in
+  let add_highs sign v =
+    for net = 0 to nets - 1 do
+      rises.(net) <- rises.(net) + (sign * popcount (get64 v (8 * net)))
+    done
+  in
   for _w = 1 to words do
     let p = !prev in
-    Array.iter (fun (net, _, _, mp) -> p.(net) <- mask_of_m rng mp) pis;
-    eval_ops ops p;
+    for k = 0 to Array.length pis.off - 1 do
+      set64 p pis.off.(k) (mask_of_m d pis.mp.(k))
+    done;
+    exec code p;
+    add_highs (-1) p;
     for _s = 1 to steps do
       let p = !prev and c = !cur in
-      Array.iter
-        (fun (net, ma, mb, _) ->
-          let v = p.(net) in
-          c.(net) <- Int64.logxor v (flip_mask rng ~ma ~mb v))
-        pis;
-      eval_ops ops c;
+      for k = 0 to Array.length pis.off - 1 do
+        let o = pis.off.(k) in
+        let v = get64 p o in
+        set64 c o (Int64.logxor v (flip_mask d ~ma:pis.ma.(k) ~mb:pis.mb.(k) v))
+      done;
+      exec code c;
       for net = 0 to nets - 1 do
-        let ch = Int64.logxor p.(net) c.(net) in
-        if ch <> 0L then begin
-          b_toggles.(net) <- b_toggles.(net) + popcount ch;
-          b_rises.(net) <- b_rises.(net) + popcount (Int64.logand ch c.(net))
-        end;
-        b_high.(net) <- b_high.(net) + popcount c.(net)
+        let cv = get64 c (8 * net) in
+        let ch = Int64.logxor (get64 p (8 * net)) cv in
+        if ch <> 0L then toggles.(net) <- toggles.(net) + popcount ch;
+        high.(net) <- high.(net) + popcount cv
       done;
       prev := c;
       cur := p
-    done
+    done;
+    add_highs 1 !prev
   done;
-  { b_toggles; b_rises; b_high }
+  for net = 0 to nets - 1 do
+    rises.(net) <- (toggles.(net) + rises.(net)) / 2
+  done;
+  { b_toggles = toggles; b_rises = rises; b_high = high }
 
 (* --- the result --- *)
 
@@ -304,14 +400,17 @@ let estimate table ?external_load ?pool ?dt ?(words = 2) ?(steps = 128)
   let samples_per_block = lanes_per_block * steps in
   let blocks = max 2 ((samples + samples_per_block - 1) / samples_per_block) in
   let pis =
-    C.primary_inputs circuit
-    |> List.map (fun net ->
-           let s = inputs net in
-           let a, b = flip_probs s ~dt in
-           (net, m_of_prob a, m_of_prob b, m_of_prob (S.prob s)))
-    |> Array.of_list
+    let nets = Array.of_list (C.primary_inputs circuit) in
+    let stats = Array.map inputs nets in
+    let thresholds f = Array.map (fun s -> m_of_prob (f s)) stats in
+    {
+      off = Array.map (fun net -> 8 * net) nets;
+      ma = thresholds (fun s -> fst (flip_probs s ~dt));
+      mb = thresholds (fun s -> snd (flip_probs s ~dt));
+      mp = thresholds S.prob;
+    }
   in
-  let ops = compile circuit in
+  let code = compile circuit in
   (* Per-block streams split off the master before any parallelism, so
      the stimulus is a pure function of (seed, block index). *)
   let master = Stoch.Rng.create seed in
@@ -320,7 +419,7 @@ let estimate table ?external_load ?pool ?dt ?(words = 2) ?(steps = 128)
      feed the same heartbeat the sequential path does). *)
   Telemetry.progress_begin ~phase:"mc.run" ~total:blocks;
   let run rng =
-    let r = run_block ~nets ~pis ~ops ~words ~steps rng in
+    let r = run_block ~nets ~pis ~code ~words ~steps rng in
     Telemetry.progress_tick ();
     r
   in

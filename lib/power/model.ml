@@ -13,22 +13,27 @@ let c_gate_powers = Obs.counter "power.gate_powers"
    is H of the output node (node 0) in every configuration, so roots
    [0 .. a] double as f and ∂f/∂xᵢ. Differences with respect to a
    non-representative tied pin are the zero constant, so downstream
-   sums never double-count a tied net. *)
+   sums never double-count a tied net. [reach] counts the program's
+   nodes up to the highest slot the roots read: the code is children
+   first, so a pass over that prefix serves this configuration. *)
 type shape = {
   nodes : Sp.Network.node array;
   caps : float array;
   roots : string;
+  reach : int;
 }
 
 (* A compiled (cell, pin-groups) model. [code] holds the reduced ordered
    BDD nodes of every root of every configuration, children first, one
    int each: the variable, the lo slot and the hi slot, [slot_bits]
    apiece. [vdd] is the table's supply, so a program evaluates on its
-   own. *)
+   own. [f_reach] is the prefix f and ∂f/∂xᵢ need, as [reach] is a
+   configuration's. *)
 type program = {
   groups : int array;
   code : int array;
   shapes : shape array;  (* per configuration *)
+  f_reach : int;
   vdd : float;
 }
 
@@ -159,6 +164,9 @@ let compile t cell groups =
         Nodes.add tables f slots;
         slots
   in
+  (* Slot s ≥ 2 is node s − 2, so reading slots up to s takes s − 1
+     nodes. *)
+  let reach slots = max 0 (List.fold_left max 0 slots - 1) in
   let shape config =
     let { Cell.Config.h; g } = Cell.Config.nth_tables cell config in
     let slots =
@@ -173,9 +181,11 @@ let compile t cell groups =
       nodes;
       caps = Array.map (Cell.Process.node_capacitance t.proc network) nodes;
       roots = Bytes.unsafe_to_string roots;
+      reach = reach slots;
     }
   in
   let shapes = Array.init (Cell.Gate.config_count cell) shape in
+  let f = (Cell.Config.nth_tables cell 0).Cell.Config.h.(0) in
   (* The last node holds the highest slot; variables are pins. *)
   if List.length !code + 1 > slot_mask || arity > slot_mask then
     invalid_arg "Power.Model: gate model too large to compile";
@@ -183,6 +193,7 @@ let compile t cell groups =
     groups = Array.copy groups;
     code = Array.of_list (List.rev !code);
     shapes;
+    f_reach = reach (rooted f);
     vdd = t.proc.Cell.Process.vdd;
   }
 
@@ -211,15 +222,15 @@ type eval = {
   slots : float array;
 }
 
-(* Bdd.probability's Shannon expansion, once per node, for every root of
-   every configuration; slots 0 and 1 hold the constants. *)
-let eval (p : program) input_stats =
+(* Bdd.probability's Shannon expansion, once per node, over the first
+   [nodes] nodes of the code; slots 0 and 1 hold the constants. *)
+let eval_prefix (p : program) input_stats nodes =
   if Array.length input_stats <> Array.length p.groups then
     invalid_arg "Power.Model: input_stats length differs from gate arity";
   let code = p.code in
-  let slots = Array.make (Array.length code + 2) 0. in
+  let slots = Array.make (nodes + 2) 0. in
   slots.(1) <- 1.;
-  for k = 0 to Array.length code - 1 do
+  for k = 0 to nodes - 1 do
     let c = code.(k) in
     let pv = input_stats.(c land slot_mask).Stats.prob in
     let lo = slots.((c lsr slot_bits) land slot_mask) in
@@ -227,6 +238,10 @@ let eval (p : program) input_stats =
     slots.(k + 2) <- (pv *. hi) +. ((1. -. pv) *. lo)
   done;
   { program = p; input_stats; slots }
+
+(* Every root of every configuration. *)
+let eval (p : program) input_stats =
+  eval_prefix p input_stats (Array.length p.code)
 
 let root shape r = String.get_uint16_le shape.roots (2 * r)
 
@@ -320,15 +335,23 @@ let resolve_groups cell = function
   | None -> identity_groups (Cell.Gate.arity cell)
   | Some groups -> groups
 
+(* The single-configuration readers pass over their roots' prefix
+   only; an out-of-range [config] takes the whole pass, so [power]
+   reports it as before. *)
 let gate_power t cell ~config ~input_stats ?groups ~load () =
   let p = program t cell ~groups:(resolve_groups cell groups) in
-  power (eval p input_stats) ~config ~load
+  let nodes =
+    if config >= 0 && config < Array.length p.shapes then
+      p.shapes.(config).reach
+    else Array.length p.code
+  in
+  power (eval_prefix p input_stats nodes) ~config ~load
 
 (* f and ∂f/∂xᵢ are the same for every configuration; configuration 0's
    roots [0 .. arity] serve them. *)
 let output_stats t cell ~input_stats ?groups () =
   let p = program t cell ~groups:(resolve_groups cell groups) in
-  let e = eval p input_stats in
+  let e = eval_prefix p input_stats p.f_reach in
   let shape = p.shapes.(0) in
   let density = ref 0. in
   for i = 0 to Array.length input_stats - 1 do

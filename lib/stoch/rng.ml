@@ -12,7 +12,7 @@ let next_seed t =
   t.state <- Int64.add t.state golden_gamma;
   t.state
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -20,6 +20,18 @@ let mix64 z =
 let bits64 t = mix64 (next_seed t)
 
 let split t = { state = bits64 t }
+
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* The state stays in a local while the buffer fills: one boxed store
+   per call instead of one per word. *)
+let fill_bits64 t buf =
+  let state = ref t.state in
+  for i = 0 to (Bytes.length buf / 8) - 1 do
+    state := Int64.add !state golden_gamma;
+    set64 buf (8 * i) (mix64 !state)
+  done;
+  t.state <- !state
 
 (* 53 random mantissa bits scaled into [0,1). *)
 let float t =

@@ -22,6 +22,12 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val fill_bits64 : t -> Bytes.t -> unit
+(** [fill_bits64 t buf] writes the next [Bytes.length buf / 8] outputs
+    of {!bits64}, in order, as native-endian 64-bit words at byte
+    offsets 0, 8, 16, ...: the same words [bits64] would return one by
+    one, without boxing each. *)
+
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)
 

@@ -57,7 +57,13 @@ let test_eval_matches_scalar_per_lane () =
             (Mc.unpack values.(net)).(lane)
         done
       done)
-    [ ("c17", Circuits.Suite.find "c17"); ("tree16", Circuits.Suite.find "tree16") ]
+    (* rnd_c has all 21 cells: every AOI/OAI group shape the flat
+       program encodes. *)
+    [
+      ("c17", Circuits.Suite.find "c17");
+      ("tree16", Circuits.Suite.find "tree16");
+      ("rnd_c", Circuits.Suite.find "rnd_c");
+    ]
 
 (* --- biased mask generation --- *)
 
@@ -101,23 +107,51 @@ let test_seed_reproducible () =
 (* --- parallel bit-identity --- *)
 
 let test_jobs_bit_identical () =
-  let circuit = Circuits.Suite.find "tree16" in
-  let seq = estimate ~samples:65536 ~seed:42 circuit in
   Par.Pool.with_pool ~jobs:4 @@ fun pool ->
-  let par = estimate ~pool ~samples:65536 ~seed:42 circuit in
-  (* Bit-identical, not close: block streams are split before the fan-out
-     and folded in submission order. *)
-  Alcotest.(check bool) "toggles identical" true
-    (par.Mc.net_toggles = seq.Mc.net_toggles
-    && par.Mc.net_rises = seq.Mc.net_rises
-    && par.Mc.net_high = seq.Mc.net_high);
-  Alcotest.(check bool) "density floats identical" true
-    (par.Mc.density = seq.Mc.density && par.Mc.density_se = seq.Mc.density_se);
-  Alcotest.(check bool) "prob floats identical" true
-    (par.Mc.prob = seq.Mc.prob && par.Mc.prob_se = seq.Mc.prob_se);
-  Alcotest.(check bool) "energy identical" true
-    (par.Mc.energy = seq.Mc.energy && par.Mc.power = seq.Mc.power
-   && par.Mc.per_net_energy = seq.Mc.per_net_energy)
+  List.iter
+    (fun name ->
+      let circuit = Circuits.Suite.find name in
+      let seq = estimate ~samples:65536 ~seed:42 circuit in
+      let par = estimate ~pool ~samples:65536 ~seed:42 circuit in
+      (* Bit-identical, not close: block streams are split before the
+         fan-out and folded in submission order. *)
+      Alcotest.(check bool) (name ^ ": toggles identical") true
+        (par.Mc.net_toggles = seq.Mc.net_toggles
+        && par.Mc.net_rises = seq.Mc.net_rises
+        && par.Mc.net_high = seq.Mc.net_high);
+      Alcotest.(check bool) (name ^ ": density floats identical") true
+        (par.Mc.density = seq.Mc.density
+        && par.Mc.density_se = seq.Mc.density_se);
+      Alcotest.(check bool) (name ^ ": prob floats identical") true
+        (par.Mc.prob = seq.Mc.prob && par.Mc.prob_se = seq.Mc.prob_se);
+      Alcotest.(check bool) (name ^ ": energy identical") true
+        (par.Mc.energy = seq.Mc.energy && par.Mc.power = seq.Mc.power
+        && par.Mc.per_net_energy = seq.Mc.per_net_energy))
+    [ "tree16"; "rnd_c" ]
+
+(* --- allocation --- *)
+
+(* The block loop allocates nothing per gate, net or step: what is left
+   is per block (its count arrays and buffers) and per batch of uniform
+   draws. Minor words per gate word-evaluation of a sequential estimate
+   on rnd_c measured 26.4 when every gate returned a boxed word into an
+   [int64 array], and 0.058 since; boxing one word per gate, per net-step
+   or per draw would cost more than the bound. A warm-up run first builds
+   the cells' configuration tables the energies read. *)
+let test_allocation_per_word () =
+  let circuit = Circuits.Suite.find "rnd_c" in
+  ignore (estimate ~seed:42 circuit);
+  Obs.reset ();
+  let w0 = Gc.minor_words () in
+  ignore (estimate ~seed:42 circuit);
+  let words = Gc.minor_words () -. w0 in
+  let evals = Obs.counter_value (Obs.snapshot ()) "mc.words_evaluated" in
+  let per_eval = words /. float_of_int evals in
+  Printf.printf "%.0f minor words over %d word-evaluations: %.3f each\n" words
+    evals per_eval;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per word-evaluation <= 0.25" per_eval)
+    true (per_eval <= 0.25)
 
 (* --- standard error shrinks like 1/sqrt(N) --- *)
 
@@ -279,6 +313,11 @@ let () =
           Alcotest.test_case "seed reproducible" `Quick test_seed_reproducible;
           Alcotest.test_case "jobs:4 bit-identical to sequential" `Quick
             test_jobs_bit_identical;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "minor words per word-evaluation" `Quick
+            test_allocation_per_word;
         ] );
       ( "convergence",
         [

@@ -12,6 +12,22 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Stoch.Rng.bits64 a) (Stoch.Rng.bits64 b)
   done
 
+(* A batch fill is the same words as one draw at a time, and leaves the
+   stream where the single draws would: 3 words, then 5, then one. *)
+let test_rng_fill_bits64 () =
+  let a = Stoch.Rng.create 42 and b = Stoch.Rng.create 42 in
+  List.iter
+    (fun n ->
+      let buf = Bytes.create (8 * n) in
+      Stoch.Rng.fill_bits64 a buf;
+      for i = 0 to n - 1 do
+        Alcotest.(check int64) "word in order" (Stoch.Rng.bits64 b)
+          (Bytes.get_int64_ne buf (8 * i))
+      done)
+    [ 3; 5 ];
+  Alcotest.(check int64) "stream advanced" (Stoch.Rng.bits64 b)
+    (Stoch.Rng.bits64 a)
+
 let test_rng_seed_sensitivity () =
   let a = Stoch.Rng.create 1 and b = Stoch.Rng.create 2 in
   Alcotest.(check bool) "different seeds differ" true
@@ -276,6 +292,8 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
+          Alcotest.test_case "fill_bits64 matches bits64" `Quick
+            test_rng_fill_bits64;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
