@@ -285,7 +285,7 @@ type block = {
 (* The primary inputs' byte offsets and thresholds, in input order:
    flip probabilities 0→1 and 1→0 and the stationary probability, each
    as m / 2^[mask_bits]. *)
-type inputs = { off : int array; ma : int array; mb : int array; mp : int array }
+type stimulus = { off : int array; ma : int array; mb : int array; mp : int array }
 
 (* Uniform words drawn from a block's stream per refill. *)
 let draw_batch = 256
@@ -305,7 +305,8 @@ let run_block ~nets ~pis ~code ~words ~steps rng =
   let d = draws ~batch:draw_batch rng in
   let prev = ref (Bytes.make (8 * nets) '\000') in
   let cur = ref (Bytes.make (8 * nets) '\000') in
-  let add_highs sign v =
+  (* Adds [sign] times each net's lanes at 1 in [v] to [rises]. *)
+  let add_ones sign v =
     for net = 0 to nets - 1 do
       rises.(net) <- rises.(net) + (sign * popcount (get64 v (8 * net)))
     done
@@ -316,7 +317,7 @@ let run_block ~nets ~pis ~code ~words ~steps rng =
       set64 p pis.off.(k) (mask_of_m d pis.mp.(k))
     done;
     exec code p;
-    add_highs (-1) p;
+    add_ones (-1) p;
     for _s = 1 to steps do
       let p = !prev and c = !cur in
       for k = 0 to Array.length pis.off - 1 do
@@ -334,7 +335,7 @@ let run_block ~nets ~pis ~code ~words ~steps rng =
       prev := c;
       cur := p
     done;
-    add_highs 1 !prev
+    add_ones 1 !prev
   done;
   for net = 0 to nets - 1 do
     rises.(net) <- (toggles.(net) + rises.(net)) / 2
