@@ -70,7 +70,7 @@ let scenario_inputs ~seed scenario circuit =
   Power.Scenario.input_stats ~rng:(Stoch.Rng.create seed)
     (parse_scenario scenario) circuit
 
-(* --- parallelism flags --- *)
+(* --- numeric and parallelism flags --- *)
 
 (* Counts and lengths that must be positive fail at parse time, with
    Cmdliner's usage message and exit code 124. *)

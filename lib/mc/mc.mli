@@ -28,6 +28,34 @@
     chain of AND/OR with fresh uniform words — every lane is independent
     and exact to [2^-30].
 
+    {1 The kernel}
+
+    The circuit compiles once, in topological order, into one flat
+    [int array] program: per gate an opcode (NOT-AND for inv and nand,
+    NOT-OR for nor, AOI, OAI), its output's byte offset, then its
+    fanins' byte offsets, AOI/OAI fanins preceded by each group's
+    length. One loop runs it. A block keeps its net words in two
+    [Bytes] buffers, eight bytes per net, read and written with the
+    unboxed 64-bit primitives; the step's inputs flip into one buffer,
+    the program fills the rest, and the buffers swap roles. Toggles and
+    lanes at 1 are counted per net and step with an inlined popcount;
+    rises come from Σ rises = (Σ toggles + Σ last − Σ first) / 2 over
+    each word-trajectory, exact because every lane's rises and falls
+    alternate. A block draws its uniform words from its stream 256 at a
+    time ({!Stoch.Rng.fill_bits64}: the same words in the same order).
+
+    So nothing is allocated per gate, per net or per step: what is left
+    is per block (its count arrays and buffers) and per batch of draws.
+    On a 2,000-gate random circuit at the default 262,144 samples,
+    [treorder estimate --backend mc -j 1] allocates 2.0 M minor words
+    in all, against 186 M when each gate was a closure returning a
+    boxed [Int64] into an [int64 array]; on a 2-vCPU x86-64 host the
+    same run takes 0.21–0.26 s instead of 0.94–1.20 s (five runs
+    each), with the same output byte for byte. The program
+    and the block loop stay in this module: with [-opaque] builds, a
+    cross-module call per gate or per draw would return a boxed
+    [Int64].
+
     {1 Determinism}
 
     Sampling is organized in [blocks] independent blocks of
@@ -119,13 +147,15 @@ val unpack : int64 -> bool array
 (** The 64 lanes of a word, [unpack w].(i) = bit [i]. *)
 
 val popcount : int64 -> int
+(** Lanes at 1. *)
 
 val eval_nets :
   Netlist.Circuit.t -> inputs:(Netlist.Circuit.net -> int64) -> int64 array
 (** Word-parallel functional evaluation: every lane of the result equals
     {!Netlist.Eval.nets} on that lane of the inputs. Configuration
     choices cannot matter (every configuration computes the cell
-    function), so gates are evaluated from their {!Cell.Gate.kind}. *)
+    function), so gates are evaluated from their {!Cell.Gate.kind}. It
+    compiles and runs the program {!estimate}'s blocks run. *)
 
 val bernoulli_mask : Stoch.Rng.t -> float -> int64
 (** 64 independent biased bits; each is 1 with probability [p] rounded

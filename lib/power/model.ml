@@ -164,24 +164,28 @@ let compile t cell groups =
         Nodes.add tables f slots;
         slots
   in
-  (* Slot s ≥ 2 is node s − 2, so reading slots up to s takes s − 1
-     nodes. *)
-  let reach slots = max 0 (List.fold_left max 0 slots - 1) in
+  (* A prefix of [nodes] nodes, grown to read slot [s] too: slot s ≥ 2
+     is node s − 2. *)
+  let reaching nodes s = if s - 1 > nodes then s - 1 else nodes in
   let shape config =
     let { Cell.Config.h; g } = Cell.Config.nth_tables cell config in
     let slots =
       List.concat
         (List.init (Array.length h) (fun j -> rooted h.(j) @ rooted g.(j)))
     in
-    let roots = Bytes.create (2 * List.length slots) in
-    List.iteri (fun r s -> Bytes.set_uint16_le roots (2 * r) s) slots;
+    let roots = Bytes.create (2 * List.length slots) and reach = ref 0 in
+    List.iteri
+      (fun r s ->
+        Bytes.set_uint16_le roots (2 * r) s;
+        reach := reaching !reach s)
+      slots;
     let network = Cell.Config.nth_network cell config in
     let nodes = Array.of_list (Sp.Network.power_nodes network) in
     {
       nodes;
       caps = Array.map (Cell.Process.node_capacitance t.proc network) nodes;
       roots = Bytes.unsafe_to_string roots;
-      reach = reach slots;
+      reach = !reach;
     }
   in
   let shapes = Array.init (Cell.Gate.config_count cell) shape in
@@ -193,7 +197,7 @@ let compile t cell groups =
     groups = Array.copy groups;
     code = Array.of_list (List.rev !code);
     shapes;
-    f_reach = reach (rooted f);
+    f_reach = List.fold_left reaching 0 (rooted f);
     vdd = t.proc.Cell.Process.vdd;
   }
 
