@@ -177,44 +177,39 @@ let default_dt ~inputs circuit =
 let compile circuit =
   let code = ref [] in
   let emit x = code := x :: !code in
-  let fanins (gate : C.gate) start len =
-    for pin = start to start + len - 1 do
-      emit (8 * gate.C.fanins.(pin))
-    done
-  in
-  let gate_op op (gate : C.gate) =
-    emit op;
-    emit (8 * gate.C.output)
-  in
-  let groups op gate lengths =
-    gate_op op gate;
-    emit (List.length lengths);
-    ignore
-      (List.fold_left
-         (fun start len ->
-           emit len;
-           fanins gate start len;
-           start + len)
-         0 lengths)
-  in
   List.iter
     (fun g ->
       let gate = C.gate_at circuit g in
+      let fanins start len =
+        for pin = start to start + len - 1 do
+          emit (8 * gate.C.fanins.(pin))
+        done
+      in
+      let head op n =
+        emit op;
+        emit (8 * gate.C.output);
+        emit n
+      in
+      let flat op n =
+        head op n;
+        fanins 0 n
+      in
+      let grouped op lengths =
+        head op (List.length lengths);
+        ignore
+          (List.fold_left
+             (fun start len ->
+               emit len;
+               fanins start len;
+               start + len)
+             0 lengths)
+      in
       match Cell.Gate.kind gate.C.cell with
-      | Cell.Gate.Inv ->
-          gate_op 0 gate;
-          emit 1;
-          fanins gate 0 1
-      | Cell.Gate.Nand n ->
-          gate_op 0 gate;
-          emit n;
-          fanins gate 0 n
-      | Cell.Gate.Nor n ->
-          gate_op 1 gate;
-          emit n;
-          fanins gate 0 n
-      | Cell.Gate.Aoi lengths -> groups 2 gate lengths
-      | Cell.Gate.Oai lengths -> groups 3 gate lengths)
+      | Cell.Gate.Inv -> flat 0 1
+      | Cell.Gate.Nand n -> flat 0 n
+      | Cell.Gate.Nor n -> flat 1 n
+      | Cell.Gate.Aoi lengths -> grouped 2 lengths
+      | Cell.Gate.Oai lengths -> grouped 3 lengths)
     (C.topological_order circuit);
   Array.of_list (List.rev !code)
 
