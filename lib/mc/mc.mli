@@ -47,12 +47,12 @@
     So nothing is allocated per gate, per net or per step: what is left
     is per block (its count arrays and buffers) and per batch of draws.
     On a 2,000-gate random circuit at the default 262,144 samples,
-    [treorder estimate --backend mc -j 1] allocates 2.0 M minor words
-    in all, against 186 M when each gate was a closure returning a
+    [treorder estimate --backend mc -j 1] allocates 2.1 M minor words
+    in all, against 185.8 M when each gate was a closure returning a
     boxed [Int64] into an [int64 array]; on a 2-vCPU x86-64 host the
     same run takes 0.21–0.26 s instead of 0.94–1.20 s (five runs
-    each), with the same output byte for byte. The program
-    and the block loop stay in this module: with [-opaque] builds, a
+    each), with the same output byte for byte. The program and the
+    block loop stay in this module: with [-opaque] builds, a
     cross-module call per gate or per draw would return a boxed
     [Int64].
 
