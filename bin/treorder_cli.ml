@@ -1126,7 +1126,8 @@ let accuracy_cmd =
 let fuzz_cmd =
   let count_arg =
     Arg.(
-      value & opt int 200
+      value
+      & opt (positive_int_conv ~what:"N") 200
       & info [ "count" ] ~docv:"N" ~doc:"Random cases per property.")
   in
   let property_arg =
@@ -1141,7 +1142,8 @@ let fuzz_cmd =
   in
   let max_gates_arg =
     Arg.(
-      value & opt int 12
+      value
+      & opt (positive_int_conv ~what:"N") 12
       & info [ "max-gates" ] ~docv:"N"
           ~doc:"Size bound handed to the generators (maximum gate count).")
   in

@@ -40,28 +40,9 @@ let pivot c k =
   if k < pd_gaps then { c with pull_down = T.pivot c.pull_down k }
   else { c with pull_up = T.pivot c.pull_up (k - pd_gaps) }
 
-let pivot_all ?(trace = fun _ _ -> ()) start =
-  let n = internal_node_count start in
-  let module Keys = Hashtbl in
-  let visited = Keys.create 32 in
-  let found = ref [ start ] in
-  Keys.add visited (canonical_pair start) ();
-  let rec search cfg current =
-    let cfg = pivot cfg current in
-    let key = canonical_pair cfg in
-    if not (Keys.mem visited key) then begin
-      Keys.add visited key ();
-      found := cfg :: !found;
-      trace current cfg;
-      for idx = 0 to n - 1 do
-        if idx <> current then search cfg idx
-      done
-    end
-  in
-  for idx = 0 to n - 1 do
-    search start idx
-  done;
-  List.rev !found
+let pivot_all ?trace start =
+  T.pivot_search ~pivot ~key:canonical_pair
+    ~nodes:(internal_node_count start) ?trace start
 
 let network c = Sp.Network.of_networks ~pull_up:c.pull_up ~pull_down:c.pull_down
 
@@ -139,13 +120,32 @@ let tables_of gate network =
   in
   { h = joined N.Vdd; g = joined N.Vss }
 
-(* One cell's configurations in [all]'s order, their networks and truth
-   tables, and the ones input reordering reaches. Never mutated once
-   published. *)
+type path = { pins : int array; nodes : int array }
+type paths = { vdd : path array; vss : path array }
+
+let paths_of network =
+  let module N = Sp.Network in
+  let devices = N.devices network in
+  let path steps =
+    let steps = Array.of_list steps in
+    {
+      pins = Array.map (fun (d, _) -> devices.(d).N.input) steps;
+      nodes = Array.map snd steps;
+    }
+  in
+  let rail rail =
+    Array.of_list (List.map path (N.rail_paths network ~source:N.Output ~rail))
+  in
+  { vdd = rail N.Vdd; vss = rail N.Vss }
+
+(* One cell's configurations in [all]'s order, their networks, truth
+   tables and output-to-rail paths, and the ones input reordering
+   reaches. Never mutated once published. *)
 type cell = {
   configs : t array;
   networks : Sp.Network.t array;
   tables : tables array;
+  paths : paths array;
   input_reorderings : int list;
 }
 
@@ -157,24 +157,36 @@ let build gate =
     configs;
     networks;
     tables = Array.map (tables_of gate) networks;
+    paths = Array.map paths_of networks;
     input_reorderings =
       List.filter
         (fun k -> same_shape configs.(k) reference)
         (List.init (Array.length configs) Fun.id);
   }
 
-(* Every cell built so far, by kind. A reader takes no lock: it finds
-   its cell in the list it loaded, or builds it and publishes a longer
-   list, looking again if another domain published first. *)
-let cells : (Gate.kind * cell) list Atomic.t = Atomic.make []
+(* Every cell built so far, with the gate it was built for. A reader
+   takes no lock: it finds its cell in the list it loaded, or builds it
+   and publishes a longer list, looking again if another domain
+   published first. Every netlist gate is one of the library's shared
+   values, so a scan by identity finds it; a gate made apart from the
+   library is found by kind. *)
+let cells : (Gate.t * cell) list Atomic.t = Atomic.make []
+
+let find gate known =
+  match List.assq_opt gate known with
+  | Some _ as c -> c
+  | None ->
+      List.find_map
+        (fun (g, c) -> if Gate.equal g gate then Some c else None)
+        known
 
 let rec of_gate gate =
-  let kind = Gate.kind gate and known = Atomic.get cells in
-  match List.assoc_opt kind known with
+  let known = Atomic.get cells in
+  match find gate known with
   | Some c -> c
   | None ->
       let c = build gate in
-      if Atomic.compare_and_set cells known ((kind, c) :: known) then c
+      if Atomic.compare_and_set cells known ((gate, c) :: known) then c
       else of_gate gate
 
 let checked gate k =
@@ -186,6 +198,7 @@ let checked gate k =
 let nth gate k = (checked gate k).configs.(k)
 let nth_network gate k = (checked gate k).networks.(k)
 let nth_tables gate k = (checked gate k).tables.(k)
+let nth_paths gate k = (checked gate k).paths.(k)
 let input_reorderings gate = (of_gate gate).input_reorderings
 
 let instance_count gate =

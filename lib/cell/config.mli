@@ -16,11 +16,9 @@ val all : Gate.t -> t list
     {!Gate.config_count}. *)
 
 val pivot_all : ?trace:(int -> t -> unit) -> t -> t list
-(** The paper's Fig. 4 algorithm on the whole gate: internal-node
-    indices cover first the pull-down gaps, then the pull-up gaps.
-    [trace] reports each newly discovered configuration with the pivoted
-    node index — the reproduction of Fig. 5. Agrees with {!all} as a set
-    (tested). *)
+(** {!Sp.Sp_tree.pivot_search} on the whole gate: internal-node indices
+    cover first the pull-down gaps, then the pull-up gaps. [trace] gives
+    the reproduction of Fig. 5. Agrees with {!all} as a set (tested). *)
 
 val network : t -> Sp.Network.t
 (** Flattened transistor graph (Fig. 2(a)), built afresh. A library
@@ -51,9 +49,10 @@ val to_string : ?names:(int -> string) -> t -> string
 (** {1 The per-cell table}
 
     Each cell's configurations, in {!all}'s order, their transistor
-    graphs and their switch-level truth tables are built together on the
-    cell's first use by any function below, never at process start, and
-    kept for the life of the process. Nothing in the table is mutated
+    graphs, their switch-level truth tables and their output-to-rail
+    paths are built together on the cell's first use by any function
+    below, never at process start, and kept for the life of the
+    process. Nothing in the table is mutated
     once built, and a read takes no lock, so every domain shares it: two
     domains that first use a cell at once may both build it, and one
     copy is kept. Index [k] is the configuration index a netlist gate
@@ -85,6 +84,19 @@ val nth_tables : Gate.t -> int -> tables
 (** Configuration [k]'s truth tables, built once with the table from
     {!nth_network}, for all input vectors at once: read them, never
     write them.
+    @raise Invalid_argument when [k] is out of range. *)
+
+type path = { pins : int array; nodes : int array }
+(** A path's devices from the output: [pins.(j)] drives the [j]-th and
+    [nodes.(j)] is the {!Sp.Network.index} of the node past it. *)
+
+type paths = { vdd : path array; vss : path array }
+(** The output's {!Sp.Network.rail_paths}: through PMOS devices to vdd,
+    through NMOS devices to vss. The Elmore delays walk them. *)
+
+val nth_paths : Gate.t -> int -> paths
+(** Configuration [k]'s paths, built once with the table from
+    {!nth_network}: read them, never write them.
     @raise Invalid_argument when [k] is out of range. *)
 
 val pin_table : int -> int64

@@ -43,10 +43,6 @@ let pp_report ppf r =
     r.gates_changed
     (Array.length r.configs) r.configurations_explored
 
-let power_objective = function
-  | Min_power | Max_power -> true
-  | Min_power_delay_bounded | Min_delay -> false
-
 let candidates_of ~input_only (gate : C.gate) =
   let cell = gate.C.cell in
   if input_only then Cell.Config.input_reorderings cell
@@ -294,10 +290,9 @@ let decide s timing w =
    dirty gate's program is looked up first, on the calling domain; the
    gates are then decided level by level, each level in topological
    order, and each level's decisions applied in that order. A level of
-   several gates maps across the pool when it has [jobs > 1] and the
-   objective is a power objective; everything else runs inline, because
-   [Min_delay] and the bounded check share the Elmore cache, an
-   unsynchronized [Hashtbl]. *)
+   several gates maps across the pool when it has [jobs > 1], under
+   every objective: a decision reads the session's arrays, its program
+   and the pure Elmore delays, and writes nothing shared. *)
 let settle ?pool s ~phase =
   let circuit = s.circuit in
   (* Every gate dirty, as on a cold run: the sweep order as it stands.
@@ -378,9 +373,7 @@ let settle ?pool s ~phase =
     Telemetry.progress_tick ~n:d.d_candidates ()
   in
   let pool =
-    match pool with
-    | Some p when Par.Pool.jobs p > 1 && power_objective s.objective -> Some p
-    | _ -> None
+    match pool with Some p when Par.Pool.jobs p > 1 -> Some p | _ -> None
   in
   let rec sweep i =
     if i < Array.length work then begin
@@ -624,7 +617,11 @@ let resettle ?pool s (e : edits) =
   List.iter (fun net -> s.moved.(net) <- false) !moved;
   (* An objective flip re-decides every gate, and so does every settle
      under a delay objective; the statistics stay clean either way. *)
-  let delay_objective = not (power_objective e.objective) in
+  let delay_objective =
+    match e.objective with
+    | Min_power | Max_power -> false
+    | Min_power_delay_bounded | Min_delay -> true
+  in
   if e.objective <> s.objective || delay_objective then begin
     s.objective <- e.objective;
     Array.iteri (fun g _ -> mark s g) s.dirty

@@ -182,13 +182,11 @@ val optimize :
     subset, used as an ablation baseline.
 
     [pool] (default none) maps each level of several gates across the
-    pool's domains, every worker evaluating the programs the calling
-    domain looked up in the power table, one per gate, when the pool
-    has [jobs > 1] and the objective is [Min_power] or [Max_power].
-    Everything else runs inline on the calling domain:
-    [jobs = 1], single-gate levels, [Min_delay] and
-    [Min_power_delay_bounded] (both read the Elmore table, whose cache
-    is an unsynchronized [Hashtbl]).
+    pool's domains when the pool has [jobs > 1], under every objective:
+    every worker evaluates the programs the calling domain looked up in
+    the power table, one per gate, and the delay objectives read the
+    Elmore delays, which cache nothing. [jobs = 1] and single-gate
+    levels run inline on the calling domain.
 
     [memo] (default none) reuses best-configuration verdicts across
     gates with the same cell, pin-tying groups, quantized input

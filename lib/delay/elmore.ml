@@ -1,122 +1,69 @@
 module N = Sp.Network
 
-(* A path's delay is affine in the output load: [fixed + coef * load],
-   where [coef] is the total path resistance (the output capacitance
-   C(y) + load discharges through the whole path) and [fixed] collects
-   the internal-node terms plus C(y)'s own contribution. *)
-type affine = { fixed : float; coef : float }
+type table = Cell.Process.t
 
-type pin_model = { rise : affine list; fall : affine list }
+let table proc = proc
+let process t = t
 
-(* Per cell name, each configuration's pin models once built. *)
-type table = {
-  proc : Cell.Process.t;
-  cells : (string, pin_model array option array) Hashtbl.t;
-}
-
-let table proc = { proc; cells = Hashtbl.create 32 }
-let process t = t.proc
-
-let build_models t cell config =
-  let network = Cell.Config.nth_network cell config in
-  let devices = N.devices network in
-  let resistance =
-    Array.map
-      (fun (d : N.device) -> Cell.Process.device_resistance t.proc d.polarity)
-      devices
-  in
-  (* Internal nodes only: the output's term is [c_out], and a rail never
-     carries charge. *)
-  let capacitance =
-    Array.init (N.node_count network) (fun i ->
-        if i <= N.index N.Output then 0.
-        else Cell.Process.node_capacitance t.proc network (N.node_of_index i))
-  in
-  let c_out = Cell.Process.node_capacitance t.proc network N.Output in
-  let arity = Cell.Gate.arity cell in
-  (* Elmore terms of one path, [(device, node past it)] from the output
-     toward the rail, for every pin on it (each pin drives one device
-     per network). When a pin's device switches last, only the nodes
-     above it still carry charge, so its term is the path's prefix sum
-     up to that device; each node adds its capacitance times the
-     resistance still between it and the rail. *)
-  let add_path models path =
-    let total_r = List.fold_left (fun r (d, _) -> r +. resistance.(d)) 0. path in
-    let rec walk path downstream fixed =
-      match path with
-      | [] -> ()
-      | (d, node) :: rest ->
-          let pin = devices.(d).input in
-          models.(pin) <-
-            { fixed = fixed +. (c_out *. total_r); coef = total_r }
-            :: models.(pin);
-          let downstream = downstream -. resistance.(d) in
-          walk rest downstream (fixed +. (capacitance.(node) *. downstream))
-    in
-    walk path total_r 0.
-  in
-  (* Every simple path from the output to [rail] that does not cross the
-     opposite rail, depth first, marking the nodes on the current path. *)
-  let vdd = N.index N.Vdd and vss = N.index N.Vss in
-  let rail_models rail =
-    let models = Array.make arity [] in
-    let blocked = if rail = vss then vdd else vss in
-    let on_path = Array.make (N.node_count network) false in
-    let rec explore here acc =
-      if here = rail then add_path models (List.rev acc)
-      else if here <> blocked then begin
-        on_path.(here) <- true;
-        Array.iter
-          (fun (d, next) ->
-            if not on_path.(next) then explore next ((d, next) :: acc))
-          (N.adjacency network here);
-        on_path.(here) <- false
+(* Each path's walk from the output raises [delays.(pin)], for every pin
+   on it, to the path's delay when [pin] switches last. The node terms
+   and the resistance total are summed from the output, then C(y)'s and
+   the load's terms added: one order for every query. *)
+let walk proc network polarity (paths : Cell.Config.path array) ~load delays =
+  let r = Cell.Process.device_resistance proc polarity in
+  let c_out = Cell.Process.node_capacitance proc network N.Output in
+  for p = 0 to Array.length paths - 1 do
+    let { Cell.Config.pins; nodes } = paths.(p) in
+    let last = Array.length pins - 1 in
+    let total = ref 0. in
+    for _ = 0 to last do
+      total := !total +. r
+    done;
+    let downstream = ref !total and above = ref 0. in
+    for j = 0 to last do
+      let pin = pins.(j) in
+      delays.(pin) <-
+        Float.max delays.(pin)
+          (!above +. (c_out *. !total) +. (!total *. load));
+      if j < last then begin
+        downstream := !downstream -. r;
+        let c =
+          Cell.Process.node_capacitance proc network (N.node_of_index nodes.(j))
+        in
+        above := !above +. (c *. !downstream)
       end
-    in
-    explore (N.index N.Output) [];
-    models
-  in
-  let fall = rail_models vss and rise = rail_models vdd in
-  Array.init arity (fun pin -> { rise = rise.(pin); fall = fall.(pin) })
+    done
+  done
 
-let get t cell config =
-  let name = Cell.Gate.name cell in
-  let models =
-    match Hashtbl.find_opt t.cells name with
-    | Some models -> models
-    | None ->
-        let models = Array.make (Cell.Gate.config_count cell) None in
-        Hashtbl.add t.cells name models;
-        models
-  in
-  if config < 0 || config >= Array.length models then
+(* Per pin, the max from 0 over the pull-up paths through its device
+   into [rise], and over the pull-down ones into [fall]. *)
+let delays proc cell ~config ~load ~rise ~fall =
+  if load < 0. then invalid_arg "Delay.Elmore: negative load";
+  if config < 0 || config >= Cell.Gate.config_count cell then
     invalid_arg "Delay.Elmore: configuration index out of range";
-  match models.(config) with
-  | Some m -> m
-  | None ->
-      let m = build_models t cell config in
-      models.(config) <- Some m;
-      m
+  let network = Cell.Config.nth_network cell config in
+  let { Cell.Config.vdd; vss } = Cell.Config.nth_paths cell config in
+  walk proc network Sp.Sp_tree.Pmos vdd ~load rise;
+  walk proc network Sp.Sp_tree.Nmos vss ~load fall
 
-let eval load paths =
-  List.fold_left (fun acc a -> Float.max acc (a.fixed +. (a.coef *. load))) 0. paths
+let at_pin cell pin values =
+  if pin < 0 || pin >= Cell.Gate.arity cell then
+    invalid_arg "Delay.Elmore: pin out of range";
+  values.(pin)
+
+let pin_delays t cell ~config ~load =
+  let d = Array.make (Cell.Gate.arity cell) 0. in
+  delays t cell ~config ~load ~rise:d ~fall:d;
+  d
 
 let pin_delay_rise_fall t cell ~config ~pin ~load =
-  if load < 0. then invalid_arg "Delay.Elmore: negative load";
-  let models = get t cell config in
-  if pin < 0 || pin >= Array.length models then
-    invalid_arg "Delay.Elmore: pin out of range";
-  let m = models.(pin) in
-  (eval load m.rise, eval load m.fall)
+  let arity = Cell.Gate.arity cell in
+  let rise = Array.make arity 0. and fall = Array.make arity 0. in
+  delays t cell ~config ~load ~rise ~fall;
+  (at_pin cell pin rise, at_pin cell pin fall)
 
 let pin_delay t cell ~config ~pin ~load =
-  let rise, fall = pin_delay_rise_fall t cell ~config ~pin ~load in
-  Float.max rise fall
+  at_pin cell pin (pin_delays t cell ~config ~load)
 
 let worst_delay t cell ~config ~load =
-  let arity = Cell.Gate.arity cell in
-  let rec go pin acc =
-    if pin >= arity then acc
-    else go (pin + 1) (Float.max acc (pin_delay t cell ~config ~pin ~load))
-  in
-  go 0 0.
+  Array.fold_left Float.max 0. (pin_delays t cell ~config ~load)

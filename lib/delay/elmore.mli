@@ -12,18 +12,21 @@
     is what the power optimization tends to prefer.
 
     For a path [y = n₀ -R₁- n₁ ... -R_k- rail] through pin [i]'s device
-    [R_j]: [τ = Σ_{m<j} C(n_m) · Σ_{t=m+1..k} R_t]. The pin delay is the
-    maximum over all simple output-to-rail paths through the pin's
-    device; it is affine in the output load, and the affine coefficients
-    are cached per (cell, configuration, pin). *)
+    [R_j]: [τ = Σ_{m<j} C(n_m) · Σ_{t=m+1..k} R_t], where [C(n₀)]
+    includes the load. The pin delay is the maximum over all simple
+    output-to-rail paths through the pin's device, the paths the per-cell
+    table keeps for each configuration ({!Cell.Config.nth_paths}); it is
+    affine in the output load. Every query walks those paths again with
+    the process's resistances and node capacitances, in one fixed order
+    of floating-point operations, so equal queries give equal bits. *)
 
 type table
 
 val table : Cell.Process.t -> table
-(** An empty cache of each configuration's pin models, each built on
-    first use from the configuration's shared transistor graph
-    ({!Cell.Config.nth_network}). It is an unsynchronized [Hashtbl]:
-    share it between domains only behind a lock. *)
+(** The delay model of a process. It caches nothing: every query is a
+    pure function of the process and the per-cell table's paths, which
+    are never mutated once built, so any number of domains may share
+    one table without a lock. *)
 
 val process : table -> Cell.Process.t
 
@@ -34,6 +37,12 @@ val pin_delay_rise_fall :
     gate's own diffusion.
     @raise Invalid_argument on a bad pin, configuration or negative
     load. *)
+
+val pin_delays :
+  table -> Cell.Gate.t -> config:int -> load:float -> float array
+(** Every pin's {!pin_delay}, by pin, from one walk of the
+    configuration's paths: what static timing reads for a gate.
+    @raise Invalid_argument on a bad configuration or negative load. *)
 
 val pin_delay :
   table -> Cell.Gate.t -> config:int -> pin:int -> load:float -> float

@@ -12,12 +12,11 @@ type t = {
    pin's delay, and the fanin realizing it (-1 when none beats 0). *)
 let forward table circuit loads arrival g ~config =
   let gate = C.gate_at circuit g in
-  let load = loads.(g) in
+  let delays = Elmore.pin_delays table gate.C.cell ~config ~load:loads.(g) in
   let best = ref 0. and from = ref (-1) in
   Array.iteri
     (fun pin net ->
-      let d = Elmore.pin_delay table gate.C.cell ~config ~pin ~load in
-      let t = arrival.(net) +. d in
+      let t = arrival.(net) +. delays.(pin) in
       if t > !best then begin
         best := t;
         from := net
@@ -75,14 +74,14 @@ let required t ~budget =
   List.iter
     (fun g ->
       let gate = C.gate_at circuit g in
-      let r = required.(gate.C.output) and load = t.loads.(g) in
+      let r = required.(gate.C.output) in
+      let delays =
+        Elmore.pin_delays t.table gate.C.cell ~config:gate.C.config
+          ~load:t.loads.(g)
+      in
       Array.iteri
         (fun pin net ->
-          let d =
-            Elmore.pin_delay t.table gate.C.cell ~config:gate.C.config ~pin
-              ~load
-          in
-          required.(net) <- Float.min required.(net) (latest r d))
+          required.(net) <- Float.min required.(net) (latest r delays.(pin)))
         gate.C.fanins)
     (List.rev (C.topological_order circuit));
   required

@@ -74,33 +74,12 @@ let m_of_prob p =
     let m = int_of_float (Float.round (p *. float_of_int mask_one)) in
     if m < 0 then 0 else if m > mask_one then mask_one else m
 
-let[@inline] mask_of_m d m =
-  if m <= 0 then 0L
-  else if m >= mask_one then -1L
-  else begin
-    let result = ref 0L and undecided = ref (-1L) in
-    let i = ref (mask_bits - 1) in
-    while !undecided <> 0L && !i >= 0 do
-      let w = draw d in
-      if (m lsr !i) land 1 = 1 then begin
-        result :=
-          Int64.logor !result (Int64.logand !undecided (Int64.lognot w));
-        undecided := Int64.logand !undecided w
-      end
-      else undecided := Int64.logand !undecided (Int64.lognot w);
-      decr i
-    done;
-    !result
-  end
-
-(* One word per draw, as Stoch.Rng.bits64 gives them. *)
-let bernoulli_mask rng p = mask_of_m (draws ~batch:1 rng) (m_of_prob p)
-
 (* Flip mask for one input: probability [ma]/2^K on 0-lanes, [mb]/2^K on
    1-lanes, sharing one comparison chain — each lane compares the same
    uniform stream against the threshold its previous state selects.
    Thresholds saturated at 1.0 (clamped flip probabilities) accept
-   before the first draw. *)
+   before the first draw. [ma = mb = m], [prev = 0] draws the start
+   states: each lane 1 with probability [m]/2^K. *)
 let[@inline] flip_mask d ~ma ~mb prev =
   if ma <= 0 && mb <= 0 then 0L
   else begin
@@ -131,16 +110,12 @@ let[@inline] flip_mask d ~ma ~mb prev =
     !result
   end
 
-(* --- the sampling model --- *)
+(* One word per draw, as Stoch.Rng.bits64 gives them. *)
+let bernoulli_mask rng p =
+  let m = m_of_prob p in
+  flip_mask (draws ~batch:1 rng) ~ma:m ~mb:m 0L
 
-let flip_probs s ~dt =
-  let p = S.prob s and d = S.density s in
-  if d <= 0. then (0., 0.)
-  else
-    let half = d *. dt /. 2. in
-    let a = if p >= 1. then 1. else Float.min 1. (half /. (1. -. p)) in
-    let b = if p <= 0. then 1. else Float.min 1. (half /. p) in
-    (a, b)
+(* --- the sampling model --- *)
 
 let default_dt ~inputs circuit =
   let dt =
@@ -309,7 +284,7 @@ let run_block ~nets ~pis ~code ~words ~steps rng =
   for _w = 1 to words do
     let p = !prev in
     for k = 0 to Array.length pis.off - 1 do
-      set64 p pis.off.(k) (mask_of_m d pis.mp.(k))
+      set64 p pis.off.(k) (flip_mask d ~ma:pis.mp.(k) ~mb:pis.mp.(k) 0L)
     done;
     exec code p;
     add_ones (-1) p;
@@ -398,12 +373,17 @@ let estimate table ?external_load ?pool ?dt ?(words = 2) ?(steps = 128)
   let pis =
     let nets = Array.of_list (C.primary_inputs circuit) in
     let stats = Array.map inputs nets in
-    let thresholds f = Array.map (fun s -> m_of_prob (f s)) stats in
+    let flips =
+      Array.map
+        (fun s -> Option.value (S.flip_probs s ~dt) ~default:(0., 0.))
+        stats
+    in
+    let thresholds f xs = Array.map (fun x -> m_of_prob (f x)) xs in
     {
       off = Array.map (fun net -> 8 * net) nets;
-      ma = thresholds (fun s -> fst (flip_probs s ~dt));
-      mb = thresholds (fun s -> snd (flip_probs s ~dt));
-      mp = thresholds S.prob;
+      ma = thresholds fst flips;
+      mb = thresholds snd flips;
+      mp = thresholds S.prob stats;
     }
   in
   let code = compile circuit in

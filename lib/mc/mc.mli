@@ -103,11 +103,6 @@ val default_dt : inputs:(Netlist.Circuit.net -> Stoch.Signal_stats.t) ->
 (** Largest step keeping every input's flip probabilities at or below
     1/8; [1.0] if every input is constant. *)
 
-val flip_probs : Stoch.Signal_stats.t -> dt:float -> float * float
-(** [(a, b)]: per-step 0→1 and 1→0 flip probabilities realizing the
-    statistics at step [dt], clamped to [0, 1]. [(0, 0)] for constant
-    signals. *)
-
 val estimate :
   Power.Model.table ->
   ?external_load:float ->

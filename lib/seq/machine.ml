@@ -100,17 +100,14 @@ type trace = {
   power : float;
 }
 
-(* Per-cycle two-state Markov chain realizing (P, D): transition
-   probabilities p01 = D·T/(2(1-P)), p10 = D·T/(2P), clamped to [0,1]. *)
+(* One cycle of the two-state Markov chain realizing (P, D): its flip
+   probabilities at the cycle time; a constant input draws nothing. *)
 let markov_step rng ~cycle_time stats current =
-  let p = S.prob stats and d = S.density stats in
-  if d <= 0. then current
-  else
-    let rate = d *. cycle_time /. 2. in
-    let p01 = if p >= 1. then 1. else Float.min 1. (rate /. (1. -. p)) in
-    let p10 = if p <= 0. then 1. else Float.min 1. (rate /. p) in
-    if current then not (Stoch.Rng.bernoulli rng p10)
-    else Stoch.Rng.bernoulli rng p01
+  match S.flip_probs stats ~dt:cycle_time with
+  | None -> current
+  | Some (p01, p10) ->
+      if current then not (Stoch.Rng.bernoulli rng p10)
+      else Stoch.Rng.bernoulli rng p01
 
 let simulate proc t ~rng ~cycles ~inputs
     ?(cycle_time = Power.Scenario.cycle_time) () =

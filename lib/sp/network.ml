@@ -92,38 +92,46 @@ let device_literal m d =
   | Sp_tree.Nmos -> Bdd.var m d.input
   | Sp_tree.Pmos -> Bdd.nvar m d.input
 
-(* Disjunction over all simple paths from [source] to [target] of the
-   conjunction of the traversed devices' conduction conditions — the
-   paper's Fig. 2(b) depth-first search, with the opposite rail
-   [blocked] (a supply rail terminates a path, it is not a via). *)
-let path_function m t ~source ~target ~blocked =
+(* Depth first from [source] in adjacency order, marking the nodes on
+   the current path; a path ends at [rail], and the opposite rail is
+   never a via. *)
+let rail_paths t ~source ~rail =
   if source = Vdd || source = Vss then
     invalid_arg "Network: H/G undefined on supply rails";
-  let target = index target and blocked = index blocked in
+  let blocked =
+    match rail with
+    | Vdd -> index Vss
+    | Vss -> index Vdd
+    | Output | Internal _ -> invalid_arg "Network.rail_paths: not a rail"
+  in
+  let rail = index rail in
   let on_path = Array.make (node_count t) false in
-  let rec explore here cube =
-    if here = target then cube
-    else if here = blocked then Bdd.zero m
-    else begin
+  let paths = ref [] in
+  let rec explore here steps =
+    if here = rail then paths := List.rev steps :: !paths
+    else if here <> blocked then begin
       on_path.(here) <- true;
-      let acc =
-        Array.fold_left
-          (fun acc (d, next) ->
-            if on_path.(next) then acc
-            else
-              let cube = Bdd.( &&& ) cube (device_literal m t.devices.(d)) in
-              if Bdd.is_zero cube then acc
-              else Bdd.( ||| ) acc (explore next cube))
-          (Bdd.zero m) t.adjacency.(here)
-      in
-      on_path.(here) <- false;
-      acc
+      Array.iter
+        (fun ((_, next) as step) ->
+          if not on_path.(next) then explore next (step :: steps))
+        t.adjacency.(here);
+      on_path.(here) <- false
     end
   in
-  explore (index source) (Bdd.one m)
+  explore (index source) [];
+  List.rev !paths
 
-let h_function m t n = path_function m t ~source:n ~target:Vdd ~blocked:Vss
-let g_function m t n = path_function m t ~source:n ~target:Vss ~blocked:Vdd
+(* The paper's Fig. 2(b): the disjunction over the rail paths of the
+   conjunction of their devices' conduction literals. *)
+let path_function m t n ~rail =
+  let conducts cube (d, _) = Bdd.( &&& ) cube (device_literal m t.devices.(d)) in
+  List.fold_left
+    (fun acc path -> Bdd.( ||| ) acc (List.fold_left conducts (Bdd.one m) path))
+    (Bdd.zero m)
+    (rail_paths t ~source:n ~rail)
+
+let h_function m t n = path_function m t n ~rail:Vdd
+let g_function m t n = path_function m t n ~rail:Vss
 
 let output_function m t = h_function m t Output
 

@@ -7,11 +7,11 @@
     order information of a configuration, and supports the paper's
     H/G path-function extraction (Fig. 2(b)).
 
-    It is the one indexed form of a configuration: node capacitances,
-    Elmore delays and the Monte-Carlo engine read it, and [Cell.Config]
-    builds one per library cell configuration, on the cell's first use,
-    and from it the H/G truth tables the power model, the switch-level
-    simulator and E13 read.
+    It is the one indexed form of a configuration: node capacitances and
+    the Monte-Carlo engine read it, and [Cell.Config] builds one per
+    library cell configuration, on the cell's first use, and from it the
+    H/G truth tables the power model, the switch-level simulator and E13
+    read, and the output-to-rail paths the Elmore delays walk.
     Devices are numbered [0 .. device_count - 1] in lay order (see
     {!of_networks}), nodes by {!index}, and each node's adjacency is
     built once with the network. A network is never mutated after it
@@ -80,17 +80,21 @@ val node_degree : t -> node -> int
     drives the junction-capacitance model. The length of its
     {!adjacency}. *)
 
-(** {1 Path functions}
+(** {1 Path functions} *)
 
-    The symbolic form of H and G, by the paper's Fig. 2(b) path search.
-    The library's truth tables are held to it in the tests. *)
+val rail_paths : t -> source:node -> rail:node -> (int * int) list list
+(** The paper's Fig. 2(b) search: every simple path from [source] to
+    [rail] ([Vdd] or [Vss]) not crossing the opposite rail, depth first
+    along {!adjacency}, as its [(device, node past it)] steps by index.
+    H and G fold over it, and so do the Elmore delays
+    ([Cell.Config.nth_paths]).
+    @raise Invalid_argument when [source] is a rail or [rail] is not. *)
 
 val h_function : Bdd.manager -> t -> node -> Bdd.t
 (** [h_function m t n] is the paper's [H_n]: the Boolean condition (over
-    gate inputs) that at least one conducting path links [n] to [Vdd].
-    Paths may cross the output node but not the opposite rail. The
-    search follows {!adjacency}, so its BDD operations come in device
-    order.
+    gate inputs) that at least one conducting path links [n] to [Vdd],
+    the disjunction over {!rail_paths} of the conjunction of each path's
+    conduction literals (an NMOS conducts on 1, a PMOS on 0).
     @raise Invalid_argument when [n] is [Vdd] or [Vss]. *)
 
 val g_function : Bdd.manager -> t -> node -> Bdd.t

@@ -198,27 +198,29 @@ let pivot t k =
   in
   go t
 
-let pivot_orderings ?(trace = fun _ _ -> ()) t =
-  let n = internal_node_count t in
+let pivot_search ~pivot ~key ~nodes ?(trace = fun _ _ -> ()) start =
   let visited = Hashtbl.create 16 in
-  let found = ref [ t ] in
-  Hashtbl.add visited (canonical t) ();
+  let found = ref [ start ] in
+  Hashtbl.add visited (key start) ();
   (* PIVOTE_AND_SEARCH: pivot on [current], record if new, then recurse on
      every internal node except the one just used (re-pivoting it would
      undo the move and lead back to an already-visited configuration). *)
   let rec search cfg current =
     let cfg = pivot cfg current in
-    let key = canonical cfg in
-    if not (Hashtbl.mem visited key) then begin
-      Hashtbl.add visited key ();
+    let k = key cfg in
+    if not (Hashtbl.mem visited k) then begin
+      Hashtbl.add visited k ();
       found := cfg :: !found;
       trace current cfg;
-      for idx = 0 to n - 1 do
+      for idx = 0 to nodes - 1 do
         if idx <> current then search cfg idx
       done
     end
   in
-  for idx = 0 to n - 1 do
-    search t idx
+  for idx = 0 to nodes - 1 do
+    search start idx
   done;
   List.rev !found
+
+let pivot_orderings ?trace t =
+  pivot_search ~pivot ~key:canonical ~nodes:(internal_node_count t) ?trace t

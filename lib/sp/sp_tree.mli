@@ -98,9 +98,19 @@ val pivot : t -> int -> t
     adjacent to that node along its series chain are exchanged.
     @raise Invalid_argument if [k] is out of range. *)
 
+val pivot_search :
+  pivot:('a -> int -> 'a) ->
+  key:('a -> 'k) ->
+  nodes:int ->
+  ?trace:(int -> 'a -> unit) ->
+  'a ->
+  'a list
+(** The paper's pivot-and-search (Fig. 4) over any configuration type
+    with [nodes] internal nodes: the start, then each configuration
+    whose [key] is new, in discovery order, [trace]d with the node
+    pivoted to reach it. *)
+
 val pivot_orderings : ?trace:(int -> t -> unit) -> t -> t list
-(** All reorderings generated with the paper's recursive pivot-and-search
-    algorithm (Fig. 4), starting from [t]. [trace] is called with the
-    pivoted internal-node index and each {e newly visited} configuration,
-    in discovery order — used to reproduce the paper's Fig. 5. Must
-    agree with {!orderings} up to order (tested). *)
+(** {!pivot_search} from [t] with {!pivot} and {!canonical}: every
+    reordering, [t] first. Must agree with {!orderings} up to order
+    (tested). *)

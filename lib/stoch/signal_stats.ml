@@ -26,6 +26,14 @@ let mean_holding_times t =
     invalid_arg "Signal_stats.mean_holding_times: constant signal";
   (2. *. (1. -. t.prob) /. t.density, 2. *. t.prob /. t.density)
 
+let flip_probs t ~dt =
+  if t.density <= 0. then None
+  else
+    let p = t.prob and half = t.density *. dt /. 2. in
+    let p01 = if p >= 1. then 1. else Float.min 1. (half /. (1. -. p)) in
+    let p10 = if p <= 0. then 1. else Float.min 1. (half /. p) in
+    Some (p01, p10)
+
 let equal ?(eps = 1e-9) a b =
   Float.abs (a.prob -. b.prob) <= eps
   && Float.abs (a.density -. b.density) <= eps

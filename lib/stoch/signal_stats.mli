@@ -32,6 +32,12 @@ val mean_holding_times : t -> float * float
     @raise Invalid_argument on a constant signal (no finite holding
     times exist). *)
 
+val flip_probs : t -> dt:float -> (float * float) option
+(** [Some (p01, p10)]: the 0→1 and 1→0 flip probabilities per step [dt]
+    of the two-state chain realizing these statistics, [D·dt/2] over the
+    state's probability, clamped to [\[0, 1\]]; [None] for a constant
+    signal. The Monte-Carlo and sequential stimuli draw from it. *)
+
 val equal : ?eps:float -> t -> t -> bool
 (** Componentwise comparison with absolute tolerance [eps]
     (default [1e-9]). *)

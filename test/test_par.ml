@@ -166,10 +166,11 @@ let test_default_jobs_env () =
       Alcotest.(check bool) "garbage ignored" true (P.default_jobs () >= 1))
 
 (* The optimizer's pooled sweep against its inline one, each on a fresh
-   table, on a circuit that ties one net to two pins of some gates: the
-   same report, and the same power-model and BDD counters, because every
-   program is resolved on the calling domain in sweep order and the
-   workers only evaluate them. *)
+   table, on a circuit that ties one net to two pins of some gates,
+   under every objective: the same report, the same power-model and BDD
+   counters, because every program is resolved on the calling domain in
+   sweep order and the workers only evaluate them, and the same
+   delay-bound checks, rejections and pruned candidates. *)
 let test_pooled_optimize () =
   let module C = Netlist.Circuit in
   let module O = Reorder.Optimizer in
@@ -188,7 +189,13 @@ let test_pooled_optimize () =
     List.filter
       (fun (name, _) ->
         String.starts_with ~prefix:"power." name
-        || String.starts_with ~prefix:"bdd." name)
+        || String.starts_with ~prefix:"bdd." name
+        || List.mem name
+             [
+               "optimizer.sta_checks";
+               "optimizer.sta_rejects";
+               "optimizer.configs_pruned";
+             ])
       (Obs.snapshot ()).Obs.counters
   in
   let bits = Int64.bits_of_float in
@@ -214,11 +221,14 @@ let test_pooled_optimize () =
       Alcotest.(check bool) (what ^ ": levels ran on the pool") true (levels > 0);
       Alcotest.(check bool) (what ^ ": identical reports") true (inline = pooled);
       Alcotest.(check (list (pair string int)))
-        (what ^ ": power and BDD counters") inline_counters pooled_counters)
+        (what ^ ": power, BDD and delay-bound counters") inline_counters
+        pooled_counters)
     [
       ("min power", O.Min_power, false);
       ("max power", O.Max_power, false);
       ("input-only", O.Min_power, true);
+      ("bounded", O.Min_power_delay_bounded, false);
+      ("fastest", O.Min_delay, false);
     ]
 
 let () =
