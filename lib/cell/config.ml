@@ -120,8 +120,8 @@ let tables_of gate network =
   in
   { h = joined N.Vdd; g = joined N.Vss }
 
-type path = { pins : int array; nodes : int array }
-type paths = { vdd : path array; vss : path array }
+type path = { pins : int array; nodes : Sp.Network.node array }
+type paths = { network : Sp.Network.t; vdd : path array; vss : path array }
 
 let paths_of network =
   let module N = Sp.Network in
@@ -130,13 +130,13 @@ let paths_of network =
     let steps = Array.of_list steps in
     {
       pins = Array.map (fun (d, _) -> devices.(d).N.input) steps;
-      nodes = Array.map snd steps;
+      nodes = Array.map (fun (_, n) -> N.node_of_index n) steps;
     }
   in
   let rail rail =
     Array.of_list (List.map path (N.rail_paths network ~source:N.Output ~rail))
   in
-  { vdd = rail N.Vdd; vss = rail N.Vss }
+  { network; vdd = rail N.Vdd; vss = rail N.Vss }
 
 (* One cell's configurations in [all]'s order, their networks, truth
    tables and output-to-rail paths, and the ones input reordering
@@ -167,22 +167,15 @@ let build gate =
 (* Every cell built so far, with the gate it was built for. A reader
    takes no lock: it finds its cell in the list it loaded, or builds it
    and publishes a longer list, looking again if another domain
-   published first. Every netlist gate is one of the library's shared
-   values, so a scan by identity finds it; a gate made apart from the
-   library is found by kind. *)
+   published first. Every delay query scans the list, so it compares
+   gates by identity, not by kind: a netlist's gates are the library's
+   values, and a gate made apart from the library gets a table of its
+   own. *)
 let cells : (Gate.t * cell) list Atomic.t = Atomic.make []
-
-let find gate known =
-  match List.assq_opt gate known with
-  | Some _ as c -> c
-  | None ->
-      List.find_map
-        (fun (g, c) -> if Gate.equal g gate then Some c else None)
-        known
 
 let rec of_gate gate =
   let known = Atomic.get cells in
-  match find gate known with
+  match List.assq_opt gate known with
   | Some c -> c
   | None ->
       let c = build gate in

@@ -55,8 +55,10 @@ val to_string : ?names:(int -> string) -> t -> string
     process. Nothing in the table is mutated
     once built, and a read takes no lock, so every domain shares it: two
     domains that first use a cell at once may both build it, and one
-    copy is kept. Index [k] is the configuration index a netlist gate
-    carries. *)
+    copy is kept. A cell is found by the gate value, not its kind: the
+    netlist's gates are {!Gate.library}'s values, and a gate made apart
+    from the library with {!Gate.make} gets a table of its own. Index
+    [k] is the configuration index a netlist gate carries. *)
 
 val nth : Gate.t -> int -> t
 (** [nth cell k]: the [k]-th element of [all cell].
@@ -86,13 +88,15 @@ val nth_tables : Gate.t -> int -> tables
     write them.
     @raise Invalid_argument when [k] is out of range. *)
 
-type path = { pins : int array; nodes : int array }
+type path = { pins : int array; nodes : Sp.Network.node array }
 (** A path's devices from the output: [pins.(j)] drives the [j]-th and
-    [nodes.(j)] is the {!Sp.Network.index} of the node past it. *)
+    [nodes.(j)] is the node past it. *)
 
-type paths = { vdd : path array; vss : path array }
-(** The output's {!Sp.Network.rail_paths}: through PMOS devices to vdd,
-    through NMOS devices to vss. The Elmore delays walk them. *)
+type paths = { network : Sp.Network.t; vdd : path array; vss : path array }
+(** The output's {!Sp.Network.rail_paths} in [network], the
+    configuration's {!nth_network}: through PMOS devices to vdd, through
+    NMOS devices to vss. The Elmore delays walk them, reading each
+    node's capacitance off [network]. *)
 
 val nth_paths : Gate.t -> int -> paths
 (** Configuration [k]'s paths, built once with the table from

@@ -27,9 +27,7 @@ let walk proc network polarity (paths : Cell.Config.path array) ~load delays =
           (!above +. (c_out *. !total) +. (!total *. load));
       if j < last then begin
         downstream := !downstream -. r;
-        let c =
-          Cell.Process.node_capacitance proc network (N.node_of_index nodes.(j))
-        in
+        let c = Cell.Process.node_capacitance proc network nodes.(j) in
         above := !above +. (c *. !downstream)
       end
     done
@@ -41,8 +39,7 @@ let delays proc cell ~config ~load ~rise ~fall =
   if load < 0. then invalid_arg "Delay.Elmore: negative load";
   if config < 0 || config >= Cell.Gate.config_count cell then
     invalid_arg "Delay.Elmore: configuration index out of range";
-  let network = Cell.Config.nth_network cell config in
-  let { Cell.Config.vdd; vss } = Cell.Config.nth_paths cell config in
+  let { Cell.Config.network; vdd; vss } = Cell.Config.nth_paths cell config in
   walk proc network Sp.Sp_tree.Pmos vdd ~load rise;
   walk proc network Sp.Sp_tree.Nmos vss ~load fall
 
